@@ -136,8 +136,19 @@ def _read_operator(text: str, cfg: SessionConfig) -> Operator:
 
 def _load_module(args, cfg: SessionConfig) -> ModuleWindow:
     if getattr(args, "infile", None):
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return module_from_json(json.load(fh))
+        try:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read --in file {args.infile!r}: {exc.strerror}")
+        if not isinstance(doc, dict):
+            raise DomainError("module document is not a JSON object")
+        try:
+            return module_from_json(doc)
+        except KeyError as exc:
+            raise DomainError(f"module document lacks key {exc.args[0]!r}")
+        except (TypeError, AttributeError) as exc:
+            raise DomainError(f"malformed module document: {exc}")
     kind = getattr(args, "module", None)
     if kind is None:
         raise UsageError("need --module {simple,Ms} or --in FILE")

@@ -3,15 +3,21 @@
 Matrices carry explicit (rows, cols) so zero-dimensional spaces (which occur
 as weight spaces outside a module's support) are handled uniformly.
 
-Elimination uses a fixed pivot rule -- leftmost nonzero column, then smallest
-row index -- so every reduction is reproducible.  The forward pass clears row
-denominators and runs fraction-free (Bareiss) condensation to keep
-intermediate entries integral.
+Elimination first scales each row by the lcm of its denominators, then runs
+on plain ints with one of two kernels.  Rational matrices go to a
+content-reduced forward pass over Z (each new row divided by the gcd of its
+entries, pivot rows chosen sparsest-first) with integer back-substitution.
+Matrices with a non-real entry go to fraction-free Gauss-Jordan over Z[i]
+(`_ffgj`), whose rows are pairs of int lists and whose only division is an
+exact one by the previous pivot; `det` runs its forward half on every
+matrix.  Both build Scalars once, at the end; the reduced echelon form is
+unique, so the pivot rule never shows in results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
@@ -192,23 +198,30 @@ class Mat:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
-def _clear_row_denominators(row: List[Scalar]) -> List[Scalar]:
-    lcm = 1
-    for x in row:
-        for part in (x.re, x.im):
-            d = part.denominator
-            if d != 1:
-                lcm = lcm * d // _gcd(lcm, d)
-    if lcm == 1:
-        return row
-    c = Scalar(lcm)
-    return [c * x for x in row]
+def _int_rows(data: Sequence[Sequence[Scalar]]):
+    """Each row times the lcm of its denominators, as plain ints.
+
+    Returns (re_rows, im_rows, scales); im_rows is None when every entry is
+    rational.  Row scales change neither the row space nor the pivots.
+    """
+    gaussian = any(x.im for row in data for x in row)
+    re_rows, scales = [], []
+    im_rows = [] if gaussian else None
+    for row in data:
+        if gaussian:
+            m = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+            im_rows.append([x.im.numerator * (m // x.im.denominator) for x in row])
+        else:
+            m = lcm(*(x.re.denominator for x in row))
+        re_rows.append([x.re.numerator * (m // x.re.denominator) for x in row])
+        scales.append(m)
+    return re_rows, im_rows, scales
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _primitive(row: List[int]) -> List[int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def _echelon_int(rows: List[List[int]], ncols: int):
@@ -220,8 +233,6 @@ def _echelon_int(rows: List[List[int]], ncols: int):
     rows are chosen sparsest-first, which does not change the (unique)
     reduced echelon form computed from the output.
     """
-    from math import gcd
-
     pivots = []
     r = 0
     nrows = len(rows)
@@ -245,16 +256,7 @@ def _echelon_int(rows: List[List[int]], ncols: int):
             if not head:
                 continue
             row = rows[i]
-            new = [piv * row[j] - head * prow[j] for j in range(ncols)]
-            g = 0
-            for v in new:
-                if v:
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-            if g > 1:
-                new = [v // g for v in new]
-            rows[i] = new
+            rows[i] = _primitive([piv * row[j] - head * prow[j] for j in range(ncols)])
         pivots.append((r, c))
         r += 1
         if r == nrows:
@@ -262,50 +264,8 @@ def _echelon_int(rows: List[List[int]], ncols: int):
     return rows, pivots
 
 
-def _echelon(rows: List[List[Scalar]], ncols: int):
-    """Fraction-free forward elimination; returns (rows, pivots).
-
-    pivots is a list of (row, col) in elimination order.  Input rows are
-    modified in place (pass copies).
-    """
-    rows = [_clear_row_denominators(r) for r in rows]
-    if all(x.im == 0 for row in rows for x in row):
-        int_rows = [[x.re.numerator for x in row] for row in rows]
-        out, pivots = _echelon_int(int_rows, ncols)
-        return [[Scalar(v) for v in row] for row in out], pivots
-    pivots = []
-    r = 0
-    prev = ONE
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            head = rows[i][c]
-            if head.is_zero() and prev.is_one():
-                continue
-            rows[i] = [
-                (piv * rows[i][j] - head * rows[r][j]) / prev for j in range(ncols)
-            ]
-        pivots.append((r, c))
-        prev = piv
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def _rref_int(rows: List[List[int]], ncols: int):
     """Reduced echelon form over the integers (rows scaled, pivots last)."""
-    from fractions import Fraction
-    from math import gcd
-
     rows, pivots = _echelon_int(rows, ncols)
     for r, c in reversed(pivots):
         prow = rows[r]
@@ -315,65 +275,121 @@ def _rref_int(rows: List[List[int]], ncols: int):
             if not f:
                 continue
             row = rows[i]
-            new = [piv * row[j] - f * prow[j] for j in range(ncols)]
-            g = 0
-            for v in new:
-                if v:
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-            if g > 1:
-                new = [v // g for v in new]
-            rows[i] = new
-    out = []
-    piv_iter = dict(pivots)
-    for r, row in enumerate(rows):
-        piv = row[piv_iter[r]] if r in piv_iter else None
-        if piv is None:
-            out.append([Scalar(v) for v in row])
-        else:
-            out.append([Scalar(Fraction(v, piv)) for v in row])
+            rows[i] = _primitive([piv * row[j] - f * prow[j] for j in range(ncols)])
+    # rows past the last pivot are zero
+    out = [[ZERO] * ncols for _ in range(len(rows))]
+    for r, c in pivots:
+        piv = rows[r][c]
+        out[r] = [Scalar(Fraction(v, piv)) for v in rows[r]]
     return out, pivots
+
+
+def _ffgj(re: List[List[int]], im: List[List[int]], ncols: int, full: bool = True):
+    """Fraction-free Gauss-Jordan elimination over Z[i], in place.
+
+    Row k holds the Gaussian integers re[k][j] + im[k][j]*i.  The pivot is
+    the first nonzero entry of the leftmost column left to reduce.  Each
+    step replaces every other row by (p*row - h*pivot_row) / d, where p is
+    the pivot, h the row's entry in the pivot column and d the previous
+    pivot; the division is exact (Bareiss; Nakos, Turner & Williams 1997).
+    Afterwards every pivot entry equals the last pivot D, and the reduced
+    echelon form is rows / D.  With full=False only the rows below each
+    pivot are reduced, which is Bareiss' forward pass: D is then still
+    +-det for a nonsingular square input.
+
+    Returns (D as an (re, im) pair, pivot columns, number of row swaps).
+    """
+    m = len(re)
+    pivots = []
+    swaps = 0
+    dr, di = 1, 0
+    i = 0
+    for j in range(ncols):
+        if i == m:
+            break
+        k = i
+        while k < m and not (re[k][j] or im[k][j]):
+            k += 1
+        if k == m:
+            continue
+        if k != i:
+            re[i], re[k] = re[k], re[i]
+            im[i], im[k] = im[k], im[i]
+            swaps += 1
+        yr, yi = re[i], im[i]
+        pr, pi = yr[j], yi[j]
+        n = dr * dr + di * di
+        for k in range(m) if full else range(i + 1, m):
+            if k == i:
+                continue
+            xr, xi = re[k], im[k]
+            hr, hi = xr[j], xi[j]
+            if not (hr or hi) and pr == dr and pi == di:
+                continue
+            if pi or hi:
+                ar = [pr * a - pi * b - hr * c + hi * e for a, b, c, e in zip(xr, xi, yr, yi)]
+                ai = [pr * b + pi * a - hr * e - hi * c for a, b, c, e in zip(xr, xi, yr, yi)]
+            else:
+                ar = [pr * a - hr * c for a, c in zip(xr, yr)]
+                ai = [pr * b - hr * e for b, e in zip(xi, yi)]
+            if di:
+                re[k] = [(a * dr + b * di) // n for a, b in zip(ar, ai)]
+                im[k] = [(b * dr - a * di) // n for a, b in zip(ar, ai)]
+            elif dr != 1:
+                re[k] = [a // dr for a in ar]
+                im[k] = [b // dr for b in ai]
+            else:
+                re[k], im[k] = ar, ai
+        pivots.append(j)
+        i += 1
+        dr, di = pr, pi
+    return (dr, di), pivots, swaps
 
 
 def rref(matrix: Mat):
     """Reduced row echelon form; returns (Mat, pivot_columns)."""
-    rows = [_clear_row_denominators(row[:]) for row in matrix.data]
-    if all(x.im == 0 for row in rows for x in row):
-        int_rows = [[x.re.numerator for x in row] for row in rows]
-        out, pivots = _rref_int(int_rows, matrix.cols)
+    re, im, _ = _int_rows(matrix.data)
+    if im is None:
+        out, pivots = _rref_int(re, matrix.cols)
         return Mat(matrix.rows, matrix.cols, out), [c for _, c in pivots]
-    rows, pivots = _echelon(rows, matrix.cols)
-    # normalize pivots to 1 and back-eliminate
-    for r, c in pivots:
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-    for r, c in reversed(pivots):
-        for i in range(r):
-            f = rows[i][c]
-            if not f.is_zero():
-                rows[i] = [rows[i][j] - f * rows[r][j] for j in range(matrix.cols)]
-    return Mat(matrix.rows, matrix.cols, rows), [c for _, c in pivots]
+    (dr, di), pivots, _ = _ffgj(re, im, matrix.cols)
+    n = dr * dr + di * di
+    out = [[ZERO] * matrix.cols for _ in range(matrix.rows)]
+    for r, c in enumerate(pivots):
+        row = out[r]
+        for j, a, b in zip(range(matrix.cols), re[r], im[r]):
+            if a or b:
+                row[j] = Scalar(Fraction(a * dr + b * di, n), Fraction(b * dr - a * di, n))
+        row[c] = ONE
+    return Mat(matrix.rows, matrix.cols, out), pivots
 
 
 def rank(matrix: Mat) -> int:
-    _, pivots = _echelon([row[:] for row in matrix.data], matrix.cols)
-    return len(pivots)
+    re, im, _ = _int_rows(matrix.data)
+    if im is None:
+        return len(_echelon_int(re, matrix.cols)[1])
+    return len(_ffgj(re, im, matrix.cols, full=False)[1])
+
+
+def _kernel_from_rref(R: Mat, piv_cols: List[int], ncols: int) -> List[Mat]:
+    """Kernel basis read off the first ncols columns of a reduced echelon form."""
+    piv_set = set(piv_cols)
+    basis = []
+    for fc in range(ncols):
+        if fc in piv_set:
+            continue
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for r, c in enumerate(piv_cols):
+            v[c] = -R.data[r][fc]
+        basis.append(Mat.col_vector(_normalize_content(v)))
+    return basis
 
 
 def kernel_basis(matrix: Mat) -> List[Mat]:
     """Basis of {x : A x = 0} as column vectors, deterministic order."""
     R, piv_cols = rref(matrix)
-    piv_set = set(piv_cols)
-    free = [c for c in range(matrix.cols) if c not in piv_set]
-    basis = []
-    for fc in free:
-        v = [ZERO] * matrix.cols
-        v[fc] = ONE
-        for r, c in zip(range(len(piv_cols)), piv_cols):
-            v[c] = -R.data[r][fc]
-        basis.append(Mat.col_vector(_normalize_content(v)))
-    return basis
+    return _kernel_from_rref(R, piv_cols, matrix.cols)
 
 
 def _normalize_content(v: List[Scalar]) -> List[Scalar]:
@@ -381,18 +397,9 @@ def _normalize_content(v: List[Scalar]) -> List[Scalar]:
     entries are left as they are."""
     if any(x.im != 0 for x in v):
         return v
-    lcm = 1
-    for x in v:
-        d = x.re.denominator
-        if d != 1:
-            lcm = lcm * d // _gcd(lcm, d)
-    ints = [int(x.re * lcm) for x in v]
-    g = 0
-    for u in ints:
-        if u:
-            g = _gcd(g, abs(u))
-            if g == 1:
-                break
+    den = lcm(*(x.re.denominator for x in v))
+    ints = [x.re.numerator * (den // x.re.denominator) for x in v]
+    g = gcd(*ints)
     if g > 1:
         ints = [u // g for u in ints]
     return [Scalar(u) for u in ints]
@@ -422,9 +429,10 @@ def solve_linear(A: Mat, b: Mat) -> Optional[LinearSolution]:
     if A.cols in piv_cols:
         return None
     x = [ZERO] * A.cols
-    for r, c in zip(range(len(piv_cols)), piv_cols):
+    for r, c in enumerate(piv_cols):
         x[c] = R.data[r][A.cols]
-    return LinearSolution(Mat.col_vector(x), kernel_basis(A))
+    # consistent, so the A-columns of R are rref(A)
+    return LinearSolution(Mat.col_vector(x), _kernel_from_rref(R, piv_cols, A.cols))
 
 
 def column_space_basis(columns: Iterable[Mat], dim: int) -> List[Mat]:
@@ -451,9 +459,8 @@ def invert(matrix: Mat) -> Optional[Mat]:
         return None
     n = matrix.rows
     R, piv = rref(matrix.hstack(Mat.identity(n)))
-    if piv[: n] != list(range(n)) if len(piv) >= n else True:
-        if len(piv) < n or piv[:n] != list(range(n)):
-            return None
+    if piv[:n] != list(range(n)):
+        return None
     return Mat(n, n, [row[n:] for row in R.data])
 
 
@@ -606,25 +613,11 @@ def det(matrix: Mat) -> Scalar:
     n = matrix.rows
     if n == 0:
         return ONE
-    rows = [row[:] for row in matrix.data]
-    sign = ONE
-    prev = ONE
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, n):
-            if not rows[i][c].is_zero():
-                pr = i
-                break
-        if pr is None:
-            return ZERO
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-            sign = -sign
-        piv = rows[r][c]
-        for i in range(r + 1, n):
-            head = rows[i][c]
-            rows[i] = [(piv * rows[i][j] - head * rows[r][j]) / prev for j in range(n)]
-        prev = piv
-        r += 1
-    return sign * prev
+    re, im, scales = _int_rows(matrix.data)
+    if im is None:
+        im = [[0] * n for _ in range(n)]
+    (dr, di), pivots, swaps = _ffgj(re, im, n, full=False)
+    if len(pivots) < n:
+        return ZERO
+    den = (-1) ** swaps * prod(scales)
+    return Scalar(Fraction(dr, den), Fraction(di, den))

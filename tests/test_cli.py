@@ -97,6 +97,35 @@ def test_deterministic_output():
     assert out1 == out2
 
 
+def test_in_unreadable_file_is_usage_error(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out = run_cli(["--json", "report", "--in", missing])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "usage" and missing in error["message"]
+
+
+@pytest.mark.parametrize(
+    "key,value,needle",
+    [("orbit", None, "'orbit'"), ("spaces", [], "malformed"), ("window", 5, "malformed")],
+)
+def test_in_malformed_document_is_domain_error(tmp_path, key, value, needle):
+    _, out = run_cli(
+        ["--json", "--window=-2..2", "module-build", "--module", "Ms", "--s", "1", "--lambda", "0"]
+    )
+    doc = json.loads(out)["result"]
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli(["--json", "report", "--in", str(path)])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "domain" and needle in error["message"]
+
+
 def test_parse_print_identity():
     for expr in ["H_1^2*d_1 - 2*int_1", "e[0,0]_1", "1 - e[0,0]_1"]:
         _, out = run_cli(["normalize", expr])
