@@ -16,7 +16,7 @@ operator is zero iff its action matrix vanishes on a large enough window.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .linalg import Mat
 from .operators import Operator, Slot, TermN
@@ -74,18 +74,6 @@ def act_term(term: TermN, alpha: Monomial) -> Optional[Tuple[Monomial, Scalar]]:
         out.append(s2)
         coeff = coeff * c
     return tuple(out), coeff
-
-
-def act_generator(name: str, slot_index: int, n: int, alpha: Monomial):
-    """Apply a single generator to x^[alpha]; returns (beta, coeff) or None."""
-    op = {
-        "H": Operator.gen_H,
-        "d": Operator.gen_d,
-        "int": Operator.gen_int,
-        "x": Operator.gen_x,
-    }[name](n, slot_index)
-    (term,) = op.terms
-    return act_term(term, alpha)
 
 
 def act_monomial(a: Operator, alpha: Monomial) -> Dict[Monomial, Scalar]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import sympy
@@ -25,8 +25,8 @@ import sympy
 from .linalg import (
     BlockSystem,
     Mat,
+    block_diag,
     column_space_basis,
-    in_span,
     invert,
     kernel_basis,
     rank,
@@ -74,17 +74,6 @@ def rep_type_orbit(orbit: Orbit) -> RepTypeVerdict:
 
 
 # -- generic finite-dimensional module machinery ----------------------------
-
-
-class MatModule:
-    """A finite-dimensional module given by action matrices on one space."""
-
-    def __init__(self, matrices: Sequence[Mat]):
-        self.matrices = tuple(matrices)
-        self.dim = self.matrices[0].rows if self.matrices else 0
-        for m in self.matrices:
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("action matrices must be square of equal size")
 
 
 def _end_basis_one_space(mats: Sequence[Mat], dim: int) -> List[Mat]:
@@ -174,7 +163,21 @@ def _radical_basis(end: List[Mat]) -> List[Mat]:
     k = len(end)
     if k == 0:
         return []
-    gram = Mat(k, k, [[(end[i] @ end[j]).trace() for j in range(k)] for i in range(k)])
+    # trace(E_i E_j) = sum over a, b of E_i[a][b] * E_j[b][a]; symmetric in i, j
+    nonzero = [
+        [(a, b, x) for a, row in enumerate(e.data) for b, x in enumerate(row) if not x.is_zero()]
+        for e in end
+    ]
+    gram = Mat(k, k)
+    for i in range(k):
+        for j in range(i, k):
+            t = ZERO
+            Ej = end[j].data
+            for a, b, x in nonzero[i]:
+                y = Ej[b][a]
+                if not y.is_zero():
+                    t = t + x * y
+            gram.data[i][j] = gram.data[j][i] = t
     out = []
     for v in kernel_basis(gram):
         m = Mat.zero(end[0].rows, end[0].cols)
@@ -194,15 +197,15 @@ def end_local_residue_dim(mats: Sequence[Mat], dim: int) -> int:
 
 
 def is_indecomposable(module) -> bool:
-    """End(V)/rad = K, computed exactly.  Accepts a MatModule, a list of
-    matrices, or a KroneckerRep."""
+    """End(V)/rad = K, computed exactly.  Accepts a KroneckerRep or a
+    sequence of square action matrices on one space."""
     if isinstance(module, KroneckerRep):
         end = module.end_basis()
         rad = _radical_basis(end)
         if module.d1 + module.d2 == 0:
             return False
         return len(end) - len(rad) == 1
-    mats = module.matrices if isinstance(module, MatModule) else list(module)
+    mats = list(module)
     dim = mats[0].rows if mats else 0
     if dim == 0:
         return False
@@ -301,25 +304,10 @@ class KroneckerRep:
         sol = sys.solve()
         assert sol is not None
         _, kern = sol
-        out = []
-        for k in kern:
-            out.append(_blockdiag(k["X"], k["Y"]))
-        return out
+        return [block_diag(k["X"], k["Y"]) for k in kern]
 
     def __repr__(self):
         return f"KroneckerRep(dims=({self.d1},{self.d2}))"
-
-
-def _blockdiag(X: Mat, Y: Mat) -> Mat:
-    n = X.rows + Y.rows
-    m = Mat.zero(n, n)
-    for i in range(X.rows):
-        for j in range(X.cols):
-            m.data[i][j] = X.data[i][j]
-    for i in range(Y.rows):
-        for j in range(Y.cols):
-            m.data[X.rows + i][X.cols + j] = Y.data[i][j]
-    return m
 
 
 @dataclass(frozen=True)
@@ -383,29 +371,16 @@ def kronecker_block(label: KroneckerBlockLabel) -> KroneckerRep:
 
 
 def _sub_rep(R: KroneckerRep, P1: Mat, P2: Mat) -> KroneckerRep:
-    A = _coords_must(P2, R.A @ P1)
-    B = _coords_must(P2, R.B @ P1)
-    return KroneckerRep(A, B)
-
-
-def _coords_must(B: Mat, V: Mat) -> Mat:
-    cols = []
-    for j in range(V.cols):
-        b = Mat.col_vector(V.col(j))
-        if B.cols == 0:
-            if not b.is_zero():
-                raise DomainError("subspace is not invariant")
-            cols.append([])
-            continue
-        sol = solve_linear(B, b)
-        if sol is None:
-            raise DomainError("subspace is not invariant")
-        cols.append([sol.particular.data[r][0] for r in range(B.cols)])
-    return Mat(B.cols, V.cols, [[cols[j][r] for j in range(V.cols)] for r in range(B.cols)])
-
-
-def _cols_to_mat(cols: List[Mat], dim: int) -> Mat:
-    return Mat(dim, len(cols), [[c.data[r][0] for c in cols] for r in range(dim)])
+    """R restricted to the subspaces spanned by the columns of P1 and P2."""
+    sol = solve_linear(P2, (R.A @ P1).hstack(R.B @ P1))
+    if sol is None:
+        raise DomainError("subspace is not invariant")
+    k = P1.cols
+    X = sol.particular
+    return KroneckerRep(
+        Mat(X.rows, k, [row[:k] for row in X.data]),
+        Mat(X.rows, k, [row[k:] for row in X.data]),
+    )
 
 
 def _splitting_element(end: List[Mat], field: Field) -> Optional[Tuple[Mat, UniPoly, UniPoly]]:
@@ -512,8 +487,8 @@ def _kron_split_indecomposables(
         Y = Mat(R.d2, R.d2, [row[R.d1 :] for row in fm.data[R.d1 :]])
         k1 = kernel_basis(X) if R.d1 else []
         k2 = kernel_basis(Y) if R.d2 else []
-        P1 = _cols_to_mat(k1, R.d1)
-        P2 = _cols_to_mat(k2, R.d2)
+        P1 = Mat.from_cols(k1, R.d1)
+        P2 = Mat.from_cols(k2, R.d2)
         sub = _sub_rep(R, P1, P2)
         for piece, Q1, Q2 in _kron_split_indecomposables(sub, field):
             out.append((piece, P1 @ Q1, P2 @ Q2))
@@ -545,25 +520,16 @@ def kronecker_decompose_with_iso(R: KroneckerRep, field: Field = QQ):
     for piece, P1, P2 in pieces:
         labeled.append((_kron_indecomposable_label(piece, field), piece, P1, P2))
     labeled.sort(key=lambda item: item[0].sort_key())
-    q_cols: List[List[Scalar]] = [[] for _ in range(R.d1)]
-    p_cols: List[List[Scalar]] = [[] for _ in range(R.d2)]
-    labels = []
+    Q = Mat(R.d1, 0)
+    P = Mat(R.d2, 0)
     for label, piece, P1, P2 in labeled:
-        labels.append(label)
-        can = kronecker_block(label)
-        iso = _kron_iso(can, piece)
+        iso = _kron_iso(kronecker_block(label), piece)
         if iso is None:
             raise DomainError(f"piece does not match its label {label!r}")
         U1, U2 = iso
-        E1 = P1 @ U1
-        E2 = P2 @ U2
-        for r in range(R.d1):
-            q_cols[r].extend(E1.data[r])
-        for r in range(R.d2):
-            p_cols[r].extend(E2.data[r])
-    Q = Mat(R.d1, sum(kronecker_block(l).d1 for l in labels), q_cols)
-    P = Mat(R.d2, sum(kronecker_block(l).d2 for l in labels), p_cols)
-    return labels, P, Q
+        Q = Q.hstack(P1 @ U1)
+        P = P.hstack(P2 @ U2)
+    return [label for label, _, _, _ in labeled], P, Q
 
 
 def _kron_iso(C: KroneckerRep, D: KroneckerRep) -> Optional[Tuple[Mat, Mat]]:
@@ -578,7 +544,7 @@ def _kron_iso(C: KroneckerRep, D: KroneckerRep) -> Optional[Tuple[Mat, Mat]]:
     sol = sys.solve()
     assert sol is not None
     _, kern = sol
-    homs = [_blockdiag(k["X"], k["Y"]) for k in kern]
+    homs = [block_diag(k["X"], k["Y"]) for k in kern]
     total = _search_invertible(homs, C.d1 + C.d2)
     if total is None:
         return None
@@ -588,19 +554,8 @@ def _kron_iso(C: KroneckerRep, D: KroneckerRep) -> Optional[Tuple[Mat, Mat]]:
 
 
 def kronecker_sum(reps: Sequence[KroneckerRep]) -> KroneckerRep:
-    d1 = sum(r.d1 for r in reps)
-    d2 = sum(r.d2 for r in reps)
-    A = Mat.zero(d2, d1)
-    B = Mat.zero(d2, d1)
-    r0 = c0 = 0
-    for r in reps:
-        for i in range(r.d2):
-            for j in range(r.d1):
-                A.data[r0 + i][c0 + j] = r.A.data[i][j]
-                B.data[r0 + i][c0 + j] = r.B.data[i][j]
-        r0 += r.d2
-        c0 += r.d1
-    return KroneckerRep(A, B)
+    """Direct sum of pencils."""
+    return KroneckerRep(block_diag(*(r.A for r in reps)), block_diag(*(r.B for r in reps)))
 
 
 # -- string and band modules ------------------------------------------------
@@ -867,22 +822,14 @@ def find_regular_copy(h1: Mat, h2: Mat) -> Optional[Mat]:
     """Columns spanning a free rank-1 submodule {v, h1v, h2v, h1h2v}, found
     deterministically; None when the doubled socle acts by zero."""
     d = h1.rows
-    prod = h1 @ h2
-    if prod.is_zero():
+    if (h1 @ h2).is_zero():
         return None
-    for j in range(d):
-        v = Mat.col_vector([ONE if r == j else ZERO for r in range(d)])
-        if _regular_span(h1, h2, v) is not None:
-            return _regular_span(h1, h2, v)
-    # combinations of two basis vectors
-    for j in range(d):
-        for k in range(j + 1, d):
-            v = Mat.col_vector(
-                [ONE if r in (j, k) else ZERO for r in range(d)]
-            )
-            hit = _regular_span(h1, h2, v)
-            if hit is not None:
-                return hit
+    # basis vectors, then sums of two basis vectors
+    for picked in chain(combinations(range(d), 1), combinations(range(d), 2)):
+        v = Mat.col_vector([ONE if r in picked else ZERO for r in range(d)])
+        hit = _regular_span(h1, h2, v)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -892,7 +839,7 @@ def _regular_span(h1: Mat, h2: Mat, v: Mat) -> Optional[Mat]:
     basis = column_space_basis(vecs, d)
     if len(basis) != 4 or vecs[3].is_zero():
         return None
-    return _cols_to_mat(vecs, d)
+    return Mat.from_cols(vecs, d)
 
 
 def contains_regular_summand(h1: Mat, h2: Mat) -> bool:

@@ -18,7 +18,6 @@ from typing import List, Optional
 from . import __version__
 from .classify import (
     BandOrbit,
-    KroneckerBlockLabel,
     KroneckerRep,
     band_module,
     is_indecomposable,
@@ -27,7 +26,6 @@ from .classify import (
     rep_type_orbit,
     string_module,
 )
-from .linalg import Mat
 from .modules import (
     DomainError,
     DSet,
@@ -39,7 +37,6 @@ from .modules import (
     build_Ms,
     build_simple,
     decompose_weight,
-    dualize,
     fiber as module_fiber,
     induce,
     is_equidimensional,
@@ -48,7 +45,7 @@ from .modules import (
 from .action import to_matrix
 from .operators import Operator, from_expression, principal_left_ideal_membership
 from .parser import ParseError, check_slots, parse_expression
-from .scalars import QQ, QQI, Field, Scalar, parse_rational
+from .scalars import QQ, QQI, Field, Scalar
 from .serialize import (
     REPORT_SCHEMA,
     dumps,

@@ -1,7 +1,11 @@
 """Exact dense linear algebra over Q / Q(i).
 
 Matrices carry explicit (rows, cols) so zero-dimensional spaces (which occur
-as weight spaces outside a module's support) are handled uniformly.
+as weight spaces outside a module's support) are handled uniformly.  This is
+the one place that assembles matrices from columns (`Mat.from_cols`) or
+blocks (`block_diag`) and solves for them: `solve_linear` takes any number
+of right-hand sides, and `BlockSystem` flattens matrix equations
+A @ X @ B = C into the rows of one linear system.
 
 Elimination first scales each row by the lcm of its denominators, then runs
 on plain ints with one of two kernels.  Rational matrices go to a
@@ -63,6 +67,12 @@ class Mat:
     @staticmethod
     def col_vector(entries: Sequence) -> "Mat":
         return Mat(len(entries), 1, [[x] for x in entries])
+
+    @staticmethod
+    def from_cols(vectors: Sequence["Mat"], rows: int) -> "Mat":
+        """The rows x len(vectors) matrix whose columns are the given column
+        vectors."""
+        return Mat(rows, len(vectors), [[v.data[r][0] for v in vectors] for r in range(rows)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -170,14 +180,6 @@ class Mat:
             return f"Mat({self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Mat[{body}]"
-
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        t = ZERO
-        for i in range(self.rows):
-            t = t + self.data[i][i]
-        return t
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
@@ -406,7 +408,8 @@ def _normalize_content(v: List[Scalar]) -> List[Scalar]:
 
 
 class LinearSolution:
-    """Solution set of A x = b: a particular solution plus kernel basis."""
+    """Solution set of A X = B: a particular X (A.cols x B.cols, zero on the
+    free variables) plus a basis of the kernel of A as column vectors."""
 
     def __init__(self, particular: Mat, kernel: List[Mat]):
         self.particular = particular
@@ -417,40 +420,36 @@ class LinearSolution:
         return not self.kernel
 
 
-def solve_linear(A: Mat, b: Mat) -> Optional[LinearSolution]:
-    """Solve A x = b exactly; None when inconsistent.
+def solve_linear(A: Mat, B: Mat) -> Optional[LinearSolution]:
+    """Solve A X = B exactly, for B with A.rows rows and any number of
+    columns; None when some column of B lies outside the column space of A.
 
-    b must be a column vector with A.rows entries.
+    One rref of [A | B].  The reduced form is unique, so each column of the
+    particular solution is the one a single-column solve gives.  Zero-column
+    A or B is allowed.
     """
-    if b.rows != A.rows or b.cols != 1:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, b is {b.shape}")
-    aug = A.hstack(b)
-    R, piv_cols = rref(aug)
-    if A.cols in piv_cols:
+    if B.rows != A.rows:
+        raise ValueError(f"dimension mismatch: A is {A.shape}, B is {B.shape}")
+    n = A.cols
+    R, piv_cols = rref(A.hstack(B))
+    if piv_cols and piv_cols[-1] >= n:
         return None
-    x = [ZERO] * A.cols
+    X = Mat(n, B.cols)
     for r, c in enumerate(piv_cols):
-        x[c] = R.data[r][A.cols]
+        X.data[c] = R.data[r][n:]
     # consistent, so the A-columns of R are rref(A)
-    return LinearSolution(Mat.col_vector(x), _kernel_from_rref(R, piv_cols, A.cols))
+    return LinearSolution(X, _kernel_from_rref(R, piv_cols, n))
 
 
 def column_space_basis(columns: Iterable[Mat], dim: int) -> List[Mat]:
     """Deterministic basis of the span of the given column vectors."""
     cols = list(columns)
-    if not cols:
-        return []
-    stacked = Mat(dim, len(cols), [[c.data[i][0] for c in cols] for i in range(dim)])
-    _, piv = rref(stacked)
+    _, piv = rref(Mat.from_cols(cols, dim))
     return [cols[j] for j in piv]
 
 
 def in_span(vec: Mat, basis: List[Mat]) -> bool:
-    if not basis:
-        return vec.is_zero()
-    dim = vec.rows
-    A = Mat(dim, len(basis), [[b.data[i][0] for b in basis] for i in range(dim)])
-    return solve_linear(A, vec) is not None
+    return solve_linear(Mat.from_cols(basis, vec.rows), vec) is not None
 
 
 def invert(matrix: Mat) -> Optional[Mat]:
@@ -464,42 +463,26 @@ def invert(matrix: Mat) -> Optional[Mat]:
     return Mat(n, n, [row[n:] for row in R.data])
 
 
-def kron(A: Mat, B: Mat) -> Mat:
-    """Kronecker product A (x) B."""
-    out = Mat(A.rows * B.rows, A.cols * B.cols)
-    for i in range(A.rows):
-        for j in range(A.cols):
-            a = A.data[i][j]
-            if a.is_zero():
-                continue
-            for p in range(B.rows):
-                for q in range(B.cols):
-                    b = B.data[p][q]
-                    if not b.is_zero():
-                        out.data[i * B.rows + p][j * B.cols + q] = a * b
-    return out
-
-
-def vec(M: Mat) -> Mat:
-    """Column-major vectorization."""
-    return Mat.col_vector([M.data[i][j] for j in range(M.cols) for i in range(M.rows)])
-
-
-def unvec(v: Mat, rows: int, cols: int) -> Mat:
-    if v.rows != rows * cols or v.cols != 1:
-        raise ValueError("unvec shape mismatch")
-    out = Mat(rows, cols)
-    for j in range(cols):
-        for i in range(rows):
-            out.data[i][j] = v.data[j * rows + i][0]
+def block_diag(*blocks: Mat) -> Mat:
+    """Block-diagonal matrix of the given blocks, in order; blocks of any
+    shape, zero-sized ones included."""
+    out = Mat(sum(b.rows for b in blocks), sum(b.cols for b in blocks))
+    r0 = c0 = 0
+    for b in blocks:
+        for i, row in enumerate(b.data):
+            out.data[r0 + i][c0 : c0 + b.cols] = row
+        r0 += b.rows
+        c0 += b.cols
     return out
 
 
 class BlockSystem:
     """Linear system over several unknown matrices.
 
-    Equations are sums of terms A @ X_name @ B = RHS, vectorized with
-    vec(A X B) = (B^T (x) A) vec(X).  Unknown blocks may appear in several
+    Equations are sums of terms sign * A @ X_name @ B = RHS.  Each unknown is
+    flattened column-major, so X[k, l] is unknown number offset + l*rows + k,
+    and row (i, j) of an equation (also column-major) has coefficient
+    A[i, k] * B[l, j] on X[k, l].  Unknown blocks may appear in several
     equations; solve() returns (particular, kernel) as dicts name -> Mat.
     """
 
@@ -520,91 +503,77 @@ class BlockSystem:
         self.total += rows * cols
 
     def add_equation(self, terms, rhs: Mat | None = None):
-        """terms: iterable of (name, A or None, B or None, sign)."""
+        """terms: iterable of (name, A or None, B or None, sign); None stands
+        for an identity factor."""
         eq_shape = None
-        built = []
+        parts = []
         for name, A, B, sign in terms:
             r, c = self.shapes[name]
-            if A is None:
-                A = Mat.identity(r)
-            if B is None:
-                B = Mat.identity(c)
-            if A.cols != r or B.rows != c:
+            if (A is not None and A.cols != r) or (B is not None and B.rows != c):
                 raise ValueError(f"term shape mismatch for {name!r}")
-            shape = (A.rows, B.cols)
+            shape = (r if A is None else A.rows, c if B is None else B.cols)
             if eq_shape is None:
                 eq_shape = shape
             elif eq_shape != shape:
                 raise ValueError("equation terms have mismatched shapes")
-            coeff = kron(B.transpose(), A)
-            if sign < 0:
-                coeff = -coeff
-            built.append((name, coeff))
+            # nonzero (k, A[i,k]) per row i and (l, B[l,j]) per column j; an
+            # identity factor contributes the single entry (i, ONE) or (j, ONE)
+            if A is None:
+                a_rows = [[(i, ONE)] for i in range(r)]
+            else:
+                a_rows = [[(k, a) for k, a in enumerate(row) if not a.is_zero()] for row in A.data]
+            if B is None:
+                b_cols = [[(j, ONE)] for j in range(c)]
+            else:
+                b_cols = [
+                    [(l, B.data[l][j]) for l in range(c) if not B.data[l][j].is_zero()]
+                    for j in range(B.cols)
+                ]
+            parts.append((self.offsets[name], r, a_rows, b_cols, sign < 0))
         if eq_shape is None:
             return
-        m = eq_shape[0] * eq_shape[1]
-        if rhs is None:
-            rvec = [ZERO] * m
-        else:
-            if rhs.shape != eq_shape:
-                raise ValueError("rhs shape mismatch")
-            rvec = [x[0] for x in vec(rhs).data]
-        for row_i in range(m):
-            row = [ZERO] * self.total
-            for name, coeff in built:
-                off = self.offsets[name]
-                crow = coeff.data[row_i]
-                w = self.shapes[name][0] * self.shapes[name][1]
-                for j in range(w):
-                    if not crow[j].is_zero():
-                        row[off + j] = row[off + j] + crow[j]
-            self.rows.append(row)
-            self.rhs.append(rvec[row_i])
+        if rhs is not None and rhs.shape != eq_shape:
+            raise ValueError("rhs shape mismatch")
+        for j in range(eq_shape[1]):
+            for i in range(eq_shape[0]):
+                row = [ZERO] * self.total
+                for off, r, a_rows, b_cols, neg in parts:
+                    for l, b in b_cols[j]:
+                        for k, a in a_rows[i]:
+                            v = b if a is ONE else a if b is ONE else a * b
+                            if neg:
+                                v = -v
+                            idx = off + l * r + k
+                            row[idx] = v if row[idx] is ZERO else row[idx] + v
+                self.rows.append(row)
+                self.rhs.append(ZERO if rhs is None else rhs.data[i][j])
 
     def _unpack(self, flat: Mat) -> Dict[str, Mat]:
         out = {}
         for name, (r, c) in self.shapes.items():
             off = self.offsets[name]
-            out[name] = unvec(
-                Mat.col_vector([flat.data[off + j][0] for j in range(r * c)]), r, c
-            )
+            out[name] = Mat(r, c, [[flat.data[off + l * r + k][0] for l in range(c)] for k in range(r)])
         return out
 
     def solve(self):
         """Returns (particular, kernel_list) or None if inconsistent."""
-        if self.total == 0:
-            if any(not x.is_zero() for x in self.rhs):
-                return None
-            return {}, []
-        if not self.rows:
-            A = Mat.zero(1, self.total)
-            b = Mat.zero(1, 1)
-        else:
-            A = Mat.from_rows(self.rows, self.total)
-            b = Mat.col_vector(self.rhs)
-        sol = solve_linear(A, b)
+        A = Mat(len(self.rows), self.total, self.rows)
+        sol = solve_linear(A, Mat(len(self.rhs), 1, [[x] for x in self.rhs]))
         if sol is None:
             return None
         return self._unpack(sol.particular), [self._unpack(k) for k in sol.kernel]
 
 
 def complete_basis(B: Mat) -> Mat:
-    """Standard basis columns extending the columns of B to a full basis."""
+    """Standard basis columns extending the independent columns of B to a
+    basis: the e_r outside the span of B and of the e's before them, which
+    are the pivots of rref([B | I]) past B's columns."""
     n = B.rows
-    cols = [Mat.col_vector([ONE if i == r else ZERO for i in range(n)]) for r in range(n)]
-    chosen = []
-    current = [Mat.col_vector(B.col(j)) for j in range(B.cols)]
-    for c in cols:
-        if len(current) == n:
-            break
-        if not in_span(c, current):
-            current.append(c)
-            chosen.append(c)
-    if len(current) != n:
+    _, piv = rref(B.hstack(Mat.identity(n)))
+    if piv[: B.cols] != list(range(B.cols)):
         raise ValueError("input columns were dependent")
-    if not chosen:
-        return Mat(n, 0)
-    return Mat(n, len(chosen), [[v.data[i][0] for v in chosen] for i in range(n)])
+    extra = [c - B.cols for c in piv[B.cols :]]
+    return Mat(n, len(extra), [[ONE if r == i else ZERO for r in extra] for i in range(n)])
 
 
 def det(matrix: Mat) -> Scalar:

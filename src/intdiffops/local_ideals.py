@@ -7,11 +7,11 @@ coordinates h_j = H_j - lambda_j, which turns m^i into a monomial ideal.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from .linalg import Mat, rref
-from .poly import Expo, MultiPoly, graded_lex_key, monomials_below
-from .scalars import ONE, ZERO, Scalar
+from .poly import Expo, MultiPoly, monomials_below
+from .scalars import ZERO, Scalar
 
 
 class MaxIdeal:
@@ -151,22 +151,8 @@ class QuotientBasis:
             self.coordinates(hj * MultiPoly.monomial(self.ideal.n, e))
             for e in self.basis_monomials
         ]
-        return Mat(
-            self.dim,
-            self.dim,
-            [[cols[k].data[r][0] for k in range(self.dim)] for r in range(self.dim)],
-        )
-
-
-def poly_shift(p: MultiPoly, j: int, d) -> MultiPoly:
-    """Substitute H_j -> H_j + d, fully expanded."""
-    return p.shift_slot(j, d)
+        return Mat.from_cols(cols, self.dim)
 
 
 def quotient_basis(ideal: LocalIdeal) -> QuotientBasis:
     return QuotientBasis(ideal)
-
-
-def reduce_mod(ideal: LocalIdeal, p: MultiPoly) -> MultiPoly:
-    """Normal form of p modulo I, in shifted coordinates."""
-    return QuotientBasis(ideal).reduce(p)

@@ -11,7 +11,6 @@ requirements surfaced explicitly when transport room is missing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -24,10 +23,9 @@ from .linalg import (
     invert,
     kernel_basis,
     rank,
-    rref,
     solve_linear,
 )
-from .local_ideals import LocalIdeal, MaxIdeal, QuotientBasis, quotient_basis
+from .local_ideals import LocalIdeal, MaxIdeal, quotient_basis
 from .poly import MultiPoly
 from .scalars import ONE, ZERO, Scalar
 
@@ -551,31 +549,13 @@ def _restrict_to_bases(M: ModuleWindow, bases: Dict[Point, Mat]) -> ModuleWindow
                 if not M.in_window(q):
                     continue
                 img = M.map(kind, i, p) @ Bp
-                Bq = bases.get(q, Mat.zero(M.dim(q), 0))
-                X = _coords(Bq, img)
-                if X is None:
+                sol = solve_linear(bases.get(q, Mat.zero(M.dim(q), 0)), img)
+                if sol is None:
                     raise DomainError(
                         f"bases are not stable under {kind}_{i} at {p}"
                     )
-                maps[(kind, i, p)] = X
+                maps[(kind, i, p)] = sol.particular
     return ModuleWindow(M.orbit, M.window, spaces, maps, M.side)
-
-
-def _coords(B: Mat, V: Mat) -> Optional[Mat]:
-    """Solve B @ X = V column by column; None when some column is outside."""
-    cols = []
-    for j in range(V.cols):
-        b = Mat.col_vector(V.col(j))
-        if B.cols == 0:
-            if not b.is_zero():
-                return None
-            cols.append([])
-            continue
-        sol = solve_linear(B, b)
-        if sol is None:
-            return None
-        cols.append([sol.particular.data[r][0] for r in range(B.cols)])
-    return Mat(B.cols, V.cols, [[cols[j][r] for j in range(V.cols)] for r in range(B.cols)])
 
 
 def _transported_projector(M: ModuleWindow, slot: int, p: Point) -> Mat:
@@ -632,9 +612,7 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
                 )
                 if cols:
                     nonzero = True
-                    bases[p] = Mat(
-                        d, len(cols), [[c.data[rr][0] for c in cols] for rr in range(d)]
-                    )
+                    bases[p] = Mat.from_cols(cols, d)
             if not nonzero:
                 continue
             sub = _restrict_to_bases(M, bases)
@@ -801,11 +779,10 @@ def split_extension(
                 if not M.in_window(q):
                     continue
                 img = M.map(kind, i, p) @ B
-                Bq = Ssub.get(q, Mat.zero(M.dim(q), 0))
-                X = _coords(Bq, img)
-                if X is None:
+                sol = solve_linear(Ssub.get(q, Mat.zero(M.dim(q), 0)), img)
+                if sol is None:
                     raise DomainError(f"submodule is not stable under {kind}_{i} at {p}")
-                restriction[(kind, i, p)] = X
+                restriction[(kind, i, p)] = sol.particular
     sys = BlockSystem()
     pts = sorted(M.points())
     for p in pts:
@@ -846,12 +823,7 @@ def split_extension(
         kb = kernel_basis(rho)
         if len(kb) != M.dim(p) - rho.rows:
             return None
-        if kb:
-            complement[p] = Mat(
-                M.dim(p), len(kb), [[k.data[r][0] for k in kb] for r in range(M.dim(p))]
-            )
-        else:
-            complement[p] = Mat(M.dim(p), 0)
+        complement[p] = Mat.from_cols(kb, M.dim(p))
     return complement
 
 
@@ -883,11 +855,7 @@ def _cyclic_closure(M: ModuleWindow, p: Point, v: Mat) -> Dict[Point, Mat]:
     for q, vs in spans.items():
         basis = column_space_basis(vs, M.dim(q))
         if basis:
-            out[q] = Mat(
-                M.dim(q),
-                len(basis),
-                [[b.data[r][0] for b in basis] for r in range(M.dim(q))],
-            )
+            out[q] = Mat.from_cols(basis, M.dim(q))
     return out
 
 
@@ -897,7 +865,7 @@ def _quotient_module(M: ModuleWindow, S: Dict[Point, Mat]) -> ModuleWindow:
     spaces = {}
     for p in M.support():
         B = S.get(p, Mat(M.dim(p), 0))
-        T = complete_basis(B) if B.cols < M.dim(p) else Mat(M.dim(p), 0)
+        T = complete_basis(B)
         full = B.hstack(T)
         inv = invert(full)
         if inv is None:

@@ -17,7 +17,7 @@ generator at a time; every rewrite step is an exact identity in the algebra.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .poly import UniPoly
 from .scalars import ONE, ZERO, Scalar
@@ -411,14 +411,6 @@ class Operator:
             if not any(t[j - 1][0] == "E" for j in chosen):
                 return False
         return True
-
-    def quotient_mod_socle(self) -> "Operator":
-        """Image in the skew Laurent quotient: drop every term with an
-        e-factor in any slot."""
-        return Operator(
-            self.n,
-            {t: c for t, c in self.terms.items() if all(s[0] != "E" for s in t)},
-        )
 
     # -- printing ------------------------------------------------------
 

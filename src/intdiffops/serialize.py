@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List
+from typing import List
 
 from .linalg import Mat
 from .modules import ModuleWindow, Orbit
 from .operators import Operator
-from .poly import MultiPoly, UniPoly
 from .scalars import Scalar
 
 OPERATOR_SCHEMA = "intdiffops.operator/1"
-POLY_SCHEMA = "intdiffops.polynomial/1"
 MODULE_SCHEMA = "intdiffops.module/1"
 REPORT_SCHEMA = "intdiffops.report/1"
 
@@ -79,25 +77,6 @@ def mat_from_json(rows: List[List[str]], cols_hint: int = 0) -> Mat:
         for row in rows
     ]
     return Mat(len(data), len(data[0]), data)
-
-
-# -- polynomials ------------------------------------------------------------
-
-
-def unipoly_to_json(p: UniPoly) -> dict:
-    terms = [
-        {"coeff": scalar_to_str(c), "exp": d}
-        for d, c in sorted(p.coeffs.items())
-    ]
-    return {"schema": POLY_SCHEMA, "terms": terms, "vars": 1}
-
-
-def multipoly_to_json(p: MultiPoly) -> dict:
-    terms = [
-        {"coeff": scalar_to_str(c), "exp": list(e)}
-        for e, c in p.terms_sorted()
-    ]
-    return {"schema": POLY_SCHEMA, "terms": terms, "vars": p.n}
 
 
 # -- operators --------------------------------------------------------------

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,12 +13,9 @@ from intdiffops.linalg import (
     in_span,
     invert,
     kernel_basis,
-    kron,
     rank,
     rref,
     solve_linear,
-    unvec,
-    vec,
 )
 from intdiffops.scalars import ONE, ZERO, Scalar
 
@@ -62,15 +60,46 @@ def check_kernel_annihilated(A):
     assert len(kernel_basis(A)) == A.cols - rank(A)
 
 
-def check_solve_consistency(A, x):
-    # A times a fixed vector must be solvable, and the solution must work
-    b = A @ x
-    sol = solve_linear(A, b)
+def _unit(n, r):
+    return Mat.col_vector([ONE if i == r else ZERO for i in range(n)])
+
+
+def check_solve_consistency(A, X):
+    # A times fixed columns must be solvable, and the solution must work
+    B = A @ X
+    sol = solve_linear(A, B)
     assert sol is not None
-    assert (A @ sol.particular) == b
+    assert sol.particular.shape == (A.cols, B.cols)
+    assert (A @ sol.particular) == B
     for k in sol.kernel:
         assert (A @ k).is_zero()
     assert len(sol.kernel) == A.cols - rank(A)
+    # every column is the single-column answer
+    for j in range(B.cols):
+        one = solve_linear(A, Mat.col_vector(B.col(j)))
+        assert one.particular == Mat.col_vector(sol.particular.col(j))
+        assert one.kernel == sol.kernel
+    # one column outside the column space makes the whole system inconsistent
+    outside = [e for e in (_unit(A.rows, r) for r in range(A.rows)) if solve_linear(A, e) is None]
+    if outside:
+        assert solve_linear(A, B.hstack(outside[0])) is None
+        assert solve_linear(A, outside[0].hstack(B)) is None
+    # zero-column shapes
+    empty = solve_linear(A, Mat(A.rows, 0))
+    assert empty.particular.shape == (A.cols, 0)
+    assert len(empty.kernel) == A.cols - rank(A)
+    none = solve_linear(Mat(A.rows, 0), B)
+    if B.is_zero():
+        assert none.particular.shape == (0, B.cols) and none.kernel == []
+    else:
+        assert none is None
+
+
+def with_rhs(matrices, elements):
+    """(A, X) with X of A.cols rows and 0 to 3 columns."""
+    return matrices.flatmap(
+        lambda A: st.tuples(st.just(A), st.integers(0, 3).flatmap(lambda k: mats(A.cols, k, elements)))
+    )
 
 
 def check_invert_det(A):
@@ -97,10 +126,10 @@ def test_kernel_annihilated(A):
     check_kernel_annihilated(A)
 
 
-@given(rect)
+@given(with_rhs(rect, entries))
 @settings(max_examples=60)
-def test_solve_consistency(A):
-    check_solve_consistency(A, Mat.col_vector([Scalar(j + 1) for j in range(A.cols)]))
+def test_solve_consistency(AX):
+    check_solve_consistency(*AX)
 
 
 @given(square)
@@ -121,10 +150,10 @@ def test_kernel_annihilated_qi(A):
     check_kernel_annihilated(A)
 
 
-@given(rect_qi)
+@given(with_rhs(rect_qi, gaussian_entries))
 @settings(max_examples=60)
-def test_solve_consistency_qi(A):
-    check_solve_consistency(A, Mat.col_vector([Scalar(j + 1, j % 2) for j in range(A.cols)]))
+def test_solve_consistency_qi(AX):
+    check_solve_consistency(*AX)
 
 
 @given(square_qi)
@@ -208,14 +237,34 @@ def test_unit_pivots_match_sympy_qi():
     assert rank(A) == 1
 
 
-@given(mats(3, 2), mats(2, 4))
+@given(
+    st.one_of(mats(3, 2), mats(3, 2, gaussian_entries)),
+    mats(2, 4),
+    mats(2, 2),
+    mats(3, 2),
+)
 @settings(max_examples=40)
-def test_vec_kron(A, B):
-    X = Mat(2, 2, [[Scalar(1), Scalar(2)], [Scalar(-1), Scalar(3)]])
-    lhs = vec(A @ X @ B)
-    rhs = kron(B.transpose(), A) @ vec(X)
-    assert lhs == rhs
-    assert unvec(vec(X), 2, 2) == X
+def test_block_system_round_trip(A, B, X, W):
+    # A Y B = A X B: the particular Y solves it, and each kernel element K has
+    # A K B = 0; the kernel has dimension 4 - rank(B^T (x) A) = 4 - rank A rank B
+    C = A @ X @ B
+    sys = BlockSystem()
+    sys.add_unknown("Y", 2, 2)
+    sys.add_equation([("Y", A, B, 1)], C)
+    part, kern = sys.solve()
+    assert A @ part["Y"] @ B == C
+    for K in kern:
+        assert (A @ K["Y"] @ B).is_zero()
+    assert len(kern) == 4 - rank(A) * rank(B)
+    # two unknowns, an identity factor and a negative sign: A Y B - Z B = A X B - W B
+    sys = BlockSystem()
+    sys.add_unknown("Y", 2, 2)
+    sys.add_unknown("Z", 3, 2)
+    sys.add_equation([("Y", A, B, 1), ("Z", None, B, -1)], C - W @ B)
+    part, kern = sys.solve()
+    assert A @ part["Y"] @ B - part["Z"] @ B == C - W @ B
+    for K in kern:
+        assert (A @ K["Y"] @ B - K["Z"] @ B).is_zero()
 
 
 def test_column_space_and_span():
@@ -231,6 +280,27 @@ def test_complete_basis():
     extra = complete_basis(B)
     assert extra.cols == 2
     assert rank(B.hstack(extra)) == 3
+
+
+@given(st.one_of(rect, rect_qi))
+@settings(max_examples=60)
+def test_complete_basis_picks_first_independent_units(A):
+    n = A.rows
+    basis = column_space_basis([Mat.col_vector(A.col(j)) for j in range(A.cols)], n)
+    B = Mat.from_cols(basis, n)
+    T = complete_basis(B)
+    assert invert(B.hstack(T)) is not None
+    # greedily, the standard vectors outside the span of B and of those before
+    picked = []
+    for r in range(n):
+        if not in_span(_unit(n, r), basis + picked):
+            picked.append(_unit(n, r))
+    assert T == Mat.from_cols(picked, n)
+    with pytest.raises(ValueError):
+        complete_basis(B.hstack(Mat(n, 1)))
+    if basis:
+        with pytest.raises(ValueError):
+            complete_basis(B.hstack(basis[-1].scale(Scalar(3))))
 
 
 def test_block_system_sylvester():
