@@ -9,7 +9,10 @@ ideals in two variables.
 Decompositions run by exact linear algebra: endomorphism rings are computed
 from intertwining equations, the radical from the trace form (valid in
 characteristic zero), and splittings from elements whose minimal polynomial
-factors into coprime parts.
+factors into coprime parts.  A pencil is reported outside the field only
+with a certificate that End/rad is a field bigger than K.  Isomorphisms come
+from `linalg.invertible_combination`; `factor_unipoly` hands polynomials to
+the `symbolic` adapter, which loads sympy on first use.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import sympy
-
 from .linalg import (
     BlockSystem,
     Mat,
     block_diag,
     column_space_basis,
     invert,
+    invertible_combination,
     kernel_basis,
     rank,
     rref,
@@ -114,36 +116,11 @@ def min_poly(M: Mat) -> UniPoly:
         powers.append(nxt)
 
 
-def _to_sympy(p: UniPoly, field: Field):
-    t = sympy.Symbol("t")
-    expr = 0
-    for d, c in p.coeffs.items():
-        expr += (sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I) * t ** d
-    dom = "QQ_I" if field.has_i else "QQ"
-    return sympy.Poly(expr, t, domain=dom)
-
-
-def _from_sympy(poly, field: Field) -> UniPoly:
-    coeffs = {}
-    t = poly.gens[0]
-    for mono, c in poly.terms():
-        d = mono[0]
-        cc = sympy.nsimplify(c)
-        re = sympy.re(cc)
-        im = sympy.im(cc)
-        coeffs[d] = Scalar(Fraction(str(re)), Fraction(str(im)))
-    return UniPoly(coeffs)
-
-
 def factor_unipoly(p: UniPoly, field: Field) -> List[Tuple[UniPoly, int]]:
     """Irreducible factorization over the configured field (monic factors)."""
-    sp = _to_sympy(p, field)
-    _, factors = sp.factor_list()
-    out = []
-    for f, mult in factors:
-        f = f.monic()
-        out.append((_from_sympy(f, field), int(mult)))
-    return out
+    from .symbolic import factor
+
+    return factor(p, field)
 
 
 def _eval_poly_at_matrix(p: UniPoly, M: Mat) -> Mat:
@@ -225,55 +202,8 @@ def modules_isomorphic(mats_m: Sequence[Mat], mats_n: Sequence[Mat]) -> Optional
     sol = sys.solve()
     assert sol is not None
     _, kern = sol
-    homs = [k["X"] for k in kern]
-    return _search_invertible(homs, dm)
-
-
-def _search_invertible(homs: List[Mat], dim: int) -> Optional[Mat]:
-    """An invertible combination of the given matrices, or None.
-
-    One exists iff the determinant of the generic combination sum t_i h_i is
-    a nonzero polynomial; that determinant is computed symbolically, and a
-    witness point is then found coordinate-by-coordinate (each variable has
-    degree at most dim, so some value in 0..dim keeps the polynomial alive).
-    """
-    if dim == 0:
-        return Mat.zero(0, 0)
-    if not homs:
-        return None
-    # single generators first: the common case is a one-dimensional hom space
-    for h in homs:
-        if rank(h) == dim:
-            return h
-    if len(homs) == 1:
-        return None
-    ts = sympy.symbols(f"t:{len(homs)}")
-    gen = sympy.zeros(dim, dim)
-    for t, h in zip(ts, homs):
-        for r in range(dim):
-            for c in range(dim):
-                v = h.data[r][c]
-                if not v.is_zero():
-                    gen[r, c] += t * (
-                        sympy.Rational(v.re) + sympy.Rational(v.im) * sympy.I
-                    )
-    p = sympy.expand(gen.det(method="berkowitz"))
-    if p == 0:
-        return None
-    coeffs = []
-    for t in ts:
-        for val in range(dim + 1):
-            q = sympy.expand(p.subs(t, val))
-            if q != 0:
-                p = q
-                coeffs.append(val)
-                break
-    m = Mat.zero(dim, dim)
-    for c, h in zip(coeffs, homs):
-        if c:
-            m = m + h.scale(Scalar(c))
-    assert rank(m) == dim
-    return m
+    iso = invertible_combination([(k["X"],) for k in kern], [dm])
+    return None if iso is None else iso[0]
 
 
 # -- Kronecker quiver -------------------------------------------------------
@@ -383,45 +313,52 @@ def _sub_rep(R: KroneckerRep, P1: Mat, P2: Mat) -> KroneckerRep:
     )
 
 
-def _splitting_element(end: List[Mat], field: Field) -> Optional[Tuple[Mat, UniPoly, UniPoly]]:
-    """An endomorphism whose min poly splits into two coprime parts."""
+def _splitting_element(end: List[Mat], field: Field, residue_dim: int) -> Tuple[Mat, UniPoly, UniPoly]:
+    """An endomorphism whose min poly splits into two coprime parts.
 
-    def try_elem(m: Mat):
+    Candidates are the basis elements, sums and differences of two of them,
+    then seeded pseudo-random combinations.  The search stops at the first
+    candidate m whose min poly either has two distinct irreducible factors
+    or is g^e with g irreducible of degree residue_dim = dim End/rad >= 2.
+    Then K[m mod rad] fills End/rad, so End/rad is a field bigger than K
+    and FieldError is a proof, not a search failure (split or certify, as
+    in the MeatAxe).
+    """
+
+    def candidates():
+        yield from end
+        for i, j in combinations(range(len(end)), 2):
+            for s in (1, -1):
+                yield end[i] + end[j].scale(s)
+        rng = _random.Random(0x5EED)
+        for _ in range(300):
+            m = Mat.zero(end[0].rows, end[0].cols)
+            for e in end:
+                c = rng.randint(-4, 4)
+                if c:
+                    m = m + e.scale(c)
+            yield m
+
+    for m in candidates():
         p = min_poly(m)
         if (p.degree() or 0) < 1:
-            return None
+            continue
         factors = factor_unipoly(p, field)
-        if len(factors) < 2:
-            return None
-        f1 = factors[0][0] ** factors[0][1]
-        f2 = UniPoly.const(1)
-        for f, mult in factors[1:]:
-            f2 = f2 * f ** mult
-        return m, f1, f2
-
-    for m in end:
-        hit = try_elem(m)
-        if hit is not None:
-            return hit
-    for i in range(len(end)):
-        for j in range(i + 1, len(end)):
-            for s in (1, -1):
-                hit = try_elem(end[i] + end[j].scale(s))
-                if hit is not None:
-                    return hit
-    # seeded pseudo-random combinations keep the search deterministic while
-    # hitting the dense set of split-spectrum elements quickly
-    rng = _random.Random(0x5EED)
-    for _ in range(300):
-        m = Mat.zero(end[0].rows, end[0].cols)
-        for e in end:
-            c = rng.randint(-4, 4)
-            if c:
-                m = m + e.scale(c)
-        hit = try_elem(m)
-        if hit is not None:
-            return hit
-    return None
+        if len(factors) >= 2:
+            f1 = factors[0][0] ** factors[0][1]
+            f2 = UniPoly.const(1)
+            for f, mult in factors[1:]:
+                f2 = f2 * f ** mult
+            return m, f1, f2
+        g = factors[0][0]
+        if g.degree() == residue_dim:
+            raise FieldError(
+                f"pencil eigenvalue not in the field {field.name}: End/rad is the field K[H]/({g})"
+            )
+    raise RuntimeError(
+        f"splitting search exhausted: no split and no degree-{residue_dim} certificate "
+        "among the basis, pair and 300 seeded candidates"
+    )
 
 
 def _kron_indecomposable_label(R: KroneckerRep, field: Field) -> KroneckerBlockLabel:
@@ -475,11 +412,7 @@ def _kron_split_indecomposables(
     rad = _radical_basis(end)
     if len(end) - len(rad) == 1:
         return [(R, Mat.identity(R.d1), Mat.identity(R.d2))]
-    hit = _splitting_element(end, field)
-    if hit is None:
-        # local ring with a residue field bigger than K
-        raise FieldError(f"pencil eigenvalue not in the field {field.name}")
-    m, f1, f2 = hit
+    m, f1, f2 = _splitting_element(end, field, len(end) - len(rad))
     out = []
     for f in (f1, f2):
         fm = _eval_poly_at_matrix(f, m)
@@ -544,13 +477,7 @@ def _kron_iso(C: KroneckerRep, D: KroneckerRep) -> Optional[Tuple[Mat, Mat]]:
     sol = sys.solve()
     assert sol is not None
     _, kern = sol
-    homs = [block_diag(k["X"], k["Y"]) for k in kern]
-    total = _search_invertible(homs, C.d1 + C.d2)
-    if total is None:
-        return None
-    U1 = Mat(C.d1, C.d1, [row[: C.d1] for row in total.data[: C.d1]])
-    U2 = Mat(C.d2, C.d2, [row[C.d1 :] for row in total.data[C.d1 :]])
-    return U1, U2
+    return invertible_combination([(k["X"], k["Y"]) for k in kern], C.dims)
 
 
 def kronecker_sum(reps: Sequence[KroneckerRep]) -> KroneckerRep:

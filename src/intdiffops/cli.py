@@ -45,7 +45,7 @@ from .modules import (
 from .action import to_matrix
 from .operators import Operator, from_expression, principal_left_ideal_membership
 from .parser import ParseError, check_slots, parse_expression
-from .scalars import QQ, QQI, Field, Scalar
+from .scalars import QQ, QQI, Field, Scalar, scalar_from_str
 from .serialize import (
     REPORT_SCHEMA,
     dumps,
@@ -54,7 +54,6 @@ from .serialize import (
     module_from_json,
     module_to_json,
     operator_to_json,
-    scalar_from_str,
     scalar_to_str,
 )
 

@@ -5,7 +5,8 @@ as weight spaces outside a module's support) are handled uniformly.  This is
 the one place that assembles matrices from columns (`Mat.from_cols`) or
 blocks (`block_diag`) and solves for them: `solve_linear` takes any number
 of right-hand sides, and `BlockSystem` flattens matrix equations
-A @ X @ B = C into the rows of one linear system.
+A @ X @ B = C into the rows of one linear system.  It is also the one place
+that searches a Hom space for an isomorphism: `invertible_combination`.
 
 Elimination first scales each row by the lcm of its denominators, then runs
 on plain ints with one of two kernels.  Rational matrices go to a
@@ -461,6 +462,37 @@ def invert(matrix: Mat) -> Optional[Mat]:
     if piv[:n] != list(range(n)):
         return None
     return Mat(n, n, [row[n:] for row in R.data])
+
+
+def invertible_combination(
+    homs: Sequence[Sequence[Mat]], sizes: Sequence[int]
+) -> Optional[Tuple[Mat, ...]]:
+    """The blocks of an invertible combination of the homs, or None when
+    none is invertible.
+
+    Each hom is a tuple of square blocks of the given sizes; a combination
+    is invertible when every block is, and 0x0 blocks are.  The first hom
+    with all blocks of full rank wins.  Otherwise the generic determinants
+    of `symbolic.invertible_point` prove None or give the coefficients.
+    """
+    for h in homs:
+        if all(rank(b) == b.rows for b in h):
+            return tuple(h)
+    live = [b for b, n in enumerate(sizes) if n]
+    if not live:
+        return tuple(Mat(0, 0) for _ in sizes)
+    if not homs:
+        return None
+    from .symbolic import invertible_point
+
+    coeffs = invertible_point([[h[b] for h in homs] for b in live])
+    if coeffs is None:
+        return None
+    out = tuple(
+        sum((h[b].scale(c) for c, h in zip(coeffs, homs) if c), Mat(n, n)) for b, n in enumerate(sizes)
+    )
+    assert all(rank(m) == m.rows for m in out)
+    return out
 
 
 def block_diag(*blocks: Mat) -> Mat:

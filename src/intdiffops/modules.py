@@ -21,8 +21,8 @@ from .linalg import (
     complete_basis,
     in_span,
     invert,
+    invertible_combination,
     kernel_basis,
-    rank,
     solve_linear,
 )
 from .local_ideals import LocalIdeal, MaxIdeal, quotient_basis
@@ -717,34 +717,6 @@ def hom_basis(M: ModuleWindow, N: ModuleWindow) -> List[Dict[Point, Mat]]:
         out.append({p: k[_vn(p)] for p in pts})
     return out
 
-def _invertible_combination(
-    basis: List[Dict[Point, Mat]], pts: List[Point], dims: Dict[Point, int]
-) -> Optional[Dict[Point, Mat]]:
-    """Deterministic search for an everywhere-invertible combination."""
-    if not basis:
-        if all(d == 0 for d in dims.values()):
-            return {}
-        return None
-    total = sum(dims.values())
-    grid = range(total + 1)
-    for coeffs in product(grid, repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        cand = {}
-        ok = True
-        for p in pts:
-            m = Mat.zero(dims[p], dims[p])
-            for c, b in zip(coeffs, basis):
-                if c:
-                    m = m + b[p].scale(c)
-            if dims[p] and rank(m) != dims[p]:
-                ok = False
-                break
-            cand[p] = m
-        if ok:
-            return cand
-    return None
-
 
 def window_isomorphism(M: ModuleWindow, N: ModuleWindow) -> Optional[Dict[Point, Mat]]:
     """An invertible window module map M -> N, or None."""
@@ -752,10 +724,10 @@ def window_isomorphism(M: ModuleWindow, N: ModuleWindow) -> Optional[Dict[Point,
         return None
     if {p: M.dim(p) for p in M.support()} != {p: N.dim(p) for p in N.support()}:
         return None
-    basis = hom_basis(M, N)
     pts = sorted(M.points())
-    dims = {p: M.dim(p) for p in pts}
-    return _invertible_combination(basis, pts, dims)
+    homs = [tuple(h[p] for p in pts) for h in hom_basis(M, N)]
+    blocks = invertible_combination(homs, [M.dim(p) for p in pts])
+    return None if blocks is None else dict(zip(pts, blocks))
 
 
 def split_extension(

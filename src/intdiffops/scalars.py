@@ -36,7 +36,7 @@ class Scalar:
         if isinstance(value, (int, Fraction)):
             return Scalar(value)
         if isinstance(value, str):
-            return parse_rational(value)
+            return scalar_from_str(value)
         raise TypeError(f"cannot make a Scalar from {value!r}")
 
     @staticmethod
@@ -153,14 +153,18 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
-def parse_rational(text: str) -> Scalar:
-    """Parse 'p', 'p/q' or the literal 'i' into a Scalar."""
-    text = text.strip()
-    if text == "i":
-        return Scalar.i()
-    if text == "-i":
-        return -Scalar.i()
-    return Scalar(Fraction(text))
+def scalar_from_str(text: str) -> Scalar:
+    """Parse 'p', 'p/q', 'i', '-i', 'q*i' or 'p+q*i' (spaces ignored, '*'
+    optional) into a Scalar."""
+    s = text.strip().replace(" ", "").replace("*i", "i")
+    if "i" not in s:
+        return Scalar(Fraction(s))
+    if not s.endswith("i"):
+        raise ValueError(f"bad scalar literal {text!r}")
+    # the imaginary part runs from the last sign past the first character
+    cut = max(s.rfind("+", 1), s.rfind("-", 1), 0)
+    im = s[cut:-1]
+    return Scalar(Fraction(s[:cut] or 0), Fraction(im + "1" if im in ("", "+", "-") else im))
 
 
 class Field:

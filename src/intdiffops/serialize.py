@@ -8,13 +8,12 @@ rational strings ("3/2", "1/2+3/4*i"); nothing is ever converted to floats.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import List
 
 from .linalg import Mat
 from .modules import ModuleWindow, Orbit
 from .operators import Operator
-from .scalars import Scalar
+from .scalars import Scalar, scalar_from_str
 
 OPERATOR_SCHEMA = "intdiffops.operator/1"
 MODULE_SCHEMA = "intdiffops.module/1"
@@ -36,29 +35,6 @@ def scalar_to_str(c: Scalar) -> str:
     ims = f"{c.im}*i" if abs(c.im) != 1 else ("i" if c.im > 0 else "-i")
     sep = "+" if c.im > 0 else ""
     return f"{c.re}{sep}{ims}"
-
-
-def scalar_from_str(text: str) -> Scalar:
-    s = text.strip().replace(" ", "")
-    if "i" not in s:
-        return Scalar(Fraction(s))
-    body = s.replace("*i", "i")
-    # split off the trailing imaginary summand
-    cut = max(body.rfind("+", 1), body.rfind("-", 1))
-    if cut == -1:
-        re_part, im_part = "0", body
-    else:
-        re_part, im_part = body[:cut], body[cut:]
-        if "i" not in im_part:  # pure imaginary like "-3/2i" has no split point
-            re_part, im_part = "0", body
-    im_part = im_part[:-1]  # drop the i
-    if im_part in ("", "+"):
-        im = Fraction(1)
-    elif im_part == "-":
-        im = Fraction(-1)
-    else:
-        im = Fraction(im_part)
-    return Scalar(Fraction(re_part) if re_part else Fraction(0), im)
 
 
 # -- matrices ---------------------------------------------------------------

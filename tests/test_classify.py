@@ -1,6 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intdiffops import classify
 
 from intdiffops.classify import (
     AModuleDescriptor,
@@ -33,7 +38,7 @@ from intdiffops.linalg import Mat, invert, rank
 from intdiffops.local_ideals import LocalIdeal, MaxIdeal
 from intdiffops.modules import DomainError, DSet, Fiber, Orbit
 from intdiffops.poly import MultiPoly, UniPoly
-from intdiffops.scalars import QQ, QQI, Scalar
+from intdiffops.scalars import ONE, QQ, QQI, ZERO, Scalar
 
 
 def rand_invertible(d, rng):
@@ -73,6 +78,49 @@ def test_min_poly_and_factor():
     p2 = UniPoly({0: Scalar(1), 2: Scalar(1)})
     assert len(factor_unipoly(p2, QQ)) == 1
     assert len(factor_unipoly(p2, QQI)) == 2
+
+
+roots_q = st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 2, 3, 7, 21])).map(Scalar)
+roots_qi = st.builds(
+    Scalar,
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 3, 7])),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 3, 7])),
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just(QQ), st.dictionaries(roots_q, st.integers(1, 3), min_size=1, max_size=3)),
+        st.tuples(st.just(QQI), st.dictionaries(roots_qi, st.integers(1, 2), min_size=1, max_size=3)),
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_factor_round_trip_is_exact(case):
+    field, roots = case
+    p = UniPoly.const(1)
+    for r, m in roots.items():
+        p = p * UniPoly({1: ONE, 0: -r}) ** m
+    got = {}
+    for f, m in factor_unipoly(p, field):
+        assert f.degree() == 1 and f.coeffs[1] == ONE
+        got[-f.coeffs.get(0, ZERO)] = m
+    assert got == roots
+
+
+def test_residue_field_certificate_stops_the_search(monkeypatch):
+    calls = []
+    real = classify.factor_unipoly
+
+    def counted(p, field):
+        calls.append(p)
+        return real(p, field)
+
+    monkeypatch.setattr(classify, "factor_unipoly", counted)
+    # B has min poly H^2 - 2: End is Q(sqrt 2), so no split exists over Q
+    R = KroneckerRep(Mat.identity(2), Mat(2, 2, [[0, 2], [1, 0]]))
+    with pytest.raises(FieldError):
+        kronecker_decompose(R, QQ)
+    assert 1 <= len(calls) <= 4
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -11,6 +12,7 @@ from intdiffops.cli import main
 from golden_cases import GOLDEN_CASES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, stdin_text=None):
@@ -141,3 +143,26 @@ def test_golden(name, argv):
     code, out = run_cli(list(argv))
     assert code == 0
     assert out.encode() == path.read_bytes()
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    code = "import sys, intdiffops, intdiffops.cli; print('sympy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    # one adapter module holds every sympy import
+    importers = [
+        f.name
+        for f in sorted((SRC / "intdiffops").glob("*.py"))
+        if any(
+            line.lstrip().startswith(("import sympy", "from sympy"))
+            for line in f.read_text().splitlines()
+        )
+    ]
+    assert importers == ["symbolic.py"]

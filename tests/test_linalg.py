@@ -12,6 +12,7 @@ from intdiffops.linalg import (
     det,
     in_span,
     invert,
+    invertible_combination,
     kernel_basis,
     rank,
     rref,
@@ -333,3 +334,78 @@ def test_block_system_inconsistent():
     sys.add_unknown("X", 2, 2)
     sys.add_equation([("X", Z, None, 1)], Mat.identity(2))
     assert sys.solve() is None
+
+
+@st.composite
+def hom_spans(draw):
+    """k homs of one or two square blocks over Q or Q(i), with sparse entries;
+    sometimes a column shared by every hom is zero, and sometimes the homs
+    of a block are the diagonal idempotents, whose sum alone is invertible."""
+    elements = draw(st.sampled_from([entries, gaussian_entries]))
+    sparse = st.one_of(st.just(ZERO), elements)
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    k = draw(st.integers(0, 3))
+    homs = [[draw(mats(n, n, sparse)) for n in sizes] for _ in range(k)]
+    b = draw(st.integers(0, len(sizes) - 1))
+    n = sizes[b]
+    plant = draw(st.sampled_from(["none", "zero column", "idempotents"]))
+    if plant == "zero column" and n and k:
+        z = draw(st.integers(0, n - 1))
+        for h in homs:
+            h[b] = Mat(n, n, [[ZERO if c == z else x for c, x in enumerate(row)] for row in h[b].data])
+    elif plant == "idempotents" and n > 1 and k >= n:
+        for j in range(n):
+            homs[j][b] = Mat(n, n, [[ONE if r == c == j else ZERO for c in range(n)] for r in range(n)])
+    return [tuple(h) for h in homs], sizes
+
+
+def _generic_det_vanishes(homs, sizes):
+    """Oracle: some block's det(sum t_i h_i) is the zero polynomial."""
+    import sympy
+
+    ts = sympy.symbols(f"t:{len(homs)}")
+    for b, n in enumerate(sizes):
+        gen = sympy.zeros(n, n)
+        for t, h in zip(ts, homs):
+            for r in range(n):
+                for c in range(n):
+                    x = h[b].data[r][c]
+                    gen[r, c] += t * (sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im))
+        if n and sympy.expand(gen.det()) == 0:
+            return True
+    return False
+
+
+def _flat(blocks):
+    return Mat.col_vector([x for m in blocks for row in m.data for x in row])
+
+
+@given(hom_spans())
+@settings(max_examples=80, deadline=None)
+def test_invertible_combination_matches_generic_det(span):
+    homs, sizes = span
+    got = invertible_combination(homs, sizes)
+    assert (got is None) == _generic_det_vanishes(homs, sizes)
+    if got is not None:
+        assert [m.shape for m in got] == [(n, n) for n in sizes]
+        assert all(rank(m) == n for m, n in zip(got, sizes))
+        assert in_span(_flat(got), [_flat(h) for h in homs])
+
+
+def test_invertible_combination_witness_and_certificate():
+    e1 = Mat(2, 2, [[1, 0], [0, 0]])
+    e2 = Mat(2, 2, [[0, 0], [0, 1]])
+    # no basis element is invertible, their sum is
+    (m,) = invertible_combination([(e1,), (e2,)], [2])
+    assert rank(m) == 2 and in_span(_flat([m]), [_flat([e1]), _flat([e2])])
+    # every block invertible at once: the second block needs both homs
+    u, v = Mat(1, 1, [[1]]), Mat(1, 1, [[-1]])
+    got = invertible_combination([(e1, u), (e2, v)], [2, 1])
+    assert got is not None and rank(got[0]) == 2 and rank(got[1]) == 1
+    # a column zero in every hom: the generic determinant vanishes
+    n1 = Mat(2, 2, [[1, 0], [1, 0]])
+    n2 = Mat(2, 2, [[0, 0], [3, 0]])
+    assert invertible_combination([(n1,), (n2,)], [2]) is None
+    # 0x0 blocks are invertible, even with no homs at all
+    assert invertible_combination([], [0, 0]) == (Mat(0, 0), Mat(0, 0))
+    assert invertible_combination([], [0, 1]) is None

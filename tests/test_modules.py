@@ -16,6 +16,7 @@ from intdiffops.modules import (
     decompose_weight,
     dualize,
     fiber,
+    hom_basis,
     induce,
     is_absolutely_prime_window,
     is_equidimensional,
@@ -166,6 +167,36 @@ def test_window_isomorphism_of_scramble():
     for p in M.support():
         assert rank(iso[p]) == M.dim(p)
     assert window_isomorphism(M, build_Ms(2, "1/2", [(-2, 2)])) is None
+
+
+def _is_window_iso(iso, M, N):
+    for (kind, slot, p), f in M.maps.items():
+        q = M.target(kind, slot, p)
+        if M.in_window(q) and iso[q] @ f != N.map(kind, slot, p) @ iso[p]:
+            return False
+    return all(rank(iso[p]) == M.dim(p) for p in M.points())
+
+
+def test_window_isomorphism_needs_a_combination():
+    orbit = Orbit.from_reps([0])
+    window = [(-2, 2)]
+    A = direct_sum(build_simple(DSet(orbit, set()), window), build_simple(DSet(orbit, {1}), window))
+    B = scramble(A, random.Random(1))
+    pts = sorted(A.points())
+    # each Hom basis element vanishes on one summand, so only a sum is invertible
+    assert not any(
+        all(rank(h[p]) == A.dim(p) for p in pts) for h in hom_basis(B, A)
+    )
+    iso = window_isomorphism(B, A)
+    assert iso is not None and _is_window_iso(iso, B, A)
+
+
+def test_window_isomorphism_none_by_certificate():
+    window = [(-3, 3)]
+    S = build_simple(DSet(Orbit.from_reps([0]), set()), window)
+    M = build_Ms(3, 0, window)
+    # equal dimension vectors, not isomorphic: every generic determinant vanishes
+    assert window_isomorphism(M, direct_sum(direct_sum(S, S), S)) is None
 
 
 def test_socle_of_M2_does_not_split():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from intdiffops.scalars import ONE, QQ, QQI, ZERO, Scalar, parse_rational
+from intdiffops.scalars import ONE, QQ, QQI, ZERO, Scalar, scalar_from_str
 
 fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 scalars = st.builds(Scalar, fractions, fractions)
@@ -43,8 +43,13 @@ def test_conj_multiplicative(a, b):
 
 
 def test_parse_rational():
-    assert parse_rational("3/2") == Scalar(Fraction(3, 2))
-    assert parse_rational("-7") == Scalar(-7)
+    assert scalar_from_str("3/2") == Scalar(Fraction(3, 2))
+    assert scalar_from_str("-7") == Scalar(-7)
+    assert scalar_from_str("i") == Scalar(0, 1)
+    assert scalar_from_str("-i") == Scalar(0, -1)
+    assert scalar_from_str("1/2-3/4*i") == Scalar(Fraction(1, 2), Fraction(-3, 4))
+    # Scalar.of reads strings with the same parser
+    assert Scalar.of("1/2-3/4*i") == Scalar(Fraction(1, 2), Fraction(-3, 4))
 
 
 def test_field_membership():

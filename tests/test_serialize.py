@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from intdiffops.modules import DSet, Orbit, build_Ms, build_simple
 from intdiffops.operators import Operator
 from intdiffops.parser import parse_expression
-from intdiffops.scalars import Scalar
+from intdiffops.scalars import Scalar, scalar_from_str
 from intdiffops.serialize import (
     dumps,
     module_from_json,
     module_to_json,
     operator_from_json,
     operator_to_json,
-    scalar_from_str,
     scalar_to_str,
 )
 
