@@ -32,6 +32,7 @@ from .linalg import (
     invertible_combination,
     kernel_basis,
     rank,
+    retraction,
     rref,
     solve_linear,
 )
@@ -79,14 +80,8 @@ def rep_type_orbit(orbit: Orbit) -> RepTypeVerdict:
 
 
 def _end_basis_one_space(mats: Sequence[Mat], dim: int) -> List[Mat]:
-    sys = BlockSystem()
-    sys.add_unknown("X", dim, dim)
-    for A in mats:
-        sys.add_equation([("X", A, None, 1), ("X", None, A, -1)])
-    sol = sys.solve()
-    assert sol is not None
-    _, kern = sol
-    return [k["X"] for k in kern]
+    """The X with X A = A X for every A: one vertex, one loop per matrix."""
+    return [h[0] for h in BlockSystem([dim], [dim], [(0, 0, A, A) for A in mats]).solve()]
 
 
 def min_poly(M: Mat) -> UniPoly:
@@ -195,14 +190,8 @@ def modules_isomorphic(mats_m: Sequence[Mat], mats_n: Sequence[Mat]) -> Optional
     dn = mats_n[0].rows if mats_n else 0
     if dm != dn:
         return None
-    sys = BlockSystem()
-    sys.add_unknown("X", dn, dm)
-    for A, B in zip(mats_m, mats_n):
-        sys.add_equation([("X", None, A, 1), ("X", B, None, -1)])
-    sol = sys.solve()
-    assert sol is not None
-    _, kern = sol
-    iso = invertible_combination([(k["X"],) for k in kern], [dm])
+    homs = BlockSystem([dm], [dn], [(0, 0, A, B) for A, B in zip(mats_m, mats_n)]).solve()
+    iso = invertible_combination(homs, [dm])
     return None if iso is None else iso[0]
 
 
@@ -226,15 +215,7 @@ class KroneckerRep:
 
     def end_basis(self) -> List[Mat]:
         """Endomorphisms as block-diagonal matrices diag(X, Y)."""
-        sys = BlockSystem()
-        sys.add_unknown("X", self.d1, self.d1)
-        sys.add_unknown("Y", self.d2, self.d2)
-        for M in (self.A, self.B):
-            sys.add_equation([("Y", None, M, 1), ("X", M, None, -1)])
-        sol = sys.solve()
-        assert sol is not None
-        _, kern = sol
-        return [block_diag(k["X"], k["Y"]) for k in kern]
+        return [block_diag(X, Y) for X, Y in _kron_homs(self, self)]
 
     def __repr__(self):
         return f"KroneckerRep(dims=({self.d1},{self.d2}))"
@@ -469,15 +450,13 @@ def _kron_iso(C: KroneckerRep, D: KroneckerRep) -> Optional[Tuple[Mat, Mat]]:
     """Invertible pair (U1, U2): C -> D with D.A U1 = U2 C.A etc."""
     if C.dims != D.dims:
         return None
-    sys = BlockSystem()
-    sys.add_unknown("X", D.d1, C.d1)
-    sys.add_unknown("Y", D.d2, C.d2)
-    for MC, MD in zip((C.A, C.B), (D.A, D.B)):
-        sys.add_equation([("Y", None, MC, 1), ("X", MD, None, -1)])
-    sol = sys.solve()
-    assert sol is not None
-    _, kern = sol
-    return invertible_combination([(k["X"], k["Y"]) for k in kern], C.dims)
+    return invertible_combination(_kron_homs(C, D), C.dims)
+
+
+def _kron_homs(C: KroneckerRep, D: KroneckerRep) -> List[Tuple[Mat, Mat]]:
+    """Basis of the pairs (X, Y): C -> D with Y C.A = D.A X and Y C.B = D.B X."""
+    arrows = [(0, 1, C.A, D.A), (0, 1, C.B, D.B)]
+    return BlockSystem(C.dims, D.dims, arrows).solve()
 
 
 def kronecker_sum(reps: Sequence[KroneckerRep]) -> KroneckerRep:
@@ -775,13 +754,8 @@ def contains_regular_summand(h1: Mat, h2: Mat) -> bool:
     if emb is None:
         return False
     rh1, rh2 = regular_A_module()
-    sys = BlockSystem()
-    d = h1.rows
-    sys.add_unknown("R", 4, d)
-    sys.add_equation([("R", None, emb, 1)], Mat.identity(4))
-    for big, small in ((h1, rh1), (h2, rh2)):
-        sys.add_equation([("R", None, big, 1), ("R", small, None, -1)])
-    return sys.solve() is not None
+    homs = BlockSystem([h1.rows], [4], [(0, 0, h1, rh1), (0, 0, h2, rh2)]).solve()
+    return retraction(homs, [emb]) is not None
 
 
 # -- tameness of local ideals in two variables ------------------------------

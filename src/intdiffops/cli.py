@@ -54,7 +54,6 @@ from .serialize import (
     module_from_json,
     module_to_json,
     operator_to_json,
-    scalar_to_str,
 )
 
 import json
@@ -281,7 +280,7 @@ def _dset_doc(dset: DSet) -> dict:
         "D": sorted(dset.D),
         "orbit": {
             "integer": list(dset.orbit.integer),
-            "reps": [scalar_to_str(r) for r in dset.orbit.reps],
+            "reps": [str(r) for r in dset.orbit.reps],
         },
     }
 
@@ -326,7 +325,7 @@ def cmd_kronecker(args, cfg):
         cfg,
         " + ".join(repr(l) for l in labels),
         [
-            {"lam": scalar_to_str(l.lam) if l.lam is not None else None,
+            {"lam": str(l.lam) if l.lam is not None else None,
              "n": l.n, "series": l.series}
             for l in labels
         ],
@@ -378,7 +377,7 @@ def cmd_fiber(args, cfg):
         cfg,
         "\n".join(lines),
         {
-            "center": [scalar_to_str(c) for c in fib.center],
+            "center": [str(c) for c in fib.center],
             "dim": fib.dim,
             "matrices": [mat_to_json(m) for m in fib.matrices],
             "slots": list(fib.slots),

@@ -4,9 +4,10 @@ Matrices carry explicit (rows, cols) so zero-dimensional spaces (which occur
 as weight spaces outside a module's support) are handled uniformly.  This is
 the one place that assembles matrices from columns (`Mat.from_cols`) or
 blocks (`block_diag`) and solves for them: `solve_linear` takes any number
-of right-hand sides, and `BlockSystem` flattens matrix equations
-A @ X @ B = C into the rows of one linear system.  It is also the one place
-that searches a Hom space for an isomorphism: `invertible_combination`.
+of right-hand sides.  It is also the one place that writes and searches
+Hom spaces: `BlockSystem` turns the intertwining equations phi_t f = g phi_s
+of two quiver representations into the rows of one linear system, and
+`invertible_combination` looks for an isomorphism in the basis it returns.
 
 Elimination first scales each row by the lcm of its denominators, then runs
 on plain ints with one of two kernels.  Rational matrices go to a
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -488,11 +489,34 @@ def invertible_combination(
     coeffs = invertible_point([[h[b] for h in homs] for b in live])
     if coeffs is None:
         return None
-    out = tuple(
-        sum((h[b].scale(c) for c, h in zip(coeffs, homs) if c), Mat(n, n)) for b, n in enumerate(sizes)
-    )
+    out = _combine(coeffs, homs, [(n, n) for n in sizes])
     assert all(rank(m) == m.rows for m in out)
     return out
+
+
+def retraction(homs: Sequence[Sequence[Mat]], incl: Sequence[Mat]) -> Optional[Tuple[Mat, ...]]:
+    """The blocks of a combination rho of the homs with rho_v incl_v = 1 at
+    every vertex v, or None when there is none.
+
+    Each hom is a tuple of blocks, one per vertex, of shape incl_v.cols x
+    incl_v.rows.  Such rho form an affine subspace, so one solve for the
+    coefficients decides, with one row per entry of each identity block.
+    """
+    prods = [[b @ e for b, e in zip(h, incl)] for h in homs]
+    entries = [(v, r, c) for v, e in enumerate(incl) for r in range(e.cols) for c in range(e.cols)]
+    A = Mat(len(entries), len(homs), [[P[v].data[r][c] for P in prods] for v, r, c in entries])
+    sol = solve_linear(A, Mat(len(entries), 1, [[ONE if r == c else ZERO] for _, r, c in entries]))
+    if sol is None:
+        return None
+    return _combine(sol.particular.col(0), homs, [(e.cols, e.rows) for e in incl])
+
+
+def _combine(coeffs: Sequence[Scalar], homs: Sequence[Sequence[Mat]], shapes) -> Tuple[Mat, ...]:
+    """The blocks of sum c_k homs[k], one per vertex, of the given shapes."""
+    return tuple(
+        sum((h[b].scale(c) for c, h in zip(coeffs, homs) if c != 0), Mat(*shape))
+        for b, shape in enumerate(shapes)
+    )
 
 
 def block_diag(*blocks: Mat) -> Mat:
@@ -509,91 +533,64 @@ def block_diag(*blocks: Mat) -> Mat:
 
 
 class BlockSystem:
-    """Linear system over several unknown matrices.
+    """The Hom space between two representations M, N of one quiver.
 
-    Equations are sums of terms sign * A @ X_name @ B = RHS.  Each unknown is
-    flattened column-major, so X[k, l] is unknown number offset + l*rows + k,
-    and row (i, j) of an equation (also column-major) has coefficient
-    A[i, k] * B[l, j] on X[k, l].  Unknown blocks may appear in several
-    equations; solve() returns (particular, kernel) as dicts name -> Mat.
+    Vertex v carries spaces of dimensions dims_m[v] and dims_n[v]; an arrow
+    (s, t, f, g) carries f : M_s -> M_t and g : N_s -> N_t.  The unknowns are
+    the blocks phi_v : M_v -> N_v, each flattened column-major, so phi_v[k, l]
+    is unknown number offset_v + l*dims_n[v] + k.  Every arrow gives the rows
+    of phi_t f - g phi_s = 0, entry (i, j) column-major; solve() returns a
+    basis of the solutions as tuples of blocks, one per vertex.
     """
 
-    def __init__(self):
-        self.shapes: Dict[str, Tuple[int, int]] = {}
-        self.offsets: Dict[str, int] = {}
+    def __init__(self, dims_m: Sequence[int], dims_n: Sequence[int], arrows):
+        if len(dims_m) != len(dims_n):
+            raise ValueError("dims_m and dims_n name different vertex counts")
+        self.dims_m = tuple(dims_m)
+        self.dims_n = tuple(dims_n)
+        self.offsets = []
         self.total = 0
+        for m, n in zip(self.dims_m, self.dims_n):
+            self.offsets.append(self.total)
+            self.total += m * n
         self.rows: List[List[Scalar]] = []
-        self.rhs: List[Scalar] = []
+        for s, t, f, g in arrows:
+            self._add_arrow(s, t, f, g)
 
-    def add_unknown(self, name: str, rows: int, cols: int):
-        if name in self.shapes:
-            if self.shapes[name] != (rows, cols):
-                raise ValueError(f"unknown {name!r} redeclared with a new shape")
-            return
-        self.shapes[name] = (rows, cols)
-        self.offsets[name] = self.total
-        self.total += rows * cols
-
-    def add_equation(self, terms, rhs: Mat | None = None):
-        """terms: iterable of (name, A or None, B or None, sign); None stands
-        for an identity factor."""
-        eq_shape = None
-        parts = []
-        for name, A, B, sign in terms:
-            r, c = self.shapes[name]
-            if (A is not None and A.cols != r) or (B is not None and B.rows != c):
-                raise ValueError(f"term shape mismatch for {name!r}")
-            shape = (r if A is None else A.rows, c if B is None else B.cols)
-            if eq_shape is None:
-                eq_shape = shape
-            elif eq_shape != shape:
-                raise ValueError("equation terms have mismatched shapes")
-            # nonzero (k, A[i,k]) per row i and (l, B[l,j]) per column j; an
-            # identity factor contributes the single entry (i, ONE) or (j, ONE)
-            if A is None:
-                a_rows = [[(i, ONE)] for i in range(r)]
-            else:
-                a_rows = [[(k, a) for k, a in enumerate(row) if not a.is_zero()] for row in A.data]
-            if B is None:
-                b_cols = [[(j, ONE)] for j in range(c)]
-            else:
-                b_cols = [
-                    [(l, B.data[l][j]) for l in range(c) if not B.data[l][j].is_zero()]
-                    for j in range(B.cols)
-                ]
-            parts.append((self.offsets[name], r, a_rows, b_cols, sign < 0))
-        if eq_shape is None:
-            return
-        if rhs is not None and rhs.shape != eq_shape:
-            raise ValueError("rhs shape mismatch")
-        for j in range(eq_shape[1]):
-            for i in range(eq_shape[0]):
+    def _add_arrow(self, s: int, t: int, f: Mat, g: Mat):
+        ms, mt, ns, nt = self.dims_m[s], self.dims_m[t], self.dims_n[s], self.dims_n[t]
+        if f.shape != (mt, ms) or g.shape != (nt, ns):
+            raise ValueError(
+                f"arrow {s}->{t}: maps of shapes {f.shape} and {g.shape}, "
+                f"expected {(mt, ms)} and {(nt, ns)}"
+            )
+        off_s, off_t = self.offsets[s], self.offsets[t]
+        # nonzero (l, f[l, j]) per column j of f and (k, g[i, k]) per row i of g
+        f_cols = [[(l, f.data[l][j]) for l in range(mt) if not f.data[l][j].is_zero()] for j in range(ms)]
+        g_rows = [[(k, -b) for k, b in enumerate(row) if not b.is_zero()] for row in g.data]
+        for j in range(ms):
+            for i in range(nt):
+                # phi_t[i, l] * f[l, j] - g[i, k] * phi_s[k, j]; on a loop both can hit one unknown
                 row = [ZERO] * self.total
-                for off, r, a_rows, b_cols, neg in parts:
-                    for l, b in b_cols[j]:
-                        for k, a in a_rows[i]:
-                            v = b if a is ONE else a if b is ONE else a * b
-                            if neg:
-                                v = -v
-                            idx = off + l * r + k
-                            row[idx] = v if row[idx] is ZERO else row[idx] + v
+                for l, a in f_cols[j]:
+                    row[off_t + l * nt + i] = a
+                for k, b in g_rows[i]:
+                    idx = off_s + j * ns + k
+                    row[idx] = b if row[idx] is ZERO else row[idx] + b
                 self.rows.append(row)
-                self.rhs.append(ZERO if rhs is None else rhs.data[i][j])
 
-    def _unpack(self, flat: Mat) -> Dict[str, Mat]:
-        out = {}
-        for name, (r, c) in self.shapes.items():
-            off = self.offsets[name]
-            out[name] = Mat(r, c, [[flat.data[off + l * r + k][0] for l in range(c)] for k in range(r)])
+    def solve(self) -> List[Tuple[Mat, ...]]:
+        """Basis of the Hom space, each element a tuple of blocks phi_v."""
+        out = []
+        for k in kernel_basis(Mat(len(self.rows), self.total, self.rows)):
+            flat = k.data
+            out.append(
+                tuple(
+                    Mat(n, m, [[flat[off + l * n + r][0] for l in range(m)] for r in range(n)])
+                    for off, m, n in zip(self.offsets, self.dims_m, self.dims_n)
+                )
+            )
         return out
-
-    def solve(self):
-        """Returns (particular, kernel_list) or None if inconsistent."""
-        A = Mat(len(self.rows), self.total, self.rows)
-        sol = solve_linear(A, Mat(len(self.rhs), 1, [[x] for x in self.rhs]))
-        if sol is None:
-            return None
-        return self._unpack(sol.particular), [self._unpack(k) for k in sol.kernel]
 
 
 def complete_basis(B: Mat) -> Mat:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
     BlockSystem,
@@ -23,6 +23,7 @@ from .linalg import (
     invert,
     invertible_combination,
     kernel_basis,
+    retraction,
     solve_linear,
 )
 from .local_ideals import LocalIdeal, MaxIdeal, quotient_basis
@@ -246,6 +247,15 @@ class ModuleWindow:
             d = -d
         return self.shift(p, slot, d)
 
+    def arrows(self, p: Point) -> Iterator[Tuple[str, int, Point]]:
+        """(kind, slot, target) of every generator map at p whose target
+        lies in the window; slots in order, d, int, H within a slot."""
+        for i in range(1, self.n + 1):
+            for kind in ("d", "int", "H"):
+                q = self.target(kind, i, p)
+                if self.in_window(q):
+                    yield kind, i, q
+
     def map(self, kind: str, slot: int, p: Point) -> Mat:
         """Generator matrix at p; a shaped zero when nothing is stored."""
         p = tuple(p)
@@ -336,15 +346,11 @@ class ModuleWindow:
             or self.side != other.side
         ):
             return False
-        for p in self.support():
-            for i in range(1, self.n + 1):
-                for kind in ("d", "int", "H"):
-                    q = self.target(kind, i, p)
-                    if not self.in_window(q):
-                        continue
-                    if self.map(kind, i, p) != other.map(kind, i, p):
-                        return False
-        return True
+        return all(
+            self.map(kind, i, p) == other.map(kind, i, p)
+            for p in self.support()
+            for kind, i, _ in self.arrows(p)
+        )
 
     def __repr__(self):
         return (
@@ -542,19 +548,12 @@ def _restrict_to_bases(M: ModuleWindow, bases: Dict[Point, Mat]) -> ModuleWindow
     spaces = {p: B.cols for p, B in bases.items() if B.cols > 0}
     maps: Dict[Tuple[str, int, Point], Mat] = {}
     for p in spaces:
-        Bp = bases[p]
-        for i in range(1, M.n + 1):
-            for kind in ("d", "int", "H"):
-                q = M.target(kind, i, p)
-                if not M.in_window(q):
-                    continue
-                img = M.map(kind, i, p) @ Bp
-                sol = solve_linear(bases.get(q, Mat.zero(M.dim(q), 0)), img)
-                if sol is None:
-                    raise DomainError(
-                        f"bases are not stable under {kind}_{i} at {p}"
-                    )
-                maps[(kind, i, p)] = sol.particular
+        for kind, i, q in M.arrows(p):
+            img = M.map(kind, i, p) @ bases[p]
+            sol = solve_linear(bases.get(q, Mat.zero(M.dim(q), 0)), img)
+            if sol is None:
+                raise DomainError(f"bases are not stable under {kind}_{i} at {p}")
+            maps[(kind, i, p)] = sol.particular
     return ModuleWindow(M.orbit, M.window, spaces, maps, M.side)
 
 
@@ -678,44 +677,21 @@ def dualize(M: ModuleWindow) -> ModuleWindow:
 # -- homomorphisms, extensions, isomorphism ---------------------------------
 
 
-def _hom_system(M: ModuleWindow, N: ModuleWindow) -> Tuple[BlockSystem, List[Point]]:
+def hom_basis(M: ModuleWindow, N: ModuleWindow) -> List[Dict[Point, Mat]]:
+    """Basis of the space of window module maps M -> N: the Hom space of
+    the quiver whose vertices are the window points and whose arrows are
+    the in-window generator maps."""
     if M.orbit != N.orbit or M.window != N.window or M.side != N.side:
         raise DomainError("modules live on different windows")
     pts = sorted(M.points())
-    sys = BlockSystem()
-    for p in pts:
-        sys.add_unknown(_vn(p), N.dim(p), M.dim(p))
-    for p in pts:
-        for i in range(1, M.n + 1):
-            for kind in ("d", "int", "H"):
-                q = M.target(kind, i, p)
-                if not M.in_window(q):
-                    continue
-                # phi(q) f_M = f_N phi(p), both sides dimN(q) x dimM(p)
-                sys.add_equation(
-                    [
-                        (_vn(q), None, M.map(kind, i, p), 1),
-                        (_vn(p), N.map(kind, i, p), None, -1),
-                    ]
-                )
-    return sys, pts
-
-
-def _vn(p: Point) -> str:
-    return "phi@" + ",".join(str(x) for x in p)
-
-
-def hom_basis(M: ModuleWindow, N: ModuleWindow) -> List[Dict[Point, Mat]]:
-    """Basis of the space of window module maps M -> N."""
-    sys, pts = _hom_system(M, N)
-    sol = sys.solve()
-    if sol is None:
-        raise AssertionError("homogeneous system cannot be inconsistent")
-    _, kern = sol
-    out = []
-    for k in kern:
-        out.append({p: k[_vn(p)] for p in pts})
-    return out
+    index = {p: v for v, p in enumerate(pts)}
+    arrows = [
+        (index[p], index[q], M.map(kind, i, p), N.map(kind, i, p))
+        for p in pts
+        for kind, i, q in M.arrows(p)
+    ]
+    sys = BlockSystem([M.dim(p) for p in pts], [N.dim(p) for p in pts], arrows)
+    return [dict(zip(pts, h)) for h in sys.solve()]
 
 
 def window_isomorphism(M: ModuleWindow, N: ModuleWindow) -> Optional[Dict[Point, Mat]]:
@@ -735,68 +711,19 @@ def split_extension(
 ) -> Optional[Dict[Point, Mat]]:
     """Complement of a generator-stable submodule, or None when none exists.
 
-    S maps support points to column bases of the subspaces.  The answer is a
-    pointwise basis of an invariant complement found by solving for a module
-    retraction onto S."""
+    S maps support points to column bases of the subspaces.  The answer is
+    the pointwise kernel of a module retraction M -> S, found in the Hom
+    space by `linalg.retraction`."""
     Ssub = {p: B for p, B in S.items() if B.cols > 0}
-    restriction = {}
     for p, B in Ssub.items():
         if B.rows != M.dim(p):
             raise DomainError(f"submodule basis at {p} has wrong height")
-    # stability and induced maps
-    for p, B in Ssub.items():
-        for i in range(1, M.n + 1):
-            for kind in ("d", "int", "H"):
-                q = M.target(kind, i, p)
-                if not M.in_window(q):
-                    continue
-                img = M.map(kind, i, p) @ B
-                sol = solve_linear(Ssub.get(q, Mat.zero(M.dim(q), 0)), img)
-                if sol is None:
-                    raise DomainError(f"submodule is not stable under {kind}_{i} at {p}")
-                restriction[(kind, i, p)] = sol.particular
-    sys = BlockSystem()
     pts = sorted(M.points())
-    for p in pts:
-        s = Ssub[p].cols if p in Ssub else 0
-        sys.add_unknown(_vn(p), s, M.dim(p))
-    for p in pts:
-        s = Ssub[p].cols if p in Ssub else 0
-        if s:
-            sys.add_equation([(_vn(p), None, Ssub[p], 1)], Mat.identity(s))
-        for i in range(1, M.n + 1):
-            for kind in ("d", "int", "H"):
-                q = M.target(kind, i, p)
-                if not M.in_window(q):
-                    continue
-                fS = restriction.get(
-                    (kind, i, p),
-                    Mat.zero(
-                        Ssub[q].cols if q in Ssub else 0,
-                        Ssub[p].cols if p in Ssub else 0,
-                    ),
-                )
-                sys.add_equation(
-                    [
-                        (_vn(q), None, M.map(kind, i, p), 1),
-                        (_vn(p), fS, None, -1),
-                    ]
-                )
-    sol = sys.solve()
-    if sol is None:
+    homs = [tuple(h[p] for p in pts) for h in hom_basis(M, _restrict_to_bases(M, Ssub))]
+    rho = retraction(homs, [Ssub.get(p, Mat(M.dim(p), 0)) for p in pts])
+    if rho is None:
         return None
-    part, _ = sol
-    complement = {}
-    for p in pts:
-        rho = part[_vn(p)]
-        if rho.rows == 0:
-            complement[p] = Mat.identity(M.dim(p))
-            continue
-        kb = kernel_basis(rho)
-        if len(kb) != M.dim(p) - rho.rows:
-            return None
-        complement[p] = Mat.from_cols(kb, M.dim(p))
-    return complement
+    return {p: Mat.from_cols(kernel_basis(r), M.dim(p)) for p, r in zip(pts, rho)}
 
 
 # -- absolute primeness ------------------------------------------------------
@@ -810,19 +737,17 @@ def _cyclic_closure(M: ModuleWindow, p: Point, v: Mat) -> Dict[Point, Mat]:
     while changed:
         changed = False
         for q in M.support():
-            for i in range(1, M.n + 1):
-                for kind in ("d", "int", "H"):
-                    t = M.target(kind, i, q)
-                    if not M.in_window(t) or M.dim(t) == 0:
+            for kind, i, t in M.arrows(q):
+                if M.dim(t) == 0:
+                    continue
+                f = M.map(kind, i, q)
+                for vec_ in list(spans[q]):
+                    img = f @ vec_
+                    if img.is_zero():
                         continue
-                    f = M.map(kind, i, q)
-                    for vec_ in list(spans[q]):
-                        img = f @ vec_
-                        if img.is_zero():
-                            continue
-                        if not in_span(img, spans[t]):
-                            spans[t].append(img)
-                            changed = True
+                    if not in_span(img, spans[t]):
+                        spans[t].append(img)
+                        changed = True
     out = {}
     for q, vs in spans.items():
         basis = column_space_basis(vs, M.dim(q))
@@ -850,16 +775,12 @@ def _quotient_module(M: ModuleWindow, S: Dict[Point, Mat]) -> ModuleWindow:
         Tp, _ = proj[p]
         if Tp.cols == 0:
             continue
-        for i in range(1, M.n + 1):
-            for kind in ("d", "int", "H"):
-                q = M.target(kind, i, p)
-                if not M.in_window(q):
-                    continue
-                if M.dim(q) == 0:
-                    maps[(kind, i, p)] = Mat.zero(0, Tp.cols)
-                    continue
-                _, piq = proj[q]
-                maps[(kind, i, p)] = piq @ (M.map(kind, i, p) @ Tp)
+        for kind, i, q in M.arrows(p):
+            if M.dim(q) == 0:
+                maps[(kind, i, p)] = Mat.zero(0, Tp.cols)
+                continue
+            _, piq = proj[q]
+            maps[(kind, i, p)] = piq @ (M.map(kind, i, p) @ Tp)
     return ModuleWindow(M.orbit, M.window, spaces, maps, M.side)
 
 

@@ -465,26 +465,12 @@ def _term_str(term: TermN) -> str:
 def _coeff_term_str(c: Scalar, body: str) -> Tuple[str, str]:
     """Render coeff*body as (sign, text) with sign in {'+','-'}."""
     sign = "+"
-    if c.im == 0:
-        if c.re < 0:
-            sign, c = "-", -c
-        cs = str(c.re)
-        trivial = c.re == 1
-    elif c.re == 0:
-        if c.im < 0:
-            sign, c = "-", -c
-        cs = "i" if c.im == 1 else f"{c.im}*i"
-        trivial = False
-    else:
-        re, im = c.re, c.im
-        op = "+" if im > 0 else "-"
-        mag = abs(im)
-        ims = "i" if mag == 1 else f"{mag}*i"
-        cs = f"({re}{op}{ims})"
-        trivial = False
+    if c.im == 0 and c.re < 0 or c.re == 0 and c.im < 0:
+        sign, c = "-", -c
+    cs = f"({c})" if c.re and c.im else str(c)
     if body == "1":
         return sign, cs
-    if trivial:
+    if c.is_one():
         return sign, body
     return sign, f"{cs}*{body}"
 

@@ -135,18 +135,13 @@ class Scalar:
         return f"Scalar({self})"
 
     def __str__(self):
+        """'p', 'p/q', 'i', '-i', 'q*i' or 'p+q*i': the form scalar_from_str reads."""
         if self.im == 0:
             return str(self.re)
+        ims = "i" if self.im == 1 else "-i" if self.im == -1 else f"{self.im}*i"
         if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        istr = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{istr}"
+            return ims
+        return f"{self.re}{'+' if self.im > 0 else ''}{ims}"
 
 
 ZERO = Scalar(0)
@@ -155,8 +150,11 @@ ONE = Scalar(1)
 
 def scalar_from_str(text: str) -> Scalar:
     """Parse 'p', 'p/q', 'i', '-i', 'q*i' or 'p+q*i' (spaces ignored, '*'
-    optional) into a Scalar."""
+    optional) into a Scalar.  Decimals are read exactly; exponents are
+    refused, since '1e999999' would build its whole power of ten."""
     s = text.strip().replace(" ", "").replace("*i", "i")
+    if "e" in s.lower():
+        raise ValueError(f"bad scalar literal {text!r}: exponents are not accepted")
     if "i" not in s:
         return Scalar(Fraction(s))
     if not s.endswith("i"):

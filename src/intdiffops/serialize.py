@@ -13,7 +13,7 @@ from typing import List
 from .linalg import Mat
 from .modules import ModuleWindow, Orbit
 from .operators import Operator
-from .scalars import Scalar, scalar_from_str
+from .scalars import scalar_from_str
 
 OPERATOR_SCHEMA = "intdiffops.operator/1"
 MODULE_SCHEMA = "intdiffops.module/1"
@@ -24,24 +24,11 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
-# -- scalars ----------------------------------------------------------------
-
-
-def scalar_to_str(c: Scalar) -> str:
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        return f"{c.im}*i" if abs(c.im) != 1 else ("i" if c.im > 0 else "-i")
-    ims = f"{c.im}*i" if abs(c.im) != 1 else ("i" if c.im > 0 else "-i")
-    sep = "+" if c.im > 0 else ""
-    return f"{c.re}{sep}{ims}"
-
-
 # -- matrices ---------------------------------------------------------------
 
 
 def mat_to_json(m: Mat) -> List[List[str]]:
-    return [[scalar_to_str(c) for c in row] for row in m.data]
+    return [[str(c) for c in row] for row in m.data]
 
 
 def mat_from_json(rows: List[List[str]], cols_hint: int = 0) -> Mat:
@@ -83,7 +70,7 @@ def operator_to_json(a: Operator) -> dict:
     for term in sorted(a.terms, key=term_sort_key):
         terms.append(
             {
-                "coeff": scalar_to_str(a.terms[term]),
+                "coeff": str(a.terms[term]),
                 "slots": [_slot_to_json(s) for s in term],
             }
         )
@@ -115,7 +102,7 @@ def _point_from_key(key: str):
 def orbit_to_json(orbit: Orbit) -> dict:
     return {
         "integer": list(orbit.integer),
-        "reps": [scalar_to_str(r) for r in orbit.reps],
+        "reps": [str(r) for r in orbit.reps],
     }
 
 

@@ -85,6 +85,17 @@ def test_field_env_default(monkeypatch):
     assert code == 1
 
 
+def test_exponent_literal_is_usage_error():
+    # an exponent would make the parser build its whole power of ten
+    argv = ["ideal-test", "H_1*d_1", "--gen", "H", "--lambda", "0e6000000"]
+    code, _ = run_cli(argv)
+    assert code == 2
+    code, out = run_cli(["--json"] + argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "usage" and "0e6000000" in error["message"]
+
+
 def test_scalars_outside_field_rejected():
     code, _ = run_cli(["normalize", "i*H_1"])
     assert code == 1

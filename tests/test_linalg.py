@@ -238,34 +238,65 @@ def test_unit_pivots_match_sympy_qi():
     assert rank(A) == 1
 
 
-@given(
-    st.one_of(mats(3, 2), mats(3, 2, gaussian_entries)),
-    mats(2, 4),
-    mats(2, 2),
-    mats(3, 2),
-)
-@settings(max_examples=40)
-def test_block_system_round_trip(A, B, X, W):
-    # A Y B = A X B: the particular Y solves it, and each kernel element K has
-    # A K B = 0; the kernel has dimension 4 - rank(B^T (x) A) = 4 - rank A rank B
-    C = A @ X @ B
-    sys = BlockSystem()
-    sys.add_unknown("Y", 2, 2)
-    sys.add_equation([("Y", A, B, 1)], C)
-    part, kern = sys.solve()
-    assert A @ part["Y"] @ B == C
-    for K in kern:
-        assert (A @ K["Y"] @ B).is_zero()
-    assert len(kern) == 4 - rank(A) * rank(B)
-    # two unknowns, an identity factor and a negative sign: A Y B - Z B = A X B - W B
-    sys = BlockSystem()
-    sys.add_unknown("Y", 2, 2)
-    sys.add_unknown("Z", 3, 2)
-    sys.add_equation([("Y", A, B, 1), ("Z", None, B, -1)], C - W @ B)
-    part, kern = sys.solve()
-    assert A @ part["Y"] @ B - part["Z"] @ B == C - W @ B
-    for K in kern:
-        assert (A @ K["Y"] @ B - K["Z"] @ B).is_zero()
+@st.composite
+def quiver_reps(draw):
+    """Two representations M, N of a random quiver on 1-3 vertices (loops
+    and parallel arrows allowed) over Q or Q(i), with sparse entries;
+    sometimes N = M, whose endomorphisms include more than the scalars."""
+    elements = draw(st.sampled_from([entries, gaussian_entries]))
+    sparse = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ONE), elements)
+    k = draw(st.integers(1, 3))
+    dims_m = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    same = draw(st.booleans())
+    dims_n = dims_m if same else draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    arrows = []
+    for _ in range(draw(st.integers(0, 4))):
+        s, t = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        f = draw(mats(dims_m[t], dims_m[s], sparse))
+        g = f if same else draw(mats(dims_n[t], dims_n[s], sparse))
+        arrows.append((s, t, f, g))
+    return dims_m, dims_n, arrows
+
+
+def _kron(A, B):
+    return Mat(
+        A.rows * B.rows,
+        A.cols * B.cols,
+        [[A[i, j] * B[k, l] for j in range(A.cols) for l in range(B.cols)] for i in range(A.rows) for k in range(B.rows)],
+    )
+
+
+def _vec(X):
+    """Column-major flattening of X, as a list."""
+    return [X[k, l] for l in range(X.cols) for k in range(X.rows)]
+
+
+@given(quiver_reps())
+@settings(max_examples=80, deadline=None)
+def test_block_system_hom_space(quiver):
+    dims_m, dims_n, arrows = quiver
+    homs = BlockSystem(dims_m, dims_n, arrows).solve()
+    for h in homs:
+        assert [b.shape for b in h] == list(zip(dims_n, dims_m))
+        for s, t, f, g in arrows:
+            assert h[t] @ f == g @ h[s]
+    # vec(phi_t f - g phi_s) = (f^T (x) 1) vec(phi_t) - (1 (x) g) vec(phi_s)
+    offsets = [sum(m * n for m, n in zip(dims_m[:v], dims_n[:v])) for v in range(len(dims_m))]
+    total = sum(m * n for m, n in zip(dims_m, dims_n))
+    K = Mat(0, total)
+    for s, t, f, g in arrows:
+        block = Mat(g.rows * f.cols, total)
+        for off, part in (
+            (offsets[t], _kron(f.transpose(), Mat.identity(dims_n[t]))),
+            (offsets[s], -_kron(Mat.identity(dims_m[s]), g)),
+        ):
+            for r, row in enumerate(part.data):
+                for c, x in enumerate(row):
+                    block.data[r][off + c] = block.data[r][off + c] + x
+        K = K.vstack(block)
+    assert len(homs) == total - rank(K)
+    flat = [Mat.col_vector([x for b in h for x in _vec(b)]) for h in homs]
+    assert rank(Mat.from_cols(flat, total)) == len(homs)
 
 
 def test_column_space_and_span():
@@ -305,35 +336,16 @@ def test_complete_basis_picks_first_independent_units(A):
 
 
 def test_block_system_sylvester():
-    # X with A X = X A for A a Jordan cell: polynomials in A (dim 2)
+    # X with X A = A X for A a Jordan cell: polynomials in A (dim 2)
     A = Mat(2, 2, [[Scalar(3), Scalar(1)], [Scalar(0), Scalar(3)]])
-    sys = BlockSystem()
-    sys.add_unknown("X", 2, 2)
-    sys.add_equation([("X", A, None, 1), ("X", None, A, -1)])
-    sol = sys.solve()
-    assert sol is not None
-    _, kern = sol
-    assert len(kern) == 2
-    for k in kern:
-        X = k["X"]
+    homs = BlockSystem([2], [2], [(0, 0, A, A)]).solve()
+    assert len(homs) == 2
+    for (X,) in homs:
         assert (A @ X) == (X @ A)
-
-
-def test_block_system_inhomogeneous():
-    A = Mat(2, 2, [[Scalar(1), Scalar(2)], [Scalar(0), Scalar(1)]])
-    sys = BlockSystem()
-    sys.add_unknown("X", 2, 2)
-    sys.add_equation([("X", A, None, 1)], Mat.identity(2))
-    part, _ = sys.solve()
-    assert (A @ part["X"]).is_identity()
-
-
-def test_block_system_inconsistent():
-    Z = Mat.zero(2, 2)
-    sys = BlockSystem()
-    sys.add_unknown("X", 2, 2)
-    sys.add_equation([("X", Z, None, 1)], Mat.identity(2))
-    assert sys.solve() is None
+    with pytest.raises(ValueError):
+        BlockSystem([2], [2], [(0, 0, Mat(3, 2), A)])
+    with pytest.raises(ValueError):
+        BlockSystem([2], [3], [(0, 0, A, A)])
 
 
 @st.composite

@@ -24,6 +24,7 @@ from intdiffops.modules import (
     support,
     window_isomorphism,
     _cyclic_closure,
+    _restrict_to_bases,
 )
 from intdiffops.scalars import ONE, Scalar
 
@@ -228,6 +229,16 @@ def test_split_direct_sum():
     for p in M.support():
         assert S[p].cols + comp[p].cols == M.dim(p)
         assert rank(S[p].hstack(comp[p])) == M.dim(p)
+    # the complement is a submodule: every generator maps it into itself
+    _restrict_to_bases(M, comp)
+
+
+def test_split_extension_rejects_unstable_subspaces():
+    M = build_Ms(2, Scalar(0), [(-2, 2)])
+    # H = [[w, 0], [1, w]] at every point, so the first basis line is not H-stable
+    S = {p: Mat(2, 1, [[ONE], [Scalar(0)]]) for p in M.support()}
+    with pytest.raises(DomainError, match="not stable"):
+        split_extension(M, S)
 
 
 def test_absolutely_prime():

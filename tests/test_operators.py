@@ -199,3 +199,16 @@ def test_print_parse_roundtrip():
         + Operator.from_scalar(2, Scalar(7))
     )
     assert from_expression(parse_expression(str(a)), 2) == a
+
+
+def test_gaussian_coefficients_print():
+    d = Operator.gen_d(1, 1)
+    cases = {
+        Scalar(1, 2): "(1+2*i)*d_1",
+        Scalar(0, -2): "-2*i*d_1",
+        Scalar(0, 1): "i*d_1",
+        Scalar(-1): "-d_1",
+    }
+    for c, text in cases.items():
+        assert str(d.scale(c)) == text
+    assert str(Operator.from_scalar(1, Scalar(-1, 1))) == "(-1+i)"

@@ -52,6 +52,30 @@ def test_parse_rational():
     assert Scalar.of("1/2-3/4*i") == Scalar(Fraction(1, 2), Fraction(-3, 4))
 
 
+def test_str_is_the_parsed_form():
+    cases = {
+        Scalar(Fraction(-3, 2)): "-3/2",
+        Scalar(0, 1): "i",
+        Scalar(0, -1): "-i",
+        Scalar(0, 2): "2*i",
+        Scalar(1, 2): "1+2*i",
+        Scalar(Fraction(1, 2), Fraction(-3, 4)): "1/2-3/4*i",
+        Scalar(-1, -1): "-1-i",
+    }
+    for c, text in cases.items():
+        assert str(c) == text
+        assert scalar_from_str(text) == c
+
+
+def test_exponent_literals_rejected():
+    for text in ("0e6000000", "1E5", "2e-3*i", "1+1e9*i"):
+        with pytest.raises(ValueError) as err:
+            scalar_from_str(text)
+        assert repr(text) in str(err.value)
+    # decimals stay exact
+    assert scalar_from_str("1.5") == Scalar(Fraction(3, 2))
+
+
 def test_field_membership():
     assert QQ.contains(Scalar(3))
     assert not QQ.contains(Scalar(0, 1))

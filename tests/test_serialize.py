@@ -13,7 +13,6 @@ from intdiffops.serialize import (
     module_to_json,
     operator_from_json,
     operator_to_json,
-    scalar_to_str,
 )
 
 fracs = st.fractions(min_value=-99, max_value=99, max_denominator=12)
@@ -22,7 +21,7 @@ fracs = st.fractions(min_value=-99, max_value=99, max_denominator=12)
 @given(st.builds(Scalar, fracs, fracs))
 @settings(max_examples=100)
 def test_scalar_string_roundtrip(c):
-    assert scalar_from_str(scalar_to_str(c)) == c
+    assert scalar_from_str(str(c)) == c
 
 
 def test_operator_roundtrip():
