@@ -82,8 +82,8 @@ class UsageError(Exception):
 def _parse_scalar_arg(text: str) -> Scalar:
     try:
         return scalar_from_str(text)
-    except Exception:
-        raise UsageError(f"bad scalar literal {text!r}")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_orbit(text: str) -> Orbit:

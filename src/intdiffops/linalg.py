@@ -18,6 +18,11 @@ Matrices with a non-real entry go to fraction-free Gauss-Jordan over Z[i]
 exact one by the previous pivot; `det` runs its forward half on every
 matrix.  Both build Scalars once, at the end; the reduced echelon form is
 unique, so the pivot rule never shows in results.
+
+Products run on denominator-cleared ints too: `Mat.__matmul__` scales A's
+rows and B's columns the same way, takes integer dot products (real and
+imaginary parts as separate int lists over Q(i)) and builds one Scalar per
+nonzero entry of the result.
 """
 
 from __future__ import annotations
@@ -90,20 +95,32 @@ class Mat:
         return Mat(self.rows, self.cols, [row[:] for row in self.data])
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """Entry (i, j) is the integer dot product of A's scaled row i and
+        B's scaled column j over the product of their scales."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         out = Mat(self.rows, other.cols)
-        for i in range(self.rows):
-            arow = self.data[i]
+        if not (self.rows and self.cols and other.cols):
+            return out
+        are, aim, ascale = _int_rows(self.data)
+        bre, bim, bscale = _int_rows(list(zip(*other.data)))
+        for i, (ar, sa) in enumerate(zip(are, ascale)):
+            ai = aim[i] if aim else None
+            nz = [k for k, a in enumerate(ar) if a or (ai and ai[k])]
+            if not nz:
+                continue
             orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if a.is_zero():
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    if not brow[j].is_zero():
-                        orow[j] = orow[j] + a * brow[j]
+            for j, (br, sb) in enumerate(zip(bre, bscale)):
+                re = sum([ar[k] * br[k] for k in nz])
+                im = sum([ai[k] * br[k] for k in nz]) if ai else 0
+                if bim:
+                    bi = bim[j]
+                    im += sum([ar[k] * bi[k] for k in nz])
+                    if ai:
+                        re -= sum([ai[k] * bi[k] for k in nz])
+                if re or im:
+                    den = sa * sb
+                    orow[j] = Scalar(Fraction(re, den), Fraction(im, den))
         return out
 
     def __add__(self, other: "Mat") -> "Mat":

@@ -332,7 +332,8 @@ class ModuleWindow:
         for p in self.support():
             for i in range(1, self.n + 1):
                 w = self.orbit.weight(i, p[i - 1])
-                if self.map("H", i, p) != Mat.identity(self.dim(p)).scale(w):
+                H = self.map("H", i, p)
+                if any(x != (w if r == c else ZERO) for r, row in enumerate(H.data) for c, x in enumerate(row)):
                     return False, p
         return True, None
 
@@ -568,51 +569,61 @@ def _transported_projector(M: ModuleWindow, slot: int, p: Point) -> Mat:
             f"window too small for socle transport in slot {slot}: "
             f"extend the slot interval down to 0"
         )
-    down = []
+    # d_slot^(c-1), then the socle projector, then int_slot^(c-1)
+    chain = []
     cur = p
     for _ in range(c - 1):
-        down.append(M.map("d", slot, cur))
+        chain.append(M.map("d", slot, cur))
         cur = ModuleWindow.shift(cur, slot, -1)
-    E = _socle_projector(M, slot, cur)
-    up = []
+    chain.append(_socle_projector(M, slot, cur))
     for _ in range(c - 1):
-        up.append(M.map("int", slot, cur))
+        chain.append(M.map("int", slot, cur))
         cur = ModuleWindow.shift(cur, slot, 1)
-    comp = Mat.identity(d)
-    for m in down:
-        comp = m @ comp
-    comp = E @ comp
-    for m in up:
+    comp = chain[0]
+    for m in chain[1:]:
         comp = m @ comp
     return comp
 
 
 def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
-    """Split a window into its degeneracy-labeled blocks by exact projectors."""
+    """Split a window into its degeneracy-labeled blocks by exact projectors.
+
+    At each support point the transported socle projectors P_i of the
+    integer slots commute, and the block of D is the image of
+    P_D = F_1 F_2 ... with F_i = P_i for i in D and I - P_i otherwise.
+    The P_D are the leaves of a prefix tree walked slot by slot in order:
+    each prefix product is extended by both factors of the next slot, and
+    a prefix whose product is zero is dropped with its whole subtree, so a
+    point costs products only along its nonzero branches.  Blocks come
+    ordered by |D|, then as `combinations` lists them.
+    """
     dd = M.orbit.integer_slots()
-    proj: Dict[Tuple[int, Point], Mat] = {}
-    for i in dd:
-        for p in M.support():
-            proj[(i, p)] = _transported_projector(M, i, p)
+    leaves: Dict[Point, Dict[Tuple[int, ...], Mat]] = {}
+    for p in M.support():
+        I = Mat.identity(M.dim(p))
+        prefixes: List[Tuple[Tuple[int, ...], Optional[Mat]]] = [((), None)]
+        for i in dd:
+            Pi = _transported_projector(M, i, p)
+            grown = []
+            for D, Q in prefixes:
+                for E, F in ((D + (i,), Pi), (D, I - Pi)):
+                    QF = F if Q is None else Q @ F
+                    if not QF.is_zero():
+                        grown.append((E, QF))
+            prefixes = grown
+        leaves[p] = {D: I if Q is None else Q for D, Q in prefixes}
     blocks: List[Tuple[DSet, ModuleWindow]] = []
     covered = {p: 0 for p in M.support()}
     for r in range(len(dd) + 1):
         for D in combinations(dd, r):
             bases = {}
-            nonzero = False
-            for p in M.support():
-                d = M.dim(p)
-                P = Mat.identity(d)
-                for i in dd:
-                    Pi = proj[(i, p)]
-                    P = P @ (Pi if i in D else Mat.identity(d) - Pi)
-                cols = column_space_basis(
-                    [Mat.col_vector(P.col(j)) for j in range(d)], d
-                )
-                if cols:
-                    nonzero = True
+            for p, at_p in leaves.items():
+                P = at_p.get(D)
+                if P is not None:
+                    d = P.rows
+                    cols = column_space_basis([Mat.col_vector(P.col(j)) for j in range(d)], d)
                     bases[p] = Mat.from_cols(cols, d)
-            if not nonzero:
+            if not bases:
                 continue
             sub = _restrict_to_bases(M, bases)
             for p, B in bases.items():

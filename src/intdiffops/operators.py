@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .poly import UniPoly
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, power
 
 Slot = Tuple
 TermN = Tuple[Slot, ...]
@@ -317,14 +317,7 @@ class Operator:
     def __pow__(self, k: int) -> "Operator":
         if k < 0:
             raise ValueError("negative operator power")
-        out = Operator.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, Operator.one(self.n))
 
     def commutator(self, other: "Operator") -> "Operator":
         return self * other - other * self

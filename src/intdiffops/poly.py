@@ -7,9 +7,9 @@ polynomial has degree None.
 from __future__ import annotations
 
 from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, power
 
 
 class UniPoly:
@@ -89,14 +89,7 @@ class UniPoly:
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise ValueError("negative power")
-        out = UniPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, UniPoly.const(1))
 
     def shift(self, d) -> "UniPoly":
         """Substitute H -> H + d, fully expanded."""
@@ -245,14 +238,7 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power")
-        out = MultiPoly.const(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self, k, MultiPoly.const(self.n, 1))
 
     def shift_slot(self, j: int, d) -> "MultiPoly":
         """Substitute H_j -> H_j + d, fully expanded (1-based slot)."""

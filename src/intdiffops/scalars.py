@@ -99,15 +99,8 @@ class Scalar:
 
     def __pow__(self, k: int) -> "Scalar":
         if k < 0:
-            return (ONE / self) ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            return power(ONE / self, -k, ONE)
+        return power(self, k, ONE)
 
     def conj(self) -> "Scalar":
         return Scalar(self.re, -self.im)
@@ -148,21 +141,41 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
+def power(base, k: int, one):
+    """base**k for k >= 0 by right-to-left square-and-multiply, with `one`
+    the unit of base's ring.  The base is squared only while higher bits of
+    k remain, so no product of degree above k is formed."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
+
+
 def scalar_from_str(text: str) -> Scalar:
     """Parse 'p', 'p/q', 'i', '-i', 'q*i' or 'p+q*i' (spaces ignored, '*'
     optional) into a Scalar.  Decimals are read exactly; exponents are
-    refused, since '1e999999' would build its whole power of ten."""
+    refused, since '1e999999' would build its whole power of ten.  Every
+    failure is a ValueError "bad scalar literal '<text>': <reason>"."""
     s = text.strip().replace(" ", "").replace("*i", "i")
-    if "e" in s.lower():
-        raise ValueError(f"bad scalar literal {text!r}: exponents are not accepted")
-    if "i" not in s:
-        return Scalar(Fraction(s))
-    if not s.endswith("i"):
-        raise ValueError(f"bad scalar literal {text!r}")
-    # the imaginary part runs from the last sign past the first character
-    cut = max(s.rfind("+", 1), s.rfind("-", 1), 0)
-    im = s[cut:-1]
-    return Scalar(Fraction(s[:cut] or 0), Fraction(im + "1" if im in ("", "+", "-") else im))
+    try:
+        if "e" in s.lower():
+            raise ValueError("exponents are not accepted")
+        if "i" not in s:
+            return Scalar(Fraction(s))
+        if not s.endswith("i"):
+            raise ValueError("'i' may only end the literal")
+        # the imaginary part runs from the last sign past the first character
+        cut = max(s.rfind("+", 1), s.rfind("-", 1), 0)
+        im = s[cut:-1]
+        return Scalar(Fraction(s[:cut] or 0), Fraction(im + "1" if im in ("", "+", "-") else im))
+    except ValueError as exc:
+        raise ValueError(f"bad scalar literal {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ValueError(f"bad scalar literal {text!r}: zero denominator") from None
 
 
 class Field:

@@ -8,7 +8,6 @@ produced their inputs, and golden files against stored bytes.
 
 import io
 import random
-import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product

@@ -16,7 +16,6 @@ from intdiffops.classify import (
     band_module,
     contains_regular_summand,
     factor_unipoly,
-    gamma_to_A,
     ind_A_members,
     is_indecomposable,
     jordan_fiber_decompose,
@@ -34,7 +33,7 @@ from intdiffops.classify import (
     string_module,
     tame_local_ideal,
 )
-from intdiffops.linalg import Mat, invert, rank
+from intdiffops.linalg import Mat, rank
 from intdiffops.local_ideals import LocalIdeal, MaxIdeal
 from intdiffops.modules import DomainError, DSet, Fiber, Orbit
 from intdiffops.poly import MultiPoly, UniPoly

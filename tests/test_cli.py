@@ -96,6 +96,17 @@ def test_exponent_literal_is_usage_error():
     assert error["kind"] == "usage" and "0e6000000" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "literal, reason",
+    [("0e6000000", "exponents are not accepted"), ("1/0", "zero denominator"), ("2i3", "'i' may only end the literal")],
+)
+def test_scalar_usage_error_keeps_parser_reason(literal, reason):
+    code, out = run_cli(["--json", "ideal-test", "H_1*d_1", "--gen", "H", "--lambda", literal])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error == {"kind": "usage", "message": f"bad scalar literal {literal!r}: {reason}"}
+
+
 def test_scalars_outside_field_rejected():
     code, _ = run_cli(["normalize", "i*H_1"])
     assert code == 1
@@ -120,7 +131,12 @@ def test_in_unreadable_file_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize(
     "key,value,needle",
-    [("orbit", None, "'orbit'"), ("spaces", [], "malformed"), ("window", 5, "malformed")],
+    [
+        ("orbit", None, "'orbit'"),
+        ("spaces", [], "malformed"),
+        ("window", 5, "malformed"),
+        ("orbit", {"reps": ["1/0"], "integer": [True]}, "'1/0': zero denominator"),
+    ],
 )
 def test_in_malformed_document_is_domain_error(tmp_path, key, value, needle):
     _, out = run_cli(

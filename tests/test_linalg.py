@@ -421,3 +421,56 @@ def test_invertible_combination_witness_and_certificate():
     # 0x0 blocks are invertible, even with no homs at all
     assert invertible_combination([], [0, 0]) == (Mat(0, 0), Mat(0, 0))
     assert invertible_combination([], [0, 1]) is None
+
+
+def naive_product(A, B):
+    """A @ B by the Scalar triple loop."""
+    out = [[ZERO] * B.cols for _ in range(A.rows)]
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = ZERO
+            for k in range(A.cols):
+                acc = acc + A.data[i][k] * B.data[k][j]
+            out[i][j] = acc
+    return Mat(A.rows, B.cols, out)
+
+
+@st.composite
+def scaled_operand(draw, rows, cols, gaussian, by_row):
+    """Entries sharing one denominator along each row (by_row) or column,
+    distinct from line to line, with some lines all zero."""
+    lines = rows if by_row else cols
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 9]), min_size=lines, max_size=lines, unique=True))
+    zero = draw(st.lists(st.booleans(), min_size=lines, max_size=lines))
+    ints = st.integers(-6, 6)
+    data = []
+    for r in range(rows):
+        row = []
+        for c in range(cols):
+            line = r if by_row else c
+            den = dens[line]
+            if zero[line]:
+                row.append(ZERO)
+            else:
+                row.append(Scalar(Fraction(draw(ints), den), Fraction(draw(ints), den) if gaussian else 0))
+        data.append(row)
+    return Mat(rows, cols, data)
+
+
+@pytest.mark.parametrize("a_gaussian, b_gaussian", [(False, False), (True, True), (True, False), (False, True)])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_matmul_matches_scalar_triple_loop(a_gaussian, b_gaussian, data):
+    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    A = data.draw(scaled_operand(n, k, a_gaussian, by_row=True))
+    B = data.draw(scaled_operand(k, m, b_gaussian, by_row=False))
+    C = A @ B
+    assert C.shape == (n, m)
+    assert C == naive_product(A, B)
+
+
+def test_matmul_shapes():
+    assert (Mat(0, 3) @ Mat(3, 2)).shape == (0, 2)
+    assert (Mat(2, 0) @ Mat(0, 3)) == Mat.zero(2, 3)
+    with pytest.raises(ValueError):
+        Mat(2, 3) @ Mat(2, 3)

@@ -1,8 +1,10 @@
 import random
+from functools import reduce
+from itertools import combinations
 
 import pytest
 
-from intdiffops.linalg import Mat, invert, rank
+from intdiffops.linalg import Mat, invert, rank, rref
 from intdiffops.modules import (
     DomainError,
     DSet,
@@ -25,6 +27,7 @@ from intdiffops.modules import (
     window_isomorphism,
     _cyclic_closure,
     _restrict_to_bases,
+    _transported_projector,
 )
 from intdiffops.scalars import ONE, Scalar
 
@@ -142,6 +145,42 @@ def test_block_decompose_and_weight_decompose():
         frozenset({1}): 1,
         frozenset(): 1,
     }
+
+
+@pytest.mark.parametrize("n, sizes, seed", [(2, (0, 1, 1, 2), 3), (3, (0, 1, 2, 3), 4), (3, (1, 2, 2), 5)])
+def test_block_decompose_matches_projector_reference(n, sizes, seed):
+    rng = random.Random(seed)
+    orbit = Orbit.from_reps([0] * n)
+    window = [(-1, 2)] * n
+    slots = list(range(1, n + 1))
+    summands = [build_simple(DSet(orbit, rng.sample(slots, size)), window) for size in sizes]
+    M = scramble(reduce(direct_sum, summands), rng)
+    dd = orbit.integer_slots()
+    subsets = [D for r in range(len(dd) + 1) for D in combinations(dd, r)]
+    bases = {D: {} for D in subsets}
+    for p in M.support():
+        d = M.dim(p)
+        I = Mat.identity(d)
+        P = {i: _transported_projector(M, i, p) for i in dd}
+        for i in dd:
+            assert P[i] @ P[i] == P[i]
+            for j in dd:
+                assert P[i] @ P[j] == P[j] @ P[i]
+        total = Mat.zero(d, d)
+        for D in subsets:
+            E = I
+            for i in dd:
+                E = E @ (P[i] if i in D else I - P[i])
+            total = total + E
+            _, piv = rref(E)
+            if piv:
+                bases[D][p] = Mat(d, len(piv), [[E.data[r][c] for c in piv] for r in range(d)])
+        assert total == I
+    expected = [(D, _restrict_to_bases(M, b)) for D, b in bases.items() if b]
+    got = block_decompose(M)
+    assert [tuple(sorted(ds.D)) for ds, _ in got] == [D for D, _ in expected]
+    for (_, sub), (_, ref) in zip(got, expected):
+        assert sub == ref
 
 
 def test_decompose_scrambled_sum():

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intdiffops.action import (
-    act_monomial,
     is_zero_by_action,
     matrices_equal_on_overlap,
     to_matrix,
@@ -13,7 +12,8 @@ from intdiffops.operators import (
     from_expression,
     principal_left_ideal_membership,
 )
-from intdiffops.scalars import ONE, Scalar
+from intdiffops.poly import MultiPoly, UniPoly
+from intdiffops.scalars import Scalar
 
 
 def gens(n):
@@ -212,3 +212,56 @@ def test_gaussian_coefficients_print():
     for c, text in cases.items():
         assert str(d.scale(c)) == text
     assert str(Operator.from_scalar(1, Scalar(-1, 1))) == "(-1+i)"
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(Scalar)
+gaussian = st.builds(Scalar, st.integers(-2, 2), st.integers(-2, 2))
+# one element of each ring that has a __pow__, with its unit
+powered = st.one_of(
+    st.tuples(st.one_of(small, gaussian), st.just(Scalar(1))),
+    st.tuples(st.dictionaries(st.integers(0, 2), small, max_size=3).map(UniPoly), st.just(UniPoly.const(1))),
+    st.tuples(
+        st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), small, max_size=3).map(lambda c: MultiPoly(2, c)),
+        st.just(MultiPoly.const(2, 1)),
+    ),
+    st.tuples(
+        st.lists(st.sampled_from(["H", "d", "int"]), min_size=1, max_size=2).map(
+            lambda w: sum((getattr(Operator, f"gen_{g}")(1, 1) for g in w), Operator.one(1))
+        ),
+        st.just(Operator.one(1)),
+    ),
+)
+
+
+@given(powered, st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_power_is_repeated_product(xo, k):
+    x, one = xo
+    expected = one
+    for _ in range(k):
+        expected = expected * x
+    assert x**k == expected
+
+
+@pytest.mark.parametrize("x", [Scalar(2, 1), UniPoly({0: Scalar(1), 1: Scalar(2)}), MultiPoly.var(2, 1), gens(1)["d_1"] + gens(1)["H_1"]])
+def test_power_forms_no_product_above_its_degree(monkeypatch, x):
+    # each product's degree in x is the sum of its factors' degrees; the unit has degree 0
+    cls = type(x)
+    mul = cls.__mul__
+    degree = {}
+    made = []
+
+    def counted(a, b):
+        out = mul(a, b)
+        made.append((a, b, out))  # keeps ids alive
+        degree[id(out)] = degree.get(id(a), 0) + degree.get(id(b), 0)
+        return out
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    for k in range(7):
+        degree.clear()
+        made.clear()
+        degree[id(x)] = 1
+        x**k
+        assert max(degree.values()) <= max(k, 1), (k, sorted(degree.values()))
+        assert len(made) <= 2 * k.bit_length()

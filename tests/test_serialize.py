@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from intdiffops.modules import DSet, Orbit, build_Ms, build_simple
 from intdiffops.operators import Operator
-from intdiffops.parser import parse_expression
 from intdiffops.scalars import Scalar, scalar_from_str
 from intdiffops.serialize import (
     dumps,
