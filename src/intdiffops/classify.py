@@ -6,13 +6,15 @@ four-dimensional local algebra K[h1,h2]/(h1^2,h2^2), Jordan data of
 one-variable fibers, and a factorizable-quadratic tameness test for local
 ideals in two variables.
 
-Decompositions run by exact linear algebra: endomorphism rings are computed
-from intertwining equations, the radical from the trace form (valid in
-characteristic zero), and splittings from elements whose minimal polynomial
-factors into coprime parts.  A pencil is reported outside the field only
-with a certificate that End/rad is a field bigger than K.  Isomorphisms come
-from `linalg.invertible_combination`; `factor_unipoly` hands polynomials to
-the `symbolic` adapter, which loads sympy on first use.
+Pencils (two vertices, two arrows) and modules on one space (one vertex, a
+loop per action matrix) are `linalg.QuiverRep`s, so `linalg.hom_space`,
+`linalg.isomorphism` and one Krull-Schmidt splitter, `split_indecomposables`,
+serve both.  The splitter takes End from the intertwining equations, its
+radical from the trace form (characteristic zero), and splits along an
+element whose minimal polynomial factors into coprime parts; a pencil is
+reported outside the field only with a certificate that End/rad is a field
+bigger than K.  `factor_unipoly` hands polynomials to the `symbolic`
+adapter, which loads sympy on first use.
 """
 
 from __future__ import annotations
@@ -20,18 +22,20 @@ from __future__ import annotations
 import random as _random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import (
-    BlockSystem,
     Mat,
+    QuiverRep,
     block_diag,
     column_space_basis,
+    hom_space,
     invert,
-    invertible_combination,
+    isomorphism,
     kernel_basis,
     rank,
+    restrict,
     retraction,
     rref,
     solve_linear,
@@ -79,9 +83,9 @@ def rep_type_orbit(orbit: Orbit) -> RepTypeVerdict:
 # -- generic finite-dimensional module machinery ----------------------------
 
 
-def _end_basis_one_space(mats: Sequence[Mat], dim: int) -> List[Mat]:
-    """The X with X A = A X for every A: one vertex, one loop per matrix."""
-    return [h[0] for h in BlockSystem([dim], [dim], [(0, 0, A, A) for A in mats]).solve()]
+def _one_space(mats: Sequence[Mat]) -> QuiverRep:
+    """Square action matrices on one space: one vertex, one loop per matrix."""
+    return QuiverRep([mats[0].rows if mats else 0], [(0, 0, A) for A in mats])
 
 
 def min_poly(M: Mat) -> UniPoly:
@@ -161,61 +165,35 @@ def _radical_basis(end: List[Mat]) -> List[Mat]:
     return out
 
 
-def end_local_residue_dim(mats: Sequence[Mat], dim: int) -> int:
-    """dim of End modulo its radical."""
-    end = _end_basis_one_space(mats, dim)
-    rad = _radical_basis(end)
-    return len(end) - len(rad)
-
-
 def is_indecomposable(module) -> bool:
-    """End(V)/rad = K, computed exactly.  Accepts a KroneckerRep or a
-    sequence of square action matrices on one space."""
-    if isinstance(module, KroneckerRep):
-        end = module.end_basis()
-        rad = _radical_basis(end)
-        if module.d1 + module.d2 == 0:
-            return False
-        return len(end) - len(rad) == 1
-    mats = list(module)
-    dim = mats[0].rows if mats else 0
-    if dim == 0:
+    """End(V)/rad = K, computed exactly.  Accepts a QuiverRep (a pencil, say)
+    or a sequence of square action matrices on one space."""
+    R = module if isinstance(module, QuiverRep) else _one_space(list(module))
+    if not any(R.dims):
         return False
-    return end_local_residue_dim(mats, dim) == 1
+    end = [block_diag(*h) for h in hom_space(R, R)]
+    return len(end) - len(_radical_basis(end)) == 1
 
 
 def modules_isomorphic(mats_m: Sequence[Mat], mats_n: Sequence[Mat]) -> Optional[Mat]:
     """An invertible intertwiner between one-space modules, or None."""
-    dm = mats_m[0].rows if mats_m else 0
-    dn = mats_n[0].rows if mats_n else 0
-    if dm != dn:
-        return None
-    homs = BlockSystem([dm], [dn], [(0, 0, A, B) for A, B in zip(mats_m, mats_n)]).solve()
-    iso = invertible_combination(homs, [dm])
+    iso = isomorphism(_one_space(mats_m), _one_space(mats_n))
     return None if iso is None else iso[0]
 
 
 # -- Kronecker quiver -------------------------------------------------------
 
 
-class KroneckerRep:
-    """Two spaces M1, M2 with two maps A, B : M1 -> M2 (shapes d2 x d1)."""
+class KroneckerRep(QuiverRep):
+    """Two spaces M1, M2 with two maps A, B : M1 -> M2 (shapes d2 x d1): the
+    quiver with vertices 0, 1 and arrows (0, 1, A), (0, 1, B)."""
 
     def __init__(self, A: Mat, B: Mat):
         if A.shape != B.shape:
             raise ValueError("pencil matrices must share a shape")
-        self.A = A
-        self.B = B
-        self.d1 = A.cols
-        self.d2 = A.rows
-
-    @property
-    def dims(self) -> Tuple[int, int]:
-        return (self.d1, self.d2)
-
-    def end_basis(self) -> List[Mat]:
-        """Endomorphisms as block-diagonal matrices diag(X, Y)."""
-        return [block_diag(X, Y) for X, Y in _kron_homs(self, self)]
+        super().__init__((A.cols, A.rows), [(0, 1, A), (0, 1, B)])
+        self.A, self.B = A, B
+        self.d1, self.d2 = self.dims
 
     def __repr__(self):
         return f"KroneckerRep(dims=({self.d1},{self.d2}))"
@@ -281,19 +259,6 @@ def kronecker_block(label: KroneckerBlockLabel) -> KroneckerRep:
     return KroneckerRep(A, Mat.identity(n))
 
 
-def _sub_rep(R: KroneckerRep, P1: Mat, P2: Mat) -> KroneckerRep:
-    """R restricted to the subspaces spanned by the columns of P1 and P2."""
-    sol = solve_linear(P2, (R.A @ P1).hstack(R.B @ P1))
-    if sol is None:
-        raise DomainError("subspace is not invariant")
-    k = P1.cols
-    X = sol.particular
-    return KroneckerRep(
-        Mat(X.rows, k, [row[:k] for row in X.data]),
-        Mat(X.rows, k, [row[k:] for row in X.data]),
-    )
-
-
 def _splitting_element(end: List[Mat], field: Field, residue_dim: int) -> Tuple[Mat, UniPoly, UniPoly]:
     """An endomorphism whose min poly splits into two coprime parts.
 
@@ -342,8 +307,9 @@ def _splitting_element(end: List[Mat], field: Field, residue_dim: int) -> Tuple[
     )
 
 
-def _kron_indecomposable_label(R: KroneckerRep, field: Field) -> KroneckerBlockLabel:
+def _kron_indecomposable_label(R: QuiverRep, field: Field) -> KroneckerBlockLabel:
     d1, d2 = R.dims
+    (_, _, A), (_, _, B) = R.arrows
     if d2 == 0 or d1 == 0:
         # one-dimensional socle-type pieces; both shapes read as the simple
         if d1 + d2 != 1:
@@ -357,9 +323,9 @@ def _kron_indecomposable_label(R: KroneckerRep, field: Field) -> KroneckerBlockL
         if d1 != d2 + 1:
             raise DomainError(f"unexpected indecomposable dims ({d1},{d2})")
         return KroneckerBlockLabel("S3", d2)
-    Ainv = invert(R.A)
+    Ainv = invert(A)
     if Ainv is not None:
-        C = R.B @ Ainv
+        C = B @ Ainv
         p = min_poly(C)
         factors = factor_unipoly(p, field)
         if len(factors) != 1:
@@ -373,53 +339,53 @@ def _kron_indecomposable_label(R: KroneckerRep, field: Field) -> KroneckerBlockL
         if mult != d1:
             raise DomainError("square piece is not a single Jordan cell")
         return KroneckerBlockLabel("S4", d1, lam)
-    Binv = invert(R.B)
+    Binv = invert(B)
     if Binv is None:
         raise DomainError("square indecomposable with both maps singular")
-    C = R.A @ Binv
+    C = A @ Binv
     p = min_poly(C)
     if p != UniPoly.monomial(d1, 1):
         raise FieldError(f"pencil eigenvalue not in the field {field.name}")
     return KroneckerBlockLabel("S5", d1)
 
 
-def _kron_split_indecomposables(
-    R: KroneckerRep, field: Field
-) -> List[Tuple[KroneckerRep, Mat, Mat]]:
-    """Indecomposable summands with embeddings (P1, P2) into R."""
-    if R.d1 + R.d2 == 0:
+def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, Tuple[Mat, ...]]]:
+    """Indecomposable summands of R, each with its embeddings into R, one
+    per vertex (Krull-Schmidt by splitting End(R))."""
+    if not any(R.dims):
         return []
-    end = R.end_basis()
-    rad = _radical_basis(end)
-    if len(end) - len(rad) == 1:
-        return [(R, Mat.identity(R.d1), Mat.identity(R.d2))]
-    m, f1, f2 = _splitting_element(end, field, len(end) - len(rad))
+    end = [block_diag(*h) for h in hom_space(R, R)]
+    residue_dim = len(end) - len(_radical_basis(end))
+    if residue_dim == 1:
+        return [(R, tuple(Mat.identity(d) for d in R.dims))]
+    m, f1, f2 = _splitting_element(end, field, residue_dim)
     out = []
     for f in (f1, f2):
         fm = _eval_poly_at_matrix(f, m)
-        X = Mat(R.d1, R.d1, [row[: R.d1] for row in fm.data[: R.d1]])
-        Y = Mat(R.d2, R.d2, [row[R.d1 :] for row in fm.data[R.d1 :]])
-        k1 = kernel_basis(X) if R.d1 else []
-        k2 = kernel_basis(Y) if R.d2 else []
-        P1 = Mat.from_cols(k1, R.d1)
-        P2 = Mat.from_cols(k2, R.d2)
-        sub = _sub_rep(R, P1, P2)
-        for piece, Q1, Q2 in _kron_split_indecomposables(sub, field):
-            out.append((piece, P1 @ Q1, P2 @ Q2))
-    total1 = sum(p.d1 for p, _, _ in out)
-    total2 = sum(p.d2 for p, _, _ in out)
-    if total1 != R.d1 or total2 != R.d2:
+        bases, o = [], 0
+        for d in R.dims:
+            block = Mat(d, d, [row[o : o + d] for row in fm.data[o : o + d]])
+            bases.append(Mat.from_cols(kernel_basis(block) if d else [], d))
+            o += d
+        sub = restrict(R, bases)
+        if sub is None:
+            raise DomainError("subspace is not invariant")
+        for piece, emb in split_indecomposables(sub, field):
+            out.append((piece, tuple(B @ E for B, E in zip(bases, emb))))
+    if tuple(map(sum, zip(*(piece.dims for piece, _ in out)))) != R.dims:
         raise DomainError("splitting lost dimensions")
     return out
 
 
+def _kron_labeled(R: KroneckerRep, field: Field):
+    """(label, piece, (P1, P2)) per indecomposable summand, in label order."""
+    labeled = [(_kron_indecomposable_label(p, field), p, emb) for p, emb in split_indecomposables(R, field)]
+    return sorted(labeled, key=lambda item: item[0].sort_key())
+
+
 def kronecker_decompose(R: KroneckerRep, field: Field = QQ) -> List[KroneckerBlockLabel]:
     """Label multiset (sorted) of the indecomposable summands."""
-    labels = [
-        _kron_indecomposable_label(piece, field)
-        for piece, _, _ in _kron_split_indecomposables(R, field)
-    ]
-    return sorted(labels, key=KroneckerBlockLabel.sort_key)
+    return [label for label, _, _ in _kron_labeled(R, field)]
 
 
 def kronecker_decompose_with_iso(R: KroneckerRep, field: Field = QQ):
@@ -429,34 +395,15 @@ def kronecker_decompose_with_iso(R: KroneckerRep, field: Field = QQ):
     where (A_can, B_can) is the block-diagonal sum of the canonical series
     matrices in label order, and P, Q are invertible.
     """
-    pieces = _kron_split_indecomposables(R, field)
-    labeled = []
-    for piece, P1, P2 in pieces:
-        labeled.append((_kron_indecomposable_label(piece, field), piece, P1, P2))
-    labeled.sort(key=lambda item: item[0].sort_key())
-    Q = Mat(R.d1, 0)
-    P = Mat(R.d2, 0)
-    for label, piece, P1, P2 in labeled:
-        iso = _kron_iso(kronecker_block(label), piece)
+    labeled = _kron_labeled(R, field)
+    Qs, Ps = [], []
+    for label, piece, (P1, P2) in labeled:
+        iso = isomorphism(kronecker_block(label), piece)
         if iso is None:
             raise DomainError(f"piece does not match its label {label!r}")
-        U1, U2 = iso
-        Q = Q.hstack(P1 @ U1)
-        P = P.hstack(P2 @ U2)
-    return [label for label, _, _, _ in labeled], P, Q
-
-
-def _kron_iso(C: KroneckerRep, D: KroneckerRep) -> Optional[Tuple[Mat, Mat]]:
-    """Invertible pair (U1, U2): C -> D with D.A U1 = U2 C.A etc."""
-    if C.dims != D.dims:
-        return None
-    return invertible_combination(_kron_homs(C, D), C.dims)
-
-
-def _kron_homs(C: KroneckerRep, D: KroneckerRep) -> List[Tuple[Mat, Mat]]:
-    """Basis of the pairs (X, Y): C -> D with Y C.A = D.A X and Y C.B = D.B X."""
-    arrows = [(0, 1, C.A, D.A), (0, 1, C.B, D.B)]
-    return BlockSystem(C.dims, D.dims, arrows).solve()
+        Qs.append(P1 @ iso[0])
+        Ps.append(P2 @ iso[1])
+    return [label for label, _, _ in labeled], Mat(R.d2, 0).hstack(*Ps), Mat(R.d1, 0).hstack(*Qs)
 
 
 def kronecker_sum(reps: Sequence[KroneckerRep]) -> KroneckerRep:
@@ -753,8 +700,7 @@ def contains_regular_summand(h1: Mat, h2: Mat) -> bool:
     emb = find_regular_copy(h1, h2)
     if emb is None:
         return False
-    rh1, rh2 = regular_A_module()
-    homs = BlockSystem([h1.rows], [4], [(0, 0, h1, rh1), (0, 0, h2, rh2)]).solve()
+    homs = hom_space(_one_space([h1, h2]), _one_space(regular_A_module()))
     return retraction(homs, [emb]) is not None
 
 
@@ -777,7 +723,8 @@ class TameVerdict:
 def tame_local_ideal(ideal: LocalIdeal, field: Field = QQ) -> TameVerdict:
     """Whether the ideal contains a product of two independent linear forms
     in the shifted coordinates (a factorizable quadratic), decided over the
-    configured field with an over-the-closure flag."""
+    configured field with an over-the-closure flag.  The decision reads the
+    dimension of the span of the ideal's pure quadratic forms; no search."""
     if ideal.n != 2:
         raise DomainError("tameness test is for two-variable local ideals")
     window = monomials_below(2, 3)
@@ -793,43 +740,26 @@ def tame_local_ideal(ideal: LocalIdeal, field: Field = QQ) -> TameVerdict:
         for e in window:
             if sum(e) >= ideal.order:
                 rows.append(_poly_vec(MultiPoly.monomial(2, e), col_of))
-    if not rows:
-        return TameVerdict(False, False)
     R, piv = rref(Mat.from_rows(rows, len(window)))
-    quad_cols = [col_of[e] for e in ((2, 0), (1, 1), (0, 2))]
-    low_cols = [col_of[e] for e in window if sum(e) < 2]
-    # elements with vanishing low-degree part: impose zero on low columns
-    space = [R.data[r] for r in range(len(piv))]
-    A = Mat(len(low_cols), len(space), [[space[j][c] for j in range(len(space))] for c in low_cols])
-    quad_forms = []
-    for v in kernel_basis(A):
-        coeffs = [ZERO, ZERO, ZERO]
-        for j in range(len(space)):
-            c = v.data[j][0]
-            if not c.is_zero():
-                for t in range(3):
-                    coeffs[t] = coeffs[t] + c * space[j][quad_cols[t]]
-        if any(not c.is_zero() for c in coeffs):
-            quad_forms.append(tuple(coeffs))
-    if not quad_forms:
+    space = R.data[: len(piv)]
+    # the quadratic parts (h1^2, h1 h2, h2^2) of the elements with no lower terms
+    low = Mat(3, len(space), [[row[col_of[e]] for row in space] for e in window if sum(e) < 2])
+    quad = Mat(3, len(space), [[row[col_of[e]] for row in space] for e in ((2, 0), (1, 1), (0, 2))])
+    forms = quad @ Mat.from_cols(kernel_basis(low), len(space))
+    m = rank(forms)
+    if m == 0:
         return TameVerdict(False, False)
-    saw_nonzero_disc = False
-    for combo in product(range(-4, 5), repeat=len(quad_forms)):
-        if all(c == 0 for c in combo):
-            continue
-        a = b = c = ZERO
-        for w, (qa, qb, qc) in zip(combo, quad_forms):
-            if w:
-                ws = Scalar(w)
-                a = a + qa * ws
-                b = b + qb * ws
-                c = c + qc * ws
-        disc = b * b - a * c * Scalar(4)
-        if not disc.is_zero():
-            saw_nonzero_disc = True
-            if field.sqrt(disc) is not None:
-                return TameVerdict(True, False)
-    return TameVerdict(False, saw_nonzero_disc)
+    if m >= 2:
+        # the span holds a form (0, b, c): h2 (b h1 + c h2) if b != 0, else
+        # h2^2, and q' + t h2^2 has any discriminant for q' = (a', b', c')
+        # outside K h2^2 with a' != 0 (and b'^2 itself when a' = 0)
+        return TameVerdict(True, False)
+    # one form up to scaling: it factors into independent linear forms over
+    # K iff its discriminant is a nonzero square there
+    a, b, c = next(q for q in map(forms.col, range(forms.cols)) if any(not x.is_zero() for x in q))
+    disc = b * b - a * c * Scalar(4)
+    square = field.sqrt(disc) is not None
+    return TameVerdict(not disc.is_zero() and square, not disc.is_zero() and not square)
 
 
 def _poly_vec(p: MultiPoly, col_of) -> List[Scalar]:

@@ -5,9 +5,11 @@ as weight spaces outside a module's support) are handled uniformly.  This is
 the one place that assembles matrices from columns (`Mat.from_cols`) or
 blocks (`block_diag`) and solves for them: `solve_linear` takes any number
 of right-hand sides.  It is also the one place that writes and searches
-Hom spaces: `BlockSystem` turns the intertwining equations phi_t f = g phi_s
-of two quiver representations into the rows of one linear system, and
-`invertible_combination` looks for an isomorphism in the basis it returns.
+Hom spaces.  Pencils, modules on one space and module windows are all
+`QuiverRep`s; `hom_space` turns the intertwining equations phi_t f = g phi_s
+of two of them into one `BlockSystem`, `isomorphism` looks for an invertible
+element with `invertible_combination`, and `restrict` gives the
+sub-representation on per-vertex bases.
 
 Elimination first scales each row by the lcm of its denominators, then runs
 on plain ints with one of two kernels.  Rational matrices go to a
@@ -90,9 +92,6 @@ class Mat:
 
     def col(self, j: int) -> List[Scalar]:
         return [self.data[i][j] for i in range(self.rows)]
-
-    def copy(self) -> "Mat":
-        return Mat(self.rows, self.cols, [row[:] for row in self.data])
 
     def __matmul__(self, other: "Mat") -> "Mat":
         """Entry (i, j) is the integer dot product of A's scaled row i and
@@ -200,13 +199,13 @@ class Mat:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Mat[{body}]"
 
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows:
+    def hstack(self, *others: "Mat") -> "Mat":
+        if any(o.rows != self.rows for o in others):
             raise ValueError("hstack row mismatch")
         return Mat(
             self.rows,
-            self.cols + other.cols,
-            [self.data[i] + other.data[i] for i in range(self.rows)],
+            self.cols + sum(o.cols for o in others),
+            [sum((o.data[i] for o in others), self.data[i]) for i in range(self.rows)],
         )
 
     def vstack(self, other: "Mat") -> "Mat":
@@ -608,6 +607,50 @@ class BlockSystem:
                 )
             )
         return out
+
+
+class QuiverRep:
+    """A quiver representation: a space of dimension dims[v] at every vertex
+    v and a dims[t] x dims[s] matrix f for every arrow (s, t, f)."""
+
+    def __init__(self, dims: Sequence[int], arrows: Sequence[Tuple[int, int, Mat]]):
+        self.dims = tuple(dims)
+        self.arrows = list(arrows)
+
+
+def hom_space(M: QuiverRep, N: QuiverRep) -> List[Tuple[Mat, ...]]:
+    """Basis of Hom(M, N) for two representations whose arrows pair up in
+    order; the one place that builds a `BlockSystem`."""
+    arrows = [(s, t, f, g) for (s, t, f), (_, _, g) in zip(M.arrows, N.arrows)]
+    return BlockSystem(M.dims, N.dims, arrows).solve()
+
+
+def isomorphism(M: QuiverRep, N: QuiverRep) -> Optional[Tuple[Mat, ...]]:
+    """The blocks of an isomorphism M -> N, or None when there is none."""
+    if M.dims != N.dims:
+        return None
+    return invertible_combination(hom_space(M, N), M.dims)
+
+
+def restrict(R: QuiverRep, bases: Sequence[Mat]) -> Optional[QuiverRep]:
+    """R on the spans of the columns of bases[v], in those coordinates, or
+    None when an arrow maps a basis outside the one at its target.  One solve
+    per target vertex, over the images of all arrows into it side by side."""
+    into = {}
+    for k, (s, t, _) in enumerate(R.arrows):
+        if bases[s].cols:
+            into.setdefault(t, []).append(k)
+    maps = [Mat(bases[t].cols, bases[s].cols) for s, t, _ in R.arrows]
+    for t, ks in into.items():
+        imgs = [R.arrows[k][2] @ bases[R.arrows[k][0]] for k in ks]
+        sol = solve_linear(bases[t], imgs[0].hstack(*imgs[1:]))
+        if sol is None:
+            return None
+        X, c = sol.particular, 0
+        for k, img in zip(ks, imgs):
+            maps[k] = Mat(X.rows, img.cols, [row[c : c + img.cols] for row in X.data])
+            c += img.cols
+    return QuiverRep([B.cols for B in bases], [(s, t, X) for (s, t, _), X in zip(R.arrows, maps)])
 
 
 def complete_basis(B: Mat) -> Mat:

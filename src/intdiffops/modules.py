@@ -15,16 +15,17 @@ from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
-    BlockSystem,
     Mat,
+    QuiverRep,
     column_space_basis,
     complete_basis,
+    hom_space,
     in_span,
     invert,
-    invertible_combination,
+    isomorphism,
     kernel_basis,
+    restrict,
     retraction,
-    solve_linear,
 )
 from .local_ideals import LocalIdeal, MaxIdeal, quotient_basis
 from .poly import MultiPoly
@@ -255,6 +256,16 @@ class ModuleWindow:
                 q = self.target(kind, i, p)
                 if self.in_window(q):
                     yield kind, i, q
+
+    def quiver(self) -> Tuple[List[Point], List[Tuple[str, int, Point]], QuiverRep]:
+        """The window as a quiver representation: one vertex per point of
+        sorted(points()), one arrow per generator map of `arrows(p)` in that
+        order, and the (kind, slot, p) key of each arrow."""
+        pts = sorted(self.points())
+        index = {p: v for v, p in enumerate(pts)}
+        keys = [(kind, i, p) for p in pts for kind, i, _ in self.arrows(p)]
+        arrows = [(index[key[2]], index[self.target(*key)], self.map(*key)) for key in keys]
+        return pts, keys, QuiverRep([self.dim(p) for p in pts], arrows)
 
     def map(self, kind: str, slot: int, p: Point) -> Mat:
         """Generator matrix at p; a shaped zero when nothing is stored."""
@@ -544,17 +555,18 @@ def annihilator_dset(M: ModuleWindow, strict: bool = True) -> Tuple[FrozenSet[in
     return frozenset(active), AnnihilatorLabel(comp)
 
 
-def _restrict_to_bases(M: ModuleWindow, bases: Dict[Point, Mat]) -> ModuleWindow:
-    """Submodule window in the coordinates of the given pointwise bases."""
+def _restrict_to_bases(M: ModuleWindow, bases: Dict[Point, Mat], quiver=None) -> ModuleWindow:
+    """Submodule window in the coordinates of the given pointwise bases;
+    quiver is M.quiver() when the caller has it already."""
+    pts, keys, rep = quiver or M.quiver()
+    full = [bases.get(p, Mat(M.dim(p), 0)) for p in pts]
+    sub = restrict(rep, full)
+    if sub is None:
+        into = (QuiverRep(rep.dims, [a for a in rep.arrows if a[1] == v]) for v in range(len(pts)))
+        q = next(q for q, R in zip(pts, into) if restrict(R, full) is None)
+        raise DomainError(f"bases are not stable under the generators into {q}")
     spaces = {p: B.cols for p, B in bases.items() if B.cols > 0}
-    maps: Dict[Tuple[str, int, Point], Mat] = {}
-    for p in spaces:
-        for kind, i, q in M.arrows(p):
-            img = M.map(kind, i, p) @ bases[p]
-            sol = solve_linear(bases.get(q, Mat.zero(M.dim(q), 0)), img)
-            if sol is None:
-                raise DomainError(f"bases are not stable under {kind}_{i} at {p}")
-            maps[(kind, i, p)] = sol.particular
+    maps = {key: f for key, (_, _, f) in zip(keys, sub.arrows) if key[2] in spaces}
     return ModuleWindow(M.orbit, M.window, spaces, maps, M.side)
 
 
@@ -614,6 +626,7 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
         leaves[p] = {D: I if Q is None else Q for D, Q in prefixes}
     blocks: List[Tuple[DSet, ModuleWindow]] = []
     covered = {p: 0 for p in M.support()}
+    quiver = M.quiver()
     for r in range(len(dd) + 1):
         for D in combinations(dd, r):
             bases = {}
@@ -625,7 +638,7 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
                     bases[p] = Mat.from_cols(cols, d)
             if not bases:
                 continue
-            sub = _restrict_to_bases(M, bases)
+            sub = _restrict_to_bases(M, bases, quiver)
             for p, B in bases.items():
                 covered[p] += B.cols
             blocks.append((DSet(M.orbit, D), sub))
@@ -694,26 +707,16 @@ def hom_basis(M: ModuleWindow, N: ModuleWindow) -> List[Dict[Point, Mat]]:
     the in-window generator maps."""
     if M.orbit != N.orbit or M.window != N.window or M.side != N.side:
         raise DomainError("modules live on different windows")
-    pts = sorted(M.points())
-    index = {p: v for v, p in enumerate(pts)}
-    arrows = [
-        (index[p], index[q], M.map(kind, i, p), N.map(kind, i, p))
-        for p in pts
-        for kind, i, q in M.arrows(p)
-    ]
-    sys = BlockSystem([M.dim(p) for p in pts], [N.dim(p) for p in pts], arrows)
-    return [dict(zip(pts, h)) for h in sys.solve()]
+    pts, _, rep_m = M.quiver()
+    return [dict(zip(pts, h)) for h in hom_space(rep_m, N.quiver()[2])]
 
 
 def window_isomorphism(M: ModuleWindow, N: ModuleWindow) -> Optional[Dict[Point, Mat]]:
     """An invertible window module map M -> N, or None."""
-    if M.orbit != N.orbit or M.window != N.window:
+    if M.orbit != N.orbit or M.window != N.window or M.side != N.side:
         return None
-    if {p: M.dim(p) for p in M.support()} != {p: N.dim(p) for p in N.support()}:
-        return None
-    pts = sorted(M.points())
-    homs = [tuple(h[p] for p in pts) for h in hom_basis(M, N)]
-    blocks = invertible_combination(homs, [M.dim(p) for p in pts])
+    pts, _, rep_m = M.quiver()
+    blocks = isomorphism(rep_m, N.quiver()[2])
     return None if blocks is None else dict(zip(pts, blocks))
 
 

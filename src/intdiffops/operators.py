@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from .parser import left_spine
 from .poly import UniPoly
 from .scalars import ONE, ZERO, Scalar, power
 
@@ -481,6 +482,13 @@ def _coeff_term_str(c: Scalar, body: str) -> Tuple[str, str]:
 
 def from_expression(ast, n: int, field=None) -> Operator:
     """Evaluate a generator expression tree to a canonical Operator."""
+    first, ops = left_spine(ast)
+    if ops:
+        acc = from_expression(first, n, field)
+        for tag, right in ops:
+            rhs = from_expression(right, n, field)
+            acc = acc + rhs if tag == "add" else acc - rhs if tag == "sub" else acc * rhs
+        return acc
     tag = ast[0]
     if tag == "num":
         c = Scalar.of(ast[1])
@@ -500,12 +508,6 @@ def from_expression(ast, n: int, field=None) -> Operator:
         return maker(n, slot)
     if tag == "e":
         return Operator.gen_e(n, ast[1], ast[2], ast[3])
-    if tag == "add":
-        return from_expression(ast[1], n, field) + from_expression(ast[2], n, field)
-    if tag == "sub":
-        return from_expression(ast[1], n, field) - from_expression(ast[2], n, field)
-    if tag == "mul":
-        return from_expression(ast[1], n, field) * from_expression(ast[2], n, field)
     if tag == "neg":
         return -from_expression(ast[1], n, field)
     if tag == "pow":

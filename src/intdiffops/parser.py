@@ -24,6 +24,9 @@ from typing import List, Tuple
 
 from .scalars import Scalar
 
+# deepest nesting of parentheses and unary minus the recursive parser accepts
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int, expected=()):
@@ -173,6 +176,7 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -182,16 +186,14 @@ class Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, ch: str):
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == ch:
-            return self.advance()
-        raise ParseError(
-            f"unexpected token {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-            (f"'{ch}'",),
-        )
+    def nested(self, tok: Token, parse):
+        """parse() one nesting level below tok, at most MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting exceeds the limit MAX_NESTING = {MAX_NESTING}", tok.line, tok.col)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -230,7 +232,7 @@ class Parser:
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return ("neg", self.factor())
+            return ("neg", self.nested(tok, self.factor))
         return self.power()
 
     def power(self):
@@ -268,7 +270,7 @@ class Parser:
             return ("e", s, t, slot)
         if tok.kind == "LPAREN":
             self.advance()
-            node = self.expr()
+            node = self.nested(tok, self.expr)
             close = self.peek()
             if close.kind != "RPAREN":
                 raise ParseError(
@@ -292,23 +294,29 @@ def parse_expression(text: str):
     return Parser(tokenize(text)).parse()
 
 
+def left_spine(ast):
+    """(first operand, [(tag, right operand), ...]) of a left-nested chain of
+    add/sub/mul nodes, operands in source order.  Walking a flat chain this
+    way costs no recursion."""
+    ops = []
+    while ast[0] in ("add", "sub", "mul"):
+        ops.append((ast[0], ast[2]))
+        ast = ast[1]
+    return ast, ops[::-1]
+
+
 def check_slots(ast, n: int):
     """Verify every slot index lies in 1..n; raises ValueError otherwise."""
-    tag = ast[0]
-    if tag == "gen":
-        slot = ast[2]
-        if not (1 <= slot <= n):
-            raise ValueError(f"slot index {slot} out of range 1..{n}")
-    elif tag == "e":
-        slot = ast[3]
-        if not (1 <= slot <= n):
-            raise ValueError(f"slot index {slot} out of range 1..{n}")
-        if ast[1] < 0 or ast[2] < 0:
-            raise ValueError("matrix-unit indices must be non-negative")
-    elif tag in ("add", "sub", "mul"):
-        check_slots(ast[1], n)
-        check_slots(ast[2], n)
-    elif tag in ("neg",):
-        check_slots(ast[1], n)
-    elif tag == "pow":
-        check_slots(ast[1], n)
+    first, ops = left_spine(ast)
+    for node in [first] + [right for _, right in ops]:
+        tag = node[0]
+        if tag in ("gen", "e"):
+            slot = node[-1]
+            if not (1 <= slot <= n):
+                raise ValueError(f"slot index {slot} out of range 1..{n}")
+            if tag == "e" and (node[1] < 0 or node[2] < 0):
+                raise ValueError("matrix-unit indices must be non-negative")
+        elif tag in ("add", "sub", "mul"):
+            check_slots(node, n)
+        elif tag in ("neg", "pow"):
+            check_slots(node[1], n)

@@ -21,8 +21,9 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction is already reduced; only ints need wrapping
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -50,9 +51,6 @@ class Scalar:
 
     def is_one(self) -> bool:
         return self.re == 1 and self.im == 0
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def is_integer(self) -> bool:
         return self.im == 0 and self.re.denominator == 1

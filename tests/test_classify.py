@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -30,10 +31,11 @@ from intdiffops.classify import (
     regular_A_module,
     rep_type,
     rep_type_orbit,
+    split_indecomposables,
     string_module,
     tame_local_ideal,
 )
-from intdiffops.linalg import Mat, rank
+from intdiffops.linalg import Mat, QuiverRep, block_diag, in_span, invert, rank, rref
 from intdiffops.local_ideals import LocalIdeal, MaxIdeal
 from intdiffops.modules import DomainError, DSet, Fiber, Orbit
 from intdiffops.poly import MultiPoly, UniPoly
@@ -43,6 +45,13 @@ from intdiffops.scalars import ONE, QQ, QQI, ZERO, Scalar
 def rand_invertible(d, rng):
     while True:
         m = Mat(d, d, [[Scalar(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)])
+        if rank(m) == d:
+            return m
+
+
+def rand_invertible_qi(d, rng):
+    while True:
+        m = Mat(d, d, [[Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(d)] for _ in range(d)])
         if rank(m) == d:
             return m
 
@@ -213,6 +222,21 @@ def test_strings_pairwise_noniso():
             assert modules_isomorphic(mods[i].matrices, mods[j].matrices) is None
 
 
+def test_split_indecomposables_on_one_vertex():
+    # a scrambled string plus band module over Q(i): one vertex, two loops
+    string, band = string_module("h1h2"), band_module("h1h2", 1, 2)
+    g = rand_invertible_qi(5, random.Random(7))
+    gi = invert(g)
+    loops = [g @ block_diag(x, y) @ gi for x, y in zip(string.matrices, band.matrices)]
+    pieces = split_indecomposables(QuiverRep([5], [(0, 0, A) for A in loops]), QQI)
+    assert sorted(piece.dims for piece, _ in pieces) == [(2,), (3,)]
+    for piece, (E,) in pieces:
+        assert is_indecomposable(piece)
+        assert E.shape == (5, piece.dims[0]) and rank(E) == E.cols
+        for A, (_, _, X) in zip(loops, piece.arrows):
+            assert A @ E == E @ X
+
+
 def test_jordan_fiber():
     A = Mat(4, 4, [[Scalar(2), Scalar(1), Scalar(0), Scalar(0)],
                    [Scalar(0), Scalar(2), Scalar(0), Scalar(0)],
@@ -291,3 +315,59 @@ def test_tame_local_ideal():
     v = tame_local_ideal(LocalIdeal.from_shifted(ctr, 3, []), QQ)
     assert not v.tame and not v.over_closure
     assert tame_local_ideal(LocalIdeal.from_shifted(ctr, 2, []), QQ).tame
+
+
+def grid_verdict(forms, field):
+    """The grid walk that decided tameness before the exact decision: a
+    combination with weights in -4..4 whose discriminant is a nonzero square
+    means tame, and over_closure records a nonzero discriminant seen."""
+    saw_nonzero_disc = False
+    for combo in product(range(-4, 5), repeat=len(forms)):
+        a, b, c = (sum((Scalar(w) * q[t] for w, q in zip(combo, forms)), ZERO) for t in range(3))
+        disc = b * b - a * c * Scalar(4)
+        if not disc.is_zero():
+            saw_nonzero_disc = True
+            if field.sqrt(disc) is not None:
+                return True, False
+    return False, saw_nonzero_disc
+
+
+def factorization(span):
+    """Independent linear forms (as (h1, h2) coefficient pairs) whose product
+    lies in a span of quadratic forms (a, b, c) of dimension >= 2, built as
+    the exact decision's argument says."""
+    R, piv = rref(Mat.from_rows(span, 3))
+    first, second = R.row(0), R.row(1)
+    if piv[1] == 1:  # (0, 1, x) = h2 (h1 + x h2)
+        return (ZERO, ONE), (ONE, second[2])
+    if piv[0] == 1:  # (0, 1, z) = h2 (h1 + z h2)
+        return (ZERO, ONE), (ONE, first[2])
+    # h2^2 is in the span, and (1, y, z) + t h2^2 has discriminant 1 for
+    # t = (y^2 - 1)/4 - z: it is (h1 + (y+1)/2 h2)(h1 + (y-1)/2 h2)
+    y = first[1]
+    return (ONE, (y + ONE) / Scalar(2)), (ONE, (y - ONE) / Scalar(2))
+
+
+forms = st.tuples(*[st.integers(-3, 3).map(Scalar)] * 3)
+
+
+@given(st.lists(forms, min_size=1, max_size=3), st.sampled_from([QQ, QQI]))
+@settings(max_examples=60, deadline=None)
+def test_tameness_decision_matches_grid_and_factors(quads, field):
+    h1, h2 = MultiPoly.var(2, 1), MultiPoly.var(2, 2)
+    gens = [(h1 * h1).scale(a) + (h1 * h2).scale(b) + (h2 * h2).scale(c) for a, b, c in quads]
+    verdict = tame_local_ideal(LocalIdeal.from_shifted(MaxIdeal([0, 0]), 3, gens), field)
+    grid = grid_verdict(quads, field)
+    if grid[0]:
+        assert verdict.tame
+    dim = rank(Mat.from_rows(quads, 3))
+    if dim == 1:
+        assert (verdict.tame, verdict.over_closure) == grid
+    if dim >= 2:
+        assert verdict.tame and not verdict.over_closure
+        (p, q), (r, s) = factorization(quads)
+        assert p * s != q * r
+        product_form = Mat.col_vector([p * r, p * s + q * r, q * s])
+        assert in_span(product_form, [Mat.col_vector(list(f)) for f in quads])
+    if dim == 0:
+        assert not verdict.tame and not verdict.over_closure

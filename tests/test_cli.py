@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from intdiffops.cli import main
+from intdiffops.parser import MAX_NESTING
 from golden_cases import GOLDEN_CASES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -66,6 +67,26 @@ def test_exit_codes():
         ["--window=1..3", "decompose", "--module", "Ms", "--s", "1", "--lambda", "0"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "expr, code",
+    [
+        ("(" * 3000 + "x_1" + ")" * 3000, 1),
+        ("+".join(["x_1"] * 5000), 0),
+        ("*".join(["d_1*int_1"] * 1500), 0),
+    ],
+    ids=["nested", "flat_sum", "flat_product"],
+)
+def test_deep_input_keeps_the_contract(expr, code):
+    got, out = run_cli(["--json", "normalize", expr])
+    doc = json.loads(out)
+    assert got == code
+    if code:
+        assert f"MAX_NESTING = {MAX_NESTING}" in doc["error"]["message"]
+        assert f"column {MAX_NESTING + 1}" in doc["error"]["message"]
+    else:
+        assert "result" in doc
 
 
 def test_json_error_object():

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 from intdiffops.linalg import (
     BlockSystem,
     Mat,
+    QuiverRep,
+    block_diag,
     column_space_basis,
     complete_basis,
     det,
+    hom_space,
     in_span,
     invert,
     invertible_combination,
     kernel_basis,
     rank,
+    restrict,
     rref,
     solve_linear,
 )
@@ -297,6 +301,52 @@ def test_block_system_hom_space(quiver):
     assert len(homs) == total - rank(K)
     flat = [Mat.col_vector([x for b in h for x in _vec(b)]) for h in homs]
     assert rank(Mat.from_cols(flat, total)) == len(homs)
+
+
+@st.composite
+def restrictions(draw):
+    """A direct sum R of two representations of one random quiver on 1-3
+    vertices (loops allowed) over Q or Q(i), and per-vertex column bases:
+    the image of a random endomorphism of R (stable) or random columns
+    (mostly unstable)."""
+    elements = draw(st.sampled_from([entries, gaussian_entries]))
+    sparse = st.one_of(st.just(ZERO), st.just(ONE), elements)
+    k = draw(st.integers(1, 3))
+    halves = [draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)) for _ in range(2)]
+    arrows = []
+    for _ in range(draw(st.integers(1, 4))):
+        s, t = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        arrows.append((s, t, block_diag(*(draw(mats(d[t], d[s], sparse)) for d in halves))))
+    R = QuiverRep([a + b for a, b in zip(*halves)], arrows)
+    stable = draw(st.booleans())
+    if stable:
+        homs = hom_space(R, R)
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(homs), max_size=len(homs)))
+        blocks = [sum((h[v].scale(c) for c, h in zip(coeffs, homs)), Mat(d, d)) for v, d in enumerate(R.dims)]
+    else:
+        blocks = [draw(mats(d, draw(st.integers(0, d)), sparse)) for d in R.dims]
+    bases = [Mat.from_cols(column_space_basis([Mat.col_vector(b.col(j)) for j in range(b.cols)], b.rows), b.rows) for b in blocks]
+    return R, bases, stable
+
+
+@given(restrictions())
+@settings(max_examples=60, deadline=None)
+def test_restrict_matches_per_arrow_solves(case):
+    R, bases, stable = case
+    ref = [solve_linear(bases[t], f @ bases[s]) for s, t, f in R.arrows]
+    sub = restrict(R, bases)
+    if any(sol is None for sol in ref):
+        assert not stable and sub is None
+        return
+    assert sub.dims == tuple(B.cols for B in bases)
+    assert sub.arrows == [(s, t, sol.particular) for (s, t, _), sol in zip(R.arrows, ref)]
+
+
+def test_restrict_rejects_an_unstable_line():
+    # the loop swaps the two coordinates, so the first coordinate line is not stable
+    R = QuiverRep([2], [(0, 0, Mat(2, 2, [[0, 1], [1, 0]]))])
+    assert restrict(R, [Mat(2, 1, [[1], [0]])]) is None
+    assert restrict(R, [Mat(2, 1, [[1], [1]])]).arrows == [(0, 0, Mat(1, 1, [[1]]))]
 
 
 def test_column_space_and_span():

@@ -190,6 +190,29 @@ def test_parser_examples():
     assert from_expression(ast, 2) == Operator.gen_e(2, 0, 0, 2)
 
 
+def test_nesting_limit_covers_parentheses_and_unary_minus():
+    from intdiffops.parser import MAX_NESTING, ParseError, parse_expression
+
+    at_limit = "(" * MAX_NESTING + "-x_1" + ")" * MAX_NESTING
+    with pytest.raises(ParseError, match=f"MAX_NESTING = {MAX_NESTING}"):
+        parse_expression(at_limit)
+    ok = "(" * (MAX_NESTING - 1) + "-x_1" + ")" * (MAX_NESTING - 1)
+    assert from_expression(parse_expression(ok), 1) == -Operator.gen_x(1, 1)
+    with pytest.raises(ParseError, match=f"column {MAX_NESTING + 1}"):
+        parse_expression("-" * 3000 + "x_1")
+
+
+def test_check_slots_reports_the_leftmost_fault_of_a_chain():
+    from intdiffops.parser import check_slots, parse_expression
+
+    terms = ["x_1"] * 3000
+    terms[1000], terms[2000] = "x_5", "e[-1,0]_1"
+    with pytest.raises(ValueError, match="slot index 5 out of range 1..1"):
+        check_slots(parse_expression("*".join(terms)), 1)
+    with pytest.raises(ValueError, match="matrix-unit indices must be non-negative"):
+        check_slots(parse_expression("x_1 - (H_1 + e[-1,0]_1)"), 1)
+
+
 def test_print_parse_roundtrip():
     from intdiffops.parser import parse_expression
 
