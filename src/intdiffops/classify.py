@@ -248,15 +248,16 @@ def kronecker_block(label: KroneckerBlockLabel) -> KroneckerRep:
             B.data[i][i + 1] = ONE
         return KroneckerRep(A, B)
     if s == "S4":
-        A = Mat.identity(n)
-        B = Mat.identity(n).scale(label.lam)
-        for i in range(n - 1):
-            B.data[i][i + 1] = ONE
-        return KroneckerRep(A, B)
+        return KroneckerRep(Mat.identity(n), _jordan_block(n, label.lam))
     A = Mat.zero(n, n)
     for i in range(n - 1):
         A.data[i][i + 1] = ONE
     return KroneckerRep(A, Mat.identity(n))
+
+
+def _jordan_block(n: int, lam) -> Mat:
+    """The n x n Jordan block: lam on the diagonal, 1 just above it."""
+    return Mat(n, n, [[lam if c == r else ONE if c == r + 1 else ZERO for c in range(n)] for r in range(n)])
 
 
 def _splitting_element(end: List[Mat], field: Field, residue_dim: int) -> Tuple[Mat, UniPoly, UniPoly]:
@@ -364,7 +365,7 @@ def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, T
         fm = _eval_poly_at_matrix(f, m)
         bases, o = [], 0
         for d in R.dims:
-            block = Mat(d, d, [row[o : o + d] for row in fm.data[o : o + d]])
+            block = fm.select_rows(range(o, o + d)).select_cols(range(o, o + d))
             bases.append(Mat.from_cols(kernel_basis(block) if d else [], d))
             o += d
         sub = restrict(R, bases)
@@ -526,9 +527,7 @@ def band_module(orbit, n: int, lam) -> GammaModule:
     w = orbit.word
     l = len(w)
     dim = n * l
-    jordan = Mat.identity(n).scale(lam)
-    for i in range(n - 1):
-        jordan.data[i][i + 1] = ONE
+    jordan = _jordan_block(n, lam)
     h1 = Mat.zero(dim, dim)
     h2 = Mat.zero(dim, dim)
     for j, letter in enumerate(w):

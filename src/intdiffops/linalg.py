@@ -11,20 +11,22 @@ of two of them into one `BlockSystem`, `isomorphism` looks for an invertible
 element with `invertible_combination`, and `restrict` gives the
 sub-representation on per-vertex bases.
 
-Elimination first scales each row by the lcm of its denominators, then runs
-on plain ints with one of two kernels.  Rational matrices go to a
-content-reduced forward pass over Z (each new row divided by the gcd of its
-entries, pivot rows chosen sparsest-first) with integer back-substitution.
-Matrices with a non-real entry go to fraction-free Gauss-Jordan over Z[i]
-(`_ffgj`), whose rows are pairs of int lists and whose only division is an
-exact one by the previous pivot; `det` runs its forward half on every
-matrix.  Both build Scalars once, at the end; the reduced echelon form is
-unique, so the pivot rule never shows in results.
+A `Mat` works on integer rows.  Row i is a list of ints over one positive
+scale (and a second list for the imaginary parts over Q(i)), in lowest
+terms, so the form is canonical.  Products, sums, stacks, slices and scalar
+multiples compute the integer result directly and reduce each output row by
+one gcd with its scale; a right operand of `@` keeps its columns over a
+common scale.  Scalars are built only when `.data` is read: for printing,
+JSON, and the callers that walk entries.
 
-Products run on denominator-cleared ints too: `Mat.__matmul__` scales A's
-rows and B's columns the same way, takes integer dot products (real and
-imaginary parts as separate int lists over Q(i)) and builds one Scalar per
-nonzero entry of the result.
+Elimination runs on those rows with one of two kernels.  Rational matrices
+go to a content-reduced forward pass over Z (each new row divided by the
+gcd of its entries, pivot rows chosen sparsest-first) with integer
+back-substitution.  Matrices with a non-real entry go to fraction-free
+Gauss-Jordan over Z[i] (`_ffgj`), whose rows are pairs of int lists and
+whose only division is an exact one by the previous pivot; `det` runs its
+forward half on every matrix.  Both hand back integer rows; the reduced
+echelon form is unique, so the pivot rule never shows in results.
 """
 
 from __future__ import annotations
@@ -37,28 +39,74 @@ from .scalars import ONE, ZERO, Scalar
 
 
 class Mat:
-    """Immutable-by-convention dense matrix of Scalars."""
+    """Dense matrix over Q or Q(i) with explicit (rows, cols).
 
-    __slots__ = ("rows", "cols", "data")
+    A Mat holds its entries in integer form (re_rows, im_rows, scales): entry
+    (i, j) is (re_rows[i][j] + im_rows[i][j]*i) / scales[i].  Each row is in
+    lowest terms, so its scale is the lcm of the row's reduced denominators
+    and a zero row has scale 1; im_rows is None exactly when every entry is
+    rational.  The form is canonical: two matrices are equal iff their forms
+    are, and it is what `_int_rows` makes of the same Scalars.
+
+    `.data` is the rows of Scalars.  A matrix born of arithmetic builds them
+    once, on first read; a matrix built from Scalars (`Mat(rows, cols, data)`,
+    `zero`, `identity`, ...) has them from the start and derives its integer
+    form on first use as an operand or in a comparison.  A right operand of
+    `@` also caches its columns.  So a Mat is written (through `.data`) only
+    while fresh: it is never written after its first use as an operand, and
+    every write site fills a matrix it has just built from Scalars.
+    """
+
+    __slots__ = ("rows", "cols", "_data", "_ints", "_colform")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence] | None = None):
         self.rows = rows
         self.cols = cols
+        self._ints = self._colform = None
         if data is None:
-            self.data = [[ZERO] * cols for _ in range(rows)]
+            self._data = [[ZERO] * cols for _ in range(rows)]
         else:
             if len(data) != rows:
                 raise ValueError("row count mismatch")
-            self.data = [[Scalar.of(x) for x in row] for row in data]
-            for row in self.data:
+            self._data = [[Scalar.of(x) for x in row] for row in data]
+            for row in self._data:
                 if len(row) != cols:
                     raise ValueError("column count mismatch")
+
+    @property
+    def data(self) -> List[List[Scalar]]:
+        """The rows of Scalars, built from the integer form on first read."""
+        if self._data is None:
+            self._data = _scalar_rows(*self._ints)
+        return self._data
+
+    def _int(self):
+        """The integer form (re_rows, im_rows, scales), derived from the
+        Scalars on first use.  Shared, never written: callers that eliminate
+        copy the outer lists and replace rows."""
+        if self._ints is None:
+            self._ints = _int_rows(self._data)
+        return self._ints
+
+    def _columns(self):
+        """The columns as int tuples over one common scale: (re_cols,
+        im_cols, scale), cached for right operands of products."""
+        if self._colform is None:
+            re, im, sc = self._int()
+            s = lcm(*sc)
+            if s > 1:
+                fs = [s // t for t in sc]
+                re = [[v * f for v in row] for row, f in zip(re, fs)]
+                if im is not None:
+                    im = [[v * f for v in row] for row, f in zip(im, fs)]
+            self._colform = (list(zip(*re)), None if im is None else list(zip(*im)), s)
+        return self._colform
 
     @staticmethod
     def identity(n: int) -> "Mat":
         m = Mat(n, n)
         for i in range(n):
-            m.data[i][i] = ONE
+            m._data[i][i] = ONE
         return m
 
     @staticmethod
@@ -81,7 +129,7 @@ class Mat:
     def from_cols(vectors: Sequence["Mat"], rows: int) -> "Mat":
         """The rows x len(vectors) matrix whose columns are the given column
         vectors."""
-        return Mat(rows, len(vectors), [[v.data[r][0] for v in vectors] for r in range(rows)])
+        return _zeros(rows, 0).hstack(*vectors)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -91,107 +139,135 @@ class Mat:
         return list(self.data[i])
 
     def col(self, j: int) -> List[Scalar]:
-        return [self.data[i][j] for i in range(self.rows)]
+        return [row[j] for row in self.data]
+
+    def select_rows(self, rs: Iterable[int]) -> "Mat":
+        """The matrix of the rows rs, in that order."""
+        re, im, sc = self._int()
+        rs = list(rs)
+        im = None if im is None else [im[r] for r in rs]
+        return _mat(len(rs), self.cols, [re[r] for r in rs], im, [sc[r] for r in rs])
+
+    def select_cols(self, js: Iterable[int]) -> "Mat":
+        """The matrix of the columns js, in that order."""
+        re, im, sc = self._int()
+        js = list(js)
+        out = [
+            _lowest([row[j] for j in js], None if im is None else [im[i][j] for j in js], s)
+            for i, (row, s) in enumerate(zip(re, sc))
+        ]
+        return _mat(self.rows, len(js), *_unzip(out))
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        """Entry (i, j) is the integer dot product of A's scaled row i and
-        B's scaled column j over the product of their scales."""
+        """Row i of A times B's columns over a common scale s: integer dot
+        products over the nonzero entries of the row, then one gcd with the
+        row's denominator scale_i * s."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = Mat(self.rows, other.cols)
         if not (self.rows and self.cols and other.cols):
-            return out
-        are, aim, ascale = _int_rows(self.data)
-        bre, bim, bscale = _int_rows(list(zip(*other.data)))
-        for i, (ar, sa) in enumerate(zip(are, ascale)):
-            ai = aim[i] if aim else None
-            nz = [k for k, a in enumerate(ar) if a or (ai and ai[k])]
-            if not nz:
-                continue
-            orow = out.data[i]
-            for j, (br, sb) in enumerate(zip(bre, bscale)):
-                re = sum([ar[k] * br[k] for k in nz])
-                im = sum([ai[k] * br[k] for k in nz]) if ai else 0
-                if bim:
-                    bi = bim[j]
-                    im += sum([ar[k] * bi[k] for k in nz])
-                    if ai:
-                        re -= sum([ai[k] * bi[k] for k in nz])
-                if re or im:
-                    den = sa * sb
-                    orow[j] = Scalar(Fraction(re, den), Fraction(im, den))
-        return out
+            return _zeros(self.rows, other.cols)
+        are, aim, asc = self._int()
+        bre, bim, s = other._columns()
+        zero = [0] * other.cols
+        out = []
+        for i, ar in enumerate(are):
+            ai = None if aim is None else aim[i]
+            if ai is None or not any(ai):
+                nz = [(k, a) for k, a in enumerate(ar) if a]
+                if not nz:
+                    out.append((zero, None, 1))
+                    continue
+                re = [sum([a * col[k] for k, a in nz]) for col in bre]
+                im = None if bim is None else [sum([a * col[k] for k, a in nz]) for col in bim]
+            else:
+                nz = [(k, a, b) for k, (a, b) in enumerate(zip(ar, ai)) if a or b]
+                re = [sum([a * col[k] for k, a, _ in nz]) for col in bre]
+                im = [sum([b * col[k] for k, _, b in nz]) for col in bre]
+                if bim is not None:
+                    for j, col in enumerate(bim):
+                        re[j] -= sum([b * col[k] for k, _, b in nz])
+                        im[j] += sum([a * col[k] for k, a, _ in nz])
+            out.append(_lowest(re, im, asc[i] * s))
+        return _mat(self.rows, other.cols, *_unzip(out))
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(
-            self.rows,
-            self.cols,
-            [
-                [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign * other, row by row over the lcm of the two scales."""
         self._same_shape(other)
-        return Mat(
-            self.rows,
-            self.cols,
-            [
-                [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
+        are, aim, asc = self._int()
+        bre, bim, bsc = other._int()
+        gaussian = aim is not None or bim is not None
+        zero = [0] * self.cols
+        out = []
+        for i, (sa, sb) in enumerate(zip(asc, bsc)):
+            s = sa if sa == sb else lcm(sa, sb)
+            fa, fb = s // sa, sign * (s // sb)
+            re = [a * fa + b * fb for a, b in zip(are[i], bre[i])]
+            im = None
+            if gaussian:
+                ai = zero if aim is None else aim[i]
+                bi = zero if bim is None else bim[i]
+                im = [a * fa + b * fb for a, b in zip(ai, bi)]
+            out.append(_lowest(re, im, s))
+        return _mat(self.rows, self.cols, *_unzip(out))
 
     def __neg__(self) -> "Mat":
-        return self.scale(Scalar(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "Mat":
+        """c times the matrix: each row times c's numerator p over the row's
+        scale times c's denominator q."""
         c = Scalar.of(c)
-        return Mat(
-            self.rows,
-            self.cols,
-            [[c * x for x in row] for row in self.data],
-        )
+        q = lcm(c.re.denominator, c.im.denominator)
+        pr = c.re.numerator * (q // c.re.denominator)
+        pi = c.im.numerator * (q // c.im.denominator)
+        re, im, sc = self._int()
+        out = []
+        for i, (row, s) in enumerate(zip(re, sc)):
+            irow = None if im is None else im[i]
+            if irow is None:
+                nre = [a * pr for a in row]
+                nim = [a * pi for a in row] if pi else None
+            else:
+                nre = [a * pr - b * pi for a, b in zip(row, irow)]
+                nim = [a * pi + b * pr for a, b in zip(row, irow)]
+            out.append(_lowest(nre, nim, s * q))
+        return _mat(self.rows, self.cols, *_unzip(out))
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        if not (self.rows and self.cols):
+            return _zeros(self.cols, self.rows)
+        re, im, s = self._columns()
+        out = [
+            _lowest(list(col), None if im is None else list(im[j]), s) for j, col in enumerate(re)
+        ]
+        return _mat(self.cols, self.rows, *_unzip(out))
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.data for x in row)
+        re, im, _ = self._int()
+        return im is None and not any(map(any, re))
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.data[i][j] == (ONE if i == j else ZERO)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return self.rows == self.cols and self == Mat.identity(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return self.shape == other.shape and self._int() == other._int()
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.data)))
+        re, im, sc = self._int()
+        im = None if im is None else tuple(map(tuple, im))
+        return hash((self.rows, self.cols, tuple(map(tuple, re)), im, tuple(sc)))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -200,29 +276,97 @@ class Mat:
         return f"Mat[{body}]"
 
     def hstack(self, *others: "Mat") -> "Mat":
+        """Rows side by side over the lcm of their scales, which is already
+        the lowest common denominator."""
         if any(o.rows != self.rows for o in others):
             raise ValueError("hstack row mismatch")
-        return Mat(
-            self.rows,
-            self.cols + sum(o.cols for o in others),
-            [sum((o.data[i] for o in others), self.data[i]) for i in range(self.rows)],
-        )
+        parts = [(m._int(), m.cols) for m in (self, *others)]
+        gaussian = any(im is not None for (_, im, _), _ in parts)
+        out = []
+        for i in range(self.rows):
+            s = lcm(*(sc[i] for (_, _, sc), _ in parts))
+            re, im = [], [] if gaussian else None
+            for (pre, pim, sc), cols in parts:
+                f = s // sc[i]
+                re += pre[i] if f == 1 else [v * f for v in pre[i]]
+                if gaussian:
+                    im += [0] * cols if pim is None else pim[i] if f == 1 else [v * f for v in pim[i]]
+            out.append((re, im, s))
+        return _mat(self.rows, sum(cols for _, cols in parts), *_unzip(out))
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise ValueError("vstack column mismatch")
-        return Mat(self.rows + other.rows, self.cols, self.data + other.data)
+        (are, aim, asc), (bre, bim, bsc) = self._int(), other._int()
+        im = None
+        if aim is not None or bim is not None:
+            im = (aim or [[0] * self.cols] * self.rows) + (bim or [[0] * self.cols] * other.rows)
+        return _mat(self.rows + other.rows, self.cols, are + bre, im, asc + bsc)
 
     def _same_shape(self, other: "Mat"):
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
+def _mat(rows: int, cols: int, re, im, sc) -> Mat:
+    """A Mat born of its integer form.  The rows must be in lowest terms;
+    im may hold None for a real row, and becomes None when no entry is
+    non-real."""
+    if im is not None:
+        if not any(map(any, filter(None, im))):
+            im = None
+        elif None in im:
+            im = [[0] * cols if r is None else r for r in im]
+    m = object.__new__(Mat)
+    m.rows, m.cols, m._data, m._ints, m._colform = rows, cols, None, (re, im, sc), None
+    return m
+
+
+def _zeros(rows: int, cols: int) -> Mat:
+    return _mat(rows, cols, [[0] * cols for _ in range(rows)], None, [1] * rows)
+
+
+def _unzip(rows):
+    """(re_rows, im_rows, scales) from a list of (re, im, scale) rows."""
+    if not rows:
+        return [], None, []
+    re, im, sc = zip(*rows)
+    return list(re), list(im), list(sc)
+
+
+def _lowest(re: List[int], im: Optional[List[int]], den: int):
+    """The row (re + im*i) / den in lowest terms, den > 0: one gcd."""
+    if den == 1:
+        return re, im, 1
+    g = gcd(den, *re) if im is None else gcd(den, *re, *im)
+    if g == 1:
+        return re, im, den
+    return [v // g for v in re], None if im is None else [v // g for v in im], den // g
+
+
+def _scalar_rows(re, im, sc) -> List[List[Scalar]]:
+    """The rows of Scalars of an integer form."""
+    out = []
+    for i, (row, s) in enumerate(zip(re, sc)):
+        irow = None if im is None else im[i]
+        if irow is None or not any(irow):
+            if s == 1:
+                out.append([Scalar(a) if a else ZERO for a in row])
+            else:
+                out.append([Scalar(Fraction(a, s)) if a else ZERO for a in row])
+        else:
+            out.append(
+                [Scalar(Fraction(a, s), Fraction(b, s)) if a or b else ZERO for a, b in zip(row, irow)]
+            )
+    return out
+
+
 def _int_rows(data: Sequence[Sequence[Scalar]]):
-    """Each row times the lcm of its denominators, as plain ints.
+    """The integer form of rows of Scalars: each row times the lcm of its
+    denominators, as plain ints.
 
     Returns (re_rows, im_rows, scales); im_rows is None when every entry is
-    rational.  Row scales change neither the row space nor the pivots.
+    rational.  This is the one way from Scalars into a Mat's integer form.
     """
     gaussian = any(x.im for row in data for x in row)
     re_rows, scales = [], []
@@ -285,7 +429,8 @@ def _echelon_int(rows: List[List[int]], ncols: int):
 
 
 def _rref_int(rows: List[List[int]], ncols: int):
-    """Reduced echelon form over the integers (rows scaled, pivots last)."""
+    """Reduced echelon form over the integers (rows scaled, pivots last),
+    returned as (rows, scales, pivots) in a Mat's integer form."""
     rows, pivots = _echelon_int(rows, ncols)
     for r, c in reversed(pivots):
         prow = rows[r]
@@ -296,12 +441,15 @@ def _rref_int(rows: List[List[int]], ncols: int):
                 continue
             row = rows[i]
             rows[i] = _primitive([piv * row[j] - f * prow[j] for j in range(ncols)])
-    # rows past the last pivot are zero
-    out = [[ZERO] * ncols for _ in range(len(rows))]
+    # rows past the last pivot are zero; a pivot row over its pivot, in lowest terms
+    out = [[0] * ncols for _ in rows]
+    scales = [1] * len(rows)
     for r, c in pivots:
-        piv = rows[r][c]
-        out[r] = [Scalar(Fraction(v, piv)) for v in rows[r]]
-    return out, pivots
+        row = rows[r]
+        g = gcd(*row) if row[c] > 0 else -gcd(*row)
+        out[r] = row if g == 1 else [v // g for v in row]
+        scales[r] = row[c] // g
+    return out, scales, pivots
 
 
 def _ffgj(re: List[List[int]], im: List[List[int]], ncols: int, full: bool = True):
@@ -368,41 +516,56 @@ def _ffgj(re: List[List[int]], im: List[List[int]], ncols: int, full: bool = Tru
 
 def rref(matrix: Mat):
     """Reduced row echelon form; returns (Mat, pivot_columns)."""
-    re, im, _ = _int_rows(matrix.data)
+    re, im, _ = matrix._int()
+    rows, cols = matrix.rows, matrix.cols
     if im is None:
-        out, pivots = _rref_int(re, matrix.cols)
-        return Mat(matrix.rows, matrix.cols, out), [c for _, c in pivots]
-    (dr, di), pivots, _ = _ffgj(re, im, matrix.cols)
+        out, scales, pivots = _rref_int([*re], cols)
+        return _mat(rows, cols, out, None, scales), [c for _, c in pivots]
+    re, im = [*re], [*im]
+    (dr, di), pivots, _ = _ffgj(re, im, cols)
+    # every pivot entry is D = dr + di*i: a pivot row over D, times conj(D) / |D|^2
     n = dr * dr + di * di
-    out = [[ZERO] * matrix.cols for _ in range(matrix.rows)]
-    for r, c in enumerate(pivots):
-        row = out[r]
-        for j, a, b in zip(range(matrix.cols), re[r], im[r]):
-            if a or b:
-                row[j] = Scalar(Fraction(a * dr + b * di, n), Fraction(b * dr - a * di, n))
-        row[c] = ONE
-    return Mat(matrix.rows, matrix.cols, out), pivots
+    out = [([0] * cols, None, 1)] * rows
+    for r in range(len(pivots)):
+        nre = [a * dr + b * di for a, b in zip(re[r], im[r])]
+        nim = [b * dr - a * di for a, b in zip(re[r], im[r])]
+        out[r] = _lowest(nre, nim, n)
+    return _mat(rows, cols, *_unzip(out)), pivots
 
 
 def rank(matrix: Mat) -> int:
-    re, im, _ = _int_rows(matrix.data)
+    re, im, _ = matrix._int()
     if im is None:
-        return len(_echelon_int(re, matrix.cols)[1])
-    return len(_ffgj(re, im, matrix.cols, full=False)[1])
+        return len(_echelon_int([*re], matrix.cols)[1])
+    return len(_ffgj([*re], [*im], matrix.cols, full=False)[1])
 
 
 def _kernel_from_rref(R: Mat, piv_cols: List[int], ncols: int) -> List[Mat]:
-    """Kernel basis read off the first ncols columns of a reduced echelon form."""
+    """Kernel basis read off the first ncols columns of a reduced echelon
+    form: one column vector per free column fc, with 1 at fc and -R[r, fc]
+    at the pivot column of row r.  A rational vector is scaled to coprime
+    integers."""
+    re, im, sc = R._int()
     piv_set = set(piv_cols)
     basis = []
     for fc in range(ncols):
         if fc in piv_set:
             continue
-        v = [ZERO] * ncols
-        v[fc] = ONE
+        # (re, im, den) of each entry, in lowest terms
+        v = [(0, 0, 1)] * ncols
+        v[fc] = (1, 0, 1)
         for r, c in enumerate(piv_cols):
-            v[c] = -R.data[r][fc]
-        basis.append(Mat.col_vector(_normalize_content(v)))
+            a, b = re[r][fc], 0 if im is None else im[r][fc]
+            if a or b:
+                g = gcd(sc[r], a, b)
+                v[c] = (-a // g, -b // g, sc[r] // g)
+        if any(b for _, b, _ in v):
+            basis.append(_mat(ncols, 1, [[a] for a, _, _ in v], [[b] for _, b, _ in v], [d for _, _, d in v]))
+            continue
+        den = lcm(*(d for _, _, d in v))
+        ints = [a * (den // d) for a, _, d in v]
+        g = gcd(*ints)
+        basis.append(_mat(ncols, 1, [[u // g] for u in ints], None, [1] * ncols))
     return basis
 
 
@@ -410,19 +573,6 @@ def kernel_basis(matrix: Mat) -> List[Mat]:
     """Basis of {x : A x = 0} as column vectors, deterministic order."""
     R, piv_cols = rref(matrix)
     return _kernel_from_rref(R, piv_cols, matrix.cols)
-
-
-def _normalize_content(v: List[Scalar]) -> List[Scalar]:
-    """Scale a rational vector to coprime integers; vectors with complex
-    entries are left as they are."""
-    if any(x.im != 0 for x in v):
-        return v
-    den = lcm(*(x.re.denominator for x in v))
-    ints = [x.re.numerator * (den // x.re.denominator) for x in v]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [u // g for u in ints]
-    return [Scalar(u) for u in ints]
 
 
 class LinearSolution:
@@ -452,9 +602,10 @@ def solve_linear(A: Mat, B: Mat) -> Optional[LinearSolution]:
     R, piv_cols = rref(A.hstack(B))
     if piv_cols and piv_cols[-1] >= n:
         return None
-    X = Mat(n, B.cols)
-    for r, c in enumerate(piv_cols):
-        X.data[c] = R.data[r][n:]
+    # row c of X is the B-part of the row of R with pivot c, zero off the pivots
+    T = R.select_cols(range(n, R.cols)).vstack(_zeros(1, B.cols))
+    row_of = dict(zip(piv_cols, range(len(piv_cols))))
+    X = T.select_rows(row_of.get(c, R.rows) for c in range(n))
     # consistent, so the A-columns of R are rref(A)
     return LinearSolution(X, _kernel_from_rref(R, piv_cols, n))
 
@@ -478,7 +629,7 @@ def invert(matrix: Mat) -> Optional[Mat]:
     R, piv = rref(matrix.hstack(Mat.identity(n)))
     if piv[:n] != list(range(n)):
         return None
-    return Mat(n, n, [row[n:] for row in R.data])
+    return R.select_cols(range(n, 2 * n))
 
 
 def invertible_combination(
@@ -538,14 +689,16 @@ def _combine(coeffs: Sequence[Scalar], homs: Sequence[Sequence[Mat]], shapes) ->
 def block_diag(*blocks: Mat) -> Mat:
     """Block-diagonal matrix of the given blocks, in order; blocks of any
     shape, zero-sized ones included."""
-    out = Mat(sum(b.rows for b in blocks), sum(b.cols for b in blocks))
-    r0 = c0 = 0
+    cols = sum(b.cols for b in blocks)
+    rows = []
+    c0 = 0
     for b in blocks:
-        for i, row in enumerate(b.data):
-            out.data[r0 + i][c0 : c0 + b.cols] = row
-        r0 += b.rows
+        re, im, sc = b._int()
+        left, right = [0] * c0, [0] * (cols - c0 - b.cols)
+        for i, (row, s) in enumerate(zip(re, sc)):
+            rows.append((left + row + right, None if im is None else left + im[i] + right, s))
         c0 += b.cols
-    return out
+    return _mat(sum(b.rows for b in blocks), cols, *_unzip(rows))
 
 
 class BlockSystem:
@@ -569,7 +722,8 @@ class BlockSystem:
         for m, n in zip(self.dims_m, self.dims_n):
             self.offsets.append(self.total)
             self.total += m * n
-        self.rows: List[List[Scalar]] = []
+        # the system's rows as (re, im or None, scale) in lowest terms
+        self.rows: List[tuple] = []
         for s, t, f, g in arrows:
             self._add_arrow(s, t, f, g)
 
@@ -581,28 +735,49 @@ class BlockSystem:
                 f"expected {(mt, ms)} and {(nt, ns)}"
             )
         off_s, off_t = self.offsets[s], self.offsets[t]
-        # nonzero (l, f[l, j]) per column j of f and (k, g[i, k]) per row i of g
-        f_cols = [[(l, f.data[l][j]) for l in range(mt) if not f.data[l][j].is_zero()] for j in range(ms)]
-        g_rows = [[(k, -b) for k, b in enumerate(row) if not b.is_zero()] for row in g.data]
+        fre, fim, fsc = f._int()
+        gre, gim, gsc = g._int()
+        gaussian = fim is not None or gim is not None
+        # nonzero (l, re, im) of f[l, j] * sf per column j of f, sf the lcm of
+        # f's scales, and of -g[i, k] * gsc[i] per row i of g
+        sf = lcm(*fsc)
+        fcols = [[] for _ in range(ms)]
+        for l, (row, x) in enumerate(zip(fre, fsc)):
+            u = sf // x
+            irow = [0] * ms if fim is None else fim[l]
+            for j, (a, b) in enumerate(zip(row, irow)):
+                if a or b:
+                    fcols[j].append((l, a * u, b * u))
+        grows = [
+            [(k, -a, -b) for k, (a, b) in enumerate(zip(row, [0] * ns if gim is None else gim[i])) if a or b]
+            for i, row in enumerate(gre)
+        ]
         for j in range(ms):
             for i in range(nt):
-                # phi_t[i, l] * f[l, j] - g[i, k] * phi_s[k, j]; on a loop both can hit one unknown
-                row = [ZERO] * self.total
-                for l, a in f_cols[j]:
-                    row[off_t + l * nt + i] = a
-                for k, b in g_rows[i]:
-                    idx = off_s + j * ns + k
-                    row[idx] = b if row[idx] is ZERO else row[idx] + b
-                self.rows.append(row)
+                # phi_t[i, l] * f[l, j] - g[i, k] * phi_s[k, j] over lcm(sf, gsc[i]);
+                # on a loop both can hit one unknown
+                den = lcm(sf, gsc[i])
+                uf, ug = den // sf, den // gsc[i]
+                re = [0] * self.total
+                im = [0] * self.total if gaussian else None
+                for l, a, b in fcols[j]:
+                    re[off_t + l * nt + i] = a * uf
+                    if b:
+                        im[off_t + l * nt + i] = b * uf
+                for k, a, b in grows[i]:
+                    re[off_s + j * ns + k] += a * ug
+                    if b:
+                        im[off_s + j * ns + k] += b * ug
+                self.rows.append(_lowest(re, im, den))
 
     def solve(self) -> List[Tuple[Mat, ...]]:
         """Basis of the Hom space, each element a tuple of blocks phi_v."""
         out = []
-        for k in kernel_basis(Mat(len(self.rows), self.total, self.rows)):
-            flat = k.data
+        for k in kernel_basis(_mat(len(self.rows), self.total, *_unzip(self.rows))):
+            # column l of phi_v is the slice of n unknowns from off + l*n
             out.append(
                 tuple(
-                    Mat(n, m, [[flat[off + l * n + r][0] for l in range(m)] for r in range(n)])
+                    Mat.from_cols([k.select_rows(range(off + l * n, off + l * n + n)) for l in range(m)], n)
                     for off, m, n in zip(self.offsets, self.dims_m, self.dims_n)
                 )
             )
@@ -640,7 +815,7 @@ def restrict(R: QuiverRep, bases: Sequence[Mat]) -> Optional[QuiverRep]:
     for k, (s, t, _) in enumerate(R.arrows):
         if bases[s].cols:
             into.setdefault(t, []).append(k)
-    maps = [Mat(bases[t].cols, bases[s].cols) for s, t, _ in R.arrows]
+    maps = {}
     for t, ks in into.items():
         imgs = [R.arrows[k][2] @ bases[R.arrows[k][0]] for k in ks]
         sol = solve_linear(bases[t], imgs[0].hstack(*imgs[1:]))
@@ -648,9 +823,13 @@ def restrict(R: QuiverRep, bases: Sequence[Mat]) -> Optional[QuiverRep]:
             return None
         X, c = sol.particular, 0
         for k, img in zip(ks, imgs):
-            maps[k] = Mat(X.rows, img.cols, [row[c : c + img.cols] for row in X.data])
+            maps[k] = X.select_cols(range(c, c + img.cols))
             c += img.cols
-    return QuiverRep([B.cols for B in bases], [(s, t, X) for (s, t, _), X in zip(R.arrows, maps)])
+    # an arrow out of a zero space maps nothing
+    arrows = [
+        (s, t, maps[k] if k in maps else _zeros(bases[t].cols, 0)) for k, (s, t, _) in enumerate(R.arrows)
+    ]
+    return QuiverRep([B.cols for B in bases], arrows)
 
 
 def complete_basis(B: Mat) -> Mat:
@@ -671,10 +850,9 @@ def det(matrix: Mat) -> Scalar:
     n = matrix.rows
     if n == 0:
         return ONE
-    re, im, scales = _int_rows(matrix.data)
-    if im is None:
-        im = [[0] * n for _ in range(n)]
-    (dr, di), pivots, swaps = _ffgj(re, im, n, full=False)
+    re, im, scales = matrix._int()
+    im = [[0] * n for _ in range(n)] if im is None else [*im]
+    (dr, di), pivots, swaps = _ffgj([*re], im, n, full=False)
     if len(pivots) < n:
         return ZERO
     den = (-1) ** swaps * prod(scales)

@@ -26,6 +26,7 @@ from .linalg import (
     kernel_basis,
     restrict,
     retraction,
+    rref,
 )
 from .local_ideals import LocalIdeal, MaxIdeal, quotient_basis
 from .poly import MultiPoly
@@ -342,9 +343,8 @@ class ModuleWindow:
         """True when every H_i acts as its weight scalar at every point."""
         for p in self.support():
             for i in range(1, self.n + 1):
-                w = self.orbit.weight(i, p[i - 1])
                 H = self.map("H", i, p)
-                if any(x != (w if r == c else ZERO) for r, row in enumerate(H.data) for c, x in enumerate(row)):
+                if H != Mat.identity(H.rows).scale(self.orbit.weight(i, p[i - 1])):
                     return False, p
         return True, None
 
@@ -606,8 +606,9 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
     The P_D are the leaves of a prefix tree walked slot by slot in order:
     each prefix product is extended by both factors of the next slot, and
     a prefix whose product is zero is dropped with its whole subtree, so a
-    point costs products only along its nonzero branches.  Blocks come
-    ordered by |D|, then as `combinations` lists them.
+    point costs products only along its nonzero branches.  The basis of a
+    block at a point is the pivot columns of its P_D.  Blocks come ordered
+    by |D|, then as `combinations` lists them.
     """
     dd = M.orbit.integer_slots()
     leaves: Dict[Point, Dict[Tuple[int, ...], Mat]] = {}
@@ -616,12 +617,13 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
         prefixes: List[Tuple[Tuple[int, ...], Optional[Mat]]] = [((), None)]
         for i in dd:
             Pi = _transported_projector(M, i, p)
+            factors = (((i,), Pi), ((), I - Pi))
             grown = []
             for D, Q in prefixes:
-                for E, F in ((D + (i,), Pi), (D, I - Pi)):
+                for e, F in factors:
                     QF = F if Q is None else Q @ F
                     if not QF.is_zero():
-                        grown.append((E, QF))
+                        grown.append((D + e, QF))
             prefixes = grown
         leaves[p] = {D: I if Q is None else Q for D, Q in prefixes}
     blocks: List[Tuple[DSet, ModuleWindow]] = []
@@ -633,9 +635,7 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
             for p, at_p in leaves.items():
                 P = at_p.get(D)
                 if P is not None:
-                    d = P.rows
-                    cols = column_space_basis([Mat.col_vector(P.col(j)) for j in range(d)], d)
-                    bases[p] = Mat.from_cols(cols, d)
+                    bases[p] = P.select_cols(rref(P)[1])
             if not bases:
                 continue
             sub = _restrict_to_bases(M, bases, quiver)
@@ -781,7 +781,7 @@ def _quotient_module(M: ModuleWindow, S: Dict[Point, Mat]) -> ModuleWindow:
         inv = invert(full)
         if inv is None:
             raise DomainError("submodule basis is degenerate")
-        proj[p] = (T, Mat.from_rows(inv.data[B.cols :], M.dim(p)) if T.cols else Mat(0, M.dim(p)))
+        proj[p] = (T, inv.select_rows(range(B.cols, inv.rows)))
         if T.cols:
             spaces[p] = T.cols
     maps = {}

@@ -169,6 +169,9 @@ def _combo_times_word(combo: SlotCombo, word: Iterable[str]) -> SlotCombo:
 
 
 _MUL1_CACHE: Dict[Tuple[Slot, Slot], SlotCombo] = {}
+# A long run of arity-3 operator products needs about 1,250 entries; the
+# cache is emptied whole when it reaches this size.
+_MUL1_CACHE_MAX = 65536
 
 
 def mul_slot_terms(a: Slot, b: Slot) -> SlotCombo:
@@ -192,6 +195,8 @@ def mul_slot_terms(a: Slot, b: Slot) -> SlotCombo:
         out = dict(pos)
         for slot, c in neg.items():
             _combo_add(out, slot, -c)
+    if len(_MUL1_CACHE) >= _MUL1_CACHE_MAX:
+        _MUL1_CACHE.clear()
     _MUL1_CACHE[key] = out
     return out
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from intdiffops.linalg import (
     BlockSystem,
     Mat,
     QuiverRep,
+    _int_rows,
     block_diag,
     column_space_basis,
     complete_basis,
@@ -524,3 +526,94 @@ def test_matmul_shapes():
     assert (Mat(2, 0) @ Mat(0, 3)) == Mat.zero(2, 3)
     with pytest.raises(ValueError):
         Mat(2, 3) @ Mat(2, 3)
+
+
+# -- the integer form against per-entry Scalar arithmetic -------------------
+
+
+def _ref_rref(rows, ncols):
+    """Gauss-Jordan on Scalars: unit pivots, first nonzero row as pivot."""
+    R = [list(r) for r in rows]
+    piv = []
+    for c in range(ncols):
+        r = len(piv)
+        p = next((i for i in range(r, len(R)) if not R[i][c].is_zero()), None)
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        inv = ONE / R[r][c]
+        R[r] = [x * inv for x in R[r]]
+        for i in range(len(R)):
+            f = R[i][c]
+            if i != r and not f.is_zero():
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        piv.append(c)
+    return R, piv
+
+
+def _ref_det(rows):
+    R = [list(r) for r in rows]
+    d = ONE
+    for c in range(len(R)):
+        p = next((i for i in range(c, len(R)) if not R[i][c].is_zero()), None)
+        if p is None:
+            return ZERO
+        if p != c:
+            R[c], R[p] = R[p], R[c]
+            d = -d
+        d = d * R[c][c]
+        for i in range(c + 1, len(R)):
+            f = R[i][c] / R[c][c]
+            R[i] = [x - f * y for x, y in zip(R[i], R[c])]
+    return d
+
+
+def _born_both_ways(M):
+    """M built from its Scalars, and M as a product (born in integer form)."""
+    return Mat(M.rows, M.cols, M.data), Mat(M.rows, M.cols, M.data) @ Mat.identity(M.cols)
+
+
+def _agrees(M, ref_rows, shape):
+    assert M.shape == shape
+    assert M.data == ref_rows
+    assert M._int() == _int_rows(M.data)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_int_mat_ops_match_scalar_reference(gaussian, data):
+    n, m, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+    pick = lambda: gaussian and data.draw(st.booleans())
+    mixed = mats(n, m, gaussian_entries if gaussian else entries)
+    a = data.draw(st.one_of(scaled_operand(n, m, gaussian, by_row=True), mixed)).data
+    b = data.draw(scaled_operand(n, m, pick(), by_row=True)).data
+    c = data.draw(scaled_operand(m, k, pick(), by_row=False)).data
+    s = data.draw(scaled_operand(k, k, pick(), by_row=True)).data
+    x = data.draw(gaussian_entries if gaussian else entries)
+    js = data.draw(st.lists(st.integers(0, m - 1), max_size=4)) if m else []
+    rs = data.draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
+    for A, B in product(_born_both_ways(Mat(n, m, a)), _born_both_ways(Mat(n, m, b))):
+        C = _born_both_ways(Mat(m, k, c))[1]
+        S = _born_both_ways(Mat(k, k, s))[1]
+        _agrees(A @ C, naive_product(Mat(n, m, a), Mat(m, k, c)).data, (n, k))
+        _agrees(A + B, [[u + v for u, v in zip(r, q)] for r, q in zip(a, b)], (n, m))
+        _agrees(A - B, [[u - v for u, v in zip(r, q)] for r, q in zip(a, b)], (n, m))
+        _agrees(A.hstack(B, A), [r + q + r for r, q in zip(a, b)], (n, 3 * m))
+        _agrees(A.vstack(B), a + b, (2 * n, m))
+        _agrees(A.transpose(), [list(col) for col in zip(*a)] if n else [[] for _ in range(m)], (m, n))
+        _agrees(A.scale(x), [[x * u for u in r] for r in a], (n, m))
+        _agrees(-A, [[-u for u in r] for r in a], (n, m))
+        _agrees(A.select_cols(js), [[r[j] for j in js] for r in a], (n, len(js)))
+        _agrees(A.select_rows(rs), [a[i] for i in rs], (len(rs), m))
+        R, piv = rref(A)
+        want, want_piv = _ref_rref(a, m)
+        _agrees(R, want, (n, m))
+        assert piv == want_piv and rank(A) == len(want_piv)
+        for v in kernel_basis(A):
+            assert v._int() == _int_rows(v.data) and (A @ v).is_zero()
+        assert det(S) == _ref_det(s)
+        assert A.is_zero() == all(u.is_zero() for r in a for u in r)
+        assert (A - A).is_zero()
+        assert (A == B) == (a == b) and A == Mat(n, m, a)
+        assert (A == B) <= (hash(A) == hash(B))

@@ -288,3 +288,22 @@ def test_power_forms_no_product_above_its_degree(monkeypatch, x):
         x**k
         assert max(degree.values()) <= max(k, 1), (k, sorted(degree.values()))
         assert len(made) <= 2 * k.bit_length()
+
+
+def test_slot_product_cache_is_bounded():
+    from intdiffops import operators
+
+    g = gens(2)
+    a = g["d_1"] * g["H_2"] + g["int_1"] * g["int_2"]
+    b = g["H_1"] * g["int_1"] + g["d_2"] * g["d_2"]
+    operators._MUL1_CACHE.clear()
+    cold = a * b
+    try:
+        bound = operators._MUL1_CACHE_MAX
+        # distinct keys (H^k, 1), each a trivial product
+        for k in range(bound + 10):
+            operators.mul_slot_terms(("H", k), ("H", 0))
+            assert len(operators._MUL1_CACHE) <= bound
+        assert a * b == cold
+    finally:
+        operators._MUL1_CACHE.clear()
