@@ -19,8 +19,12 @@ from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from .linalg import Mat
-from .operators import Operator, Slot, TermN
-from .scalars import ONE, ZERO, Scalar
+from .modules import DomainError
+from .operators import Operator, Slot, TermN, over_denominator
+from .scalars import ONE, Scalar
+
+# largest action matrix (codomain x domain cells) `to_matrix` builds
+MAX_ACTION_CELLS = 1_000_000
 
 Monomial = Tuple[int, ...]
 
@@ -43,55 +47,56 @@ class TruncatedSpace:
         return len(self.basis)
 
 
-def act_slot_term(slot: Slot, s: int) -> Optional[Tuple[int, Scalar]]:
-    """Apply one slot term to x^[s]; returns (new exponent, coeff) or None."""
+def act_slot_term(slot: Slot, s: int) -> Optional[Tuple[int, int]]:
+    """Apply one slot term to x^[s]; returns (new exponent, int coeff) or None."""
     kind = slot[0]
     if kind == "H":
-        return s, Scalar(s + 1) ** slot[1]
+        return s, (s + 1) ** slot[1]
     if kind == "D":
         i, k = slot[1], slot[2]
         if s < i:
             return None
-        return s - i, Scalar(s - i + 1) ** k
+        return s - i, (s - i + 1) ** k
     if kind == "I":
         i, k = slot[1], slot[2]
-        return s + i, Scalar(s + 1) ** k
+        return s + i, (s + 1) ** k
     # E(u, v)
     u, v = slot[1], slot[2]
     if s != v:
         return None
-    return u, ONE
+    return u, 1
 
 
-def act_term(term: TermN, alpha: Monomial) -> Optional[Tuple[Monomial, Scalar]]:
+def act_term(term: TermN, alpha: Monomial) -> Optional[Tuple[Monomial, int]]:
     out = []
-    coeff = ONE
+    coeff = 1
     for slot, s in zip(term, alpha):
         hit = act_slot_term(slot, s)
         if hit is None:
             return None
         s2, c = hit
         out.append(s2)
-        coeff = coeff * c
+        coeff *= c
     return tuple(out), coeff
 
 
 def act_monomial(a: Operator, alpha: Monomial) -> Dict[Monomial, Scalar]:
-    """Image of x^[alpha] under a, as a sparse monomial combination."""
+    """Image of x^[alpha] under a, as a sparse monomial combination, summed
+    on integers over a's common denominator."""
     if len(alpha) != a.n:
         raise ValueError("monomial arity mismatch")
-    out: Dict[Monomial, Scalar] = {}
-    for term, c in a.terms.items():
+    den, items = a.numerators()
+    re: Dict[Monomial, int] = {}
+    im: Dict[Monomial, int] = {}
+    for term, cr, ci in items:
         hit = act_term(term, alpha)
         if hit is None:
             continue
-        beta, c2 = hit
-        cur = out.get(beta, ZERO) + c * c2
-        if cur.is_zero():
-            out.pop(beta, None)
-        else:
-            out[beta] = cur
-    return out
+        beta, k = hit
+        re[beta] = re.get(beta, 0) + cr * k
+        if ci:
+            im[beta] = im.get(beta, 0) + ci * k
+    return over_denominator(den, re, im)
 
 
 class ActionMatrix:
@@ -114,6 +119,13 @@ class ActionMatrix:
 def to_matrix(a: Operator, N: int) -> ActionMatrix:
     """Action matrix on exponents up to N; the codomain bound is enlarged by
     the operator's maximal positive degree so no image is truncated."""
+    dom_dim = max(N + 1, 0) ** a.n
+    cod_dim = max(N + 1 + a.max_positive_degree(), 0) ** a.n
+    if dom_dim * cod_dim > MAX_ACTION_CELLS:
+        raise DomainError(
+            f"action matrix on {dom_dim} domain x {cod_dim} codomain monomials "
+            f"({dom_dim * cod_dim} cells) exceeds the limit MAX_ACTION_CELLS = {MAX_ACTION_CELLS}"
+        )
     dom = TruncatedSpace(a.n, N)
     cod = TruncatedSpace(a.n, N + a.max_positive_degree())
     m = Mat(cod.dim, dom.dim)

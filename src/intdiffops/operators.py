@@ -13,15 +13,22 @@ are encoded as tuples:
 Products are computed by rewriting the right factor as a word in the
 generators d, int, H and folding the word through the left factor one
 generator at a time; every rewrite step is an exact identity in the algebra.
+
+Coefficients are computed as integers.  The slot structure constants are
+ints, and a product runs on each operand's integer numerators over its
+common denominator; `Scalar`s are built at the boundary, once per output
+term.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .parser import left_spine
 from .poly import UniPoly
-from .scalars import ONE, ZERO, Scalar, power
+from .scalars import ONE, ZERO, Scalar
 
 Slot = Tuple
 TermN = Tuple[Slot, ...]
@@ -76,32 +83,23 @@ def _check_slot(slot: Slot):
 
 # -- arity-1 slot calculus ------------------------------------------------
 
-SlotCombo = Dict[Slot, Scalar]
+# The structure constants are integers: a slot combination maps slot terms
+# to nonzero ints.
+SlotCombo = Dict[Slot, int]
 
 
-def _combo_add(dst: SlotCombo, slot: Slot, c: Scalar):
-    if c.is_zero():
-        return
-    cur = dst.get(slot)
-    if cur is None:
-        dst[slot] = c
-    else:
-        s = cur + c
-        if s.is_zero():
-            del dst[slot]
-        else:
+def _combo_add(dst: SlotCombo, slot: Slot, c: int):
+    if c:
+        s = dst.get(slot, 0) + c
+        if s:
             dst[slot] = s
-
-
-def _int_pow_times_poly(i: int, poly: UniPoly) -> SlotCombo:
-    """Canonical terms of int^i * poly(H), i >= 0."""
-    out: SlotCombo = {}
-    for k, c in poly.coeffs.items():
-        if i == 0:
-            _combo_add(out, ("H", k), c)
         else:
-            _combo_add(out, ("I", i, k), c)
-    return out
+            del dst[slot]
+
+
+def _int_pow_times_shifted(i: int, k: int, shift: int) -> SlotCombo:
+    """Canonical terms of int^i * (H + shift)^k, i >= 0, shift = +-1."""
+    return {("I", i, j) if i else ("H", j): comb(k, j) * shift ** (k - j) for j in range(k + 1)}
 
 
 def _slot_times_generator(slot: Slot, g: str) -> SlotCombo:
@@ -110,49 +108,41 @@ def _slot_times_generator(slot: Slot, g: str) -> SlotCombo:
     out: SlotCombo = {}
     if g == "d":
         if kind == "D":
-            _combo_add(out, ("D", slot[1] + 1, slot[2]), ONE)
+            out[("D", slot[1] + 1, slot[2])] = 1
         elif kind == "H":
-            _combo_add(out, ("D", 1, slot[1]), ONE)
+            out[("D", 1, slot[1])] = 1
         elif kind == "I":
             # int^i H^k d = int^(i-1) (H-1)^k - [k=0] e[i-1,0]
             i, k = slot[1], slot[2]
-            poly = UniPoly.linear_shifted(-1) ** k
-            out = _int_pow_times_poly(i - 1, poly)
+            out = _int_pow_times_shifted(i - 1, k, -1)
             if k == 0:
-                _combo_add(out, ("E", i - 1, 0), -ONE)
+                out[("E", i - 1, 0)] = -1
         else:  # E
-            _combo_add(out, ("E", slot[1], slot[2] + 1), ONE)
+            out[("E", slot[1], slot[2] + 1)] = 1
     elif g == "int":
         if kind == "D":
             i, k = slot[1], slot[2]
-            if i > 1:
-                _combo_add(out, ("D", i - 1, k), ONE)
-            else:
-                _combo_add(out, ("H", k), ONE)
+            out[("D", i - 1, k) if i > 1 else ("H", k)] = 1
         elif kind == "H":
-            poly = UniPoly.linear_shifted(1) ** slot[1]
-            out = _int_pow_times_poly(1, poly)
+            out = _int_pow_times_shifted(1, slot[1], 1)
         elif kind == "I":
-            i, k = slot[1], slot[2]
-            poly = UniPoly.linear_shifted(1) ** k
-            out = _int_pow_times_poly(i + 1, poly)
+            out = _int_pow_times_shifted(slot[1] + 1, slot[2], 1)
         else:  # E
             s, t = slot[1], slot[2]
             if t > 0:
-                _combo_add(out, ("E", s, t - 1), ONE)
+                out[("E", s, t - 1)] = 1
     elif g == "H":
         if kind == "D":
             # H^k d^i H = H^k (H+i) d^i
             i, k = slot[1], slot[2]
-            _combo_add(out, ("D", i, k + 1), ONE)
-            _combo_add(out, ("D", i, k), Scalar(i))
+            out[("D", i, k + 1)] = 1
+            out[("D", i, k)] = i
         elif kind == "H":
-            _combo_add(out, ("H", slot[1] + 1), ONE)
+            out[("H", slot[1] + 1)] = 1
         elif kind == "I":
-            _combo_add(out, ("I", slot[1], slot[2] + 1), ONE)
+            out[("I", slot[1], slot[2] + 1)] = 1
         else:  # E
-            s, t = slot[1], slot[2]
-            _combo_add(out, ("E", s, t), Scalar(t + 1))
+            out[slot] = slot[2] + 1
     else:
         raise ValueError(f"unknown generator {g!r}")
     return out
@@ -181,7 +171,7 @@ def mul_slot_terms(a: Slot, b: Slot) -> SlotCombo:
     if hit is not None:
         return hit
     kind = b[0]
-    start: SlotCombo = {a: ONE}
+    start: SlotCombo = {a: 1}
     if kind == "D":
         out = _combo_times_word(start, ["H"] * b[2] + ["d"] * b[1])
     elif kind == "H":
@@ -198,6 +188,26 @@ def mul_slot_terms(a: Slot, b: Slot) -> SlotCombo:
     if len(_MUL1_CACHE) >= _MUL1_CACHE_MAX:
         _MUL1_CACHE.clear()
     _MUL1_CACHE[key] = out
+    return out
+
+
+def _spread(ta: TermN, tb: TermN, c: int) -> List[Tuple[TermN, int]]:
+    """c * ta * tb over the basis: the slot products' expansions, tensored."""
+    out: List[Tuple[TermN, int]] = [((), c)]
+    for a, b in zip(ta, tb):
+        combo = mul_slot_terms(a, b).items()
+        out = [(p + (s,), v * k) for p, v in out for s, k in combo]
+    return out
+
+
+def over_denominator(den: int, re: Dict, im: Dict) -> Dict:
+    """The nonzero (re[key] + im[key]*i)/den as Scalars, im missing a key
+    meaning 0: where integer sums become coefficients."""
+    out = {}
+    for key, r in re.items():
+        i = im.get(key, 0)
+        if r or i:
+            out[key] = Scalar(Fraction(r, den), Fraction(i, den) if i else 0)
     return out
 
 
@@ -225,6 +235,24 @@ class Operator:
                 if not c.is_zero():
                     clean[t] = c
         self.terms = clean
+
+    @staticmethod
+    def _trusted(n: int, terms: Dict[TermN, Scalar]) -> "Operator":
+        """An Operator on canonical terms with nonzero Scalar coefficients,
+        taken as they are: the form every internal result is built in."""
+        op = object.__new__(Operator)
+        op.n, op.terms = n, terms
+        return op
+
+    def numerators(self) -> Tuple[int, List[Tuple[TermN, int, int]]]:
+        """(den, [(term, re, im), ...]): each coefficient is (re + im*i)/den,
+        den being the lcm of every real and imaginary denominator."""
+        cs = self.terms.values()
+        den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
+        return den, [
+            (t, c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
+            for t, c in self.terms.items()
+        ]
 
     # -- constructors --------------------------------------------------
 
@@ -283,47 +311,53 @@ class Operator:
                 out.pop(t, None)
             else:
                 out[t] = cur
-        return Operator(self.n, out)
+        return Operator._trusted(self.n, out)
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-other)
 
     def __neg__(self) -> "Operator":
-        return Operator(self.n, {t: -c for t, c in self.terms.items()})
+        return Operator._trusted(self.n, {t: -c for t, c in self.terms.items()})
 
     def scale(self, c) -> "Operator":
         c = Scalar.of(c)
         if c.is_zero():
             return Operator(self.n)
-        return Operator(self.n, {t: c * x for t, x in self.terms.items()})
+        return Operator._trusted(self.n, {t: c * x for t, x in self.terms.items()})
 
     def __mul__(self, other: "Operator") -> "Operator":
+        """The product on integer numerators: each term pair's coefficient
+        times its integer structure constants, spread slot by slot, summed
+        per output term over the product of the two common denominators."""
         self._check(other)
-        out: Dict[TermN, Scalar] = {}
-        for ta, ca in self.terms.items():
-            for tb, cb in other.terms.items():
-                base = ca * cb
-                slot_combos = [mul_slot_terms(ta[j], tb[j]) for j in range(self.n)]
-                # tensor-distribute the per-slot expansions
-                partial: List[Tuple[TermN, Scalar]] = [((), base)]
-                for combo in slot_combos:
-                    nxt = []
-                    for prefix, c in partial:
-                        for slot, c2 in combo.items():
-                            nxt.append((prefix + (slot,), c * c2))
-                    partial = nxt
-                for term, c in partial:
-                    cur = out.get(term, ZERO) + c
-                    if cur.is_zero():
-                        out.pop(term, None)
-                    else:
-                        out[term] = cur
-        return Operator(self.n, out)
+        da, xs = self.numerators()
+        db, ys = other.numerators()
+        re: Dict[TermN, int] = {}
+        im: Dict[TermN, int] = {}
+        rational = not any(x[2] for x in xs) and not any(y[2] for y in ys)
+        for ta, ar, ai in xs:
+            for tb, br, bi in ys:
+                if rational:
+                    for t, k in _spread(ta, tb, ar * br):
+                        re[t] = re.get(t, 0) + k
+                else:
+                    cr, ci = ar * br - ai * bi, ar * bi + ai * br
+                    for t, k in _spread(ta, tb, 1):
+                        re[t] = re.get(t, 0) + cr * k
+                        im[t] = im.get(t, 0) + ci * k
+        return Operator._trusted(self.n, over_denominator(da * db, re, im))
 
     def __pow__(self, k: int) -> "Operator":
+        """self**k as ((self*self)*self)*...: k - 1 products, each with the
+        base, the sparse factor, on the right."""
         if k < 0:
             raise ValueError("negative operator power")
-        return power(self, k, Operator.one(self.n))
+        if k == 0:
+            return Operator.one(self.n)
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
 
     def commutator(self, other: "Operator") -> "Operator":
         return self * other - other * self

@@ -26,6 +26,8 @@ from .scalars import Scalar
 
 # deepest nesting of parentheses and unary minus the recursive parser accepts
 MAX_NESTING = 100
+# largest exponent '^' accepts
+MAX_EXPONENT = 10000
 
 
 class ParseError(ValueError):
@@ -248,8 +250,11 @@ class Parser:
                     exp.col,
                     ("natural number",),
                 )
+            k = int(exp.value)
+            if k > MAX_EXPONENT:
+                raise ParseError(f"exponent {k} exceeds the limit MAX_EXPONENT = {MAX_EXPONENT}", exp.line, exp.col)
             self.advance()
-            node = ("pow", node, int(exp.value))
+            node = ("pow", node, k)
         return node
 
     def atom(self):

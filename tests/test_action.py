@@ -1,3 +1,6 @@
+import pytest
+
+from intdiffops import action
 from intdiffops.action import (
     TruncatedSpace,
     act_monomial,
@@ -6,6 +9,7 @@ from intdiffops.action import (
     matrices_equal_on_overlap,
     to_matrix,
 )
+from intdiffops.modules import DomainError
 from intdiffops.operators import Operator
 from intdiffops.scalars import ONE, Scalar
 
@@ -59,3 +63,13 @@ def test_truncated_space_indexing():
     sp = TruncatedSpace(2, 3)
     assert sp.dim == 16
     assert sp.basis[sp.index[(1, 2)]] == (1, 2)
+
+
+def test_action_size_limit_is_checked_before_any_work(monkeypatch):
+    a = Operator.gen_int(2, 1) ** 2  # domain (N+1)^2, codomain (N+3)^2
+    monkeypatch.setattr(action, "MAX_ACTION_CELLS", 16 * 36)
+    assert to_matrix(a, 3).matrix.shape == (36, 16)
+    monkeypatch.setattr(action, "MAX_ACTION_CELLS", 16 * 36 - 1)
+    monkeypatch.setattr(action, "TruncatedSpace", None)  # reached only past the check
+    with pytest.raises(DomainError, match=r"16 domain x 36 codomain monomials \(576 cells\)"):
+        to_matrix(a, 3)

@@ -3,13 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from intdiffops.cli import main
-from intdiffops.parser import MAX_NESTING
+from intdiffops.action import MAX_ACTION_CELLS
+from intdiffops.parser import MAX_EXPONENT, MAX_NESTING
 from golden_cases import GOLDEN_CASES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -87,6 +89,29 @@ def test_deep_input_keeps_the_contract(expr, code):
         assert f"column {MAX_NESTING + 1}" in doc["error"]["message"]
     else:
         assert "result" in doc
+
+
+def test_exponent_limit_is_a_parse_error():
+    start = time.perf_counter()
+    code, out = run_cli(["--json", "normalize", "d_1^100000000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["kind"] == "domain"
+    assert f"exponent 100000000 exceeds the limit MAX_EXPONENT = {MAX_EXPONENT}" in doc["error"]["message"]
+    assert "column 5" in doc["error"]["message"]
+    code, out = run_cli(["normalize", f"d_1^{MAX_EXPONENT}"])
+    assert code == 0 and out.strip() == f"d_1^{MAX_EXPONENT}"
+
+
+def test_action_size_limit_is_a_domain_error():
+    code, out = run_cli(["--json", "--arity", "3", "--deg", "2", "act", "int_1^40*H_1^5"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["kind"] == "domain"
+    message = doc["error"]["message"]
+    assert f"MAX_ACTION_CELLS = {MAX_ACTION_CELLS}" in message
+    assert "27 domain x 79507 codomain monomials (2146689 cells)" in message
 
 
 def test_json_error_object():

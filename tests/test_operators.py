@@ -288,6 +288,10 @@ def test_power_forms_no_product_above_its_degree(monkeypatch, x):
         x**k
         assert max(degree.values()) <= max(k, 1), (k, sorted(degree.values()))
         assert len(made) <= 2 * k.bit_length()
+        if cls is Operator:
+            # left to right: k - 1 products, the sparse base always on the right
+            assert len(made) == max(k - 1, 0)
+            assert all(b is x for _, b, _ in made)
 
 
 def test_slot_product_cache_is_bounded():
