@@ -13,8 +13,9 @@ serve both.  The splitter takes End from the intertwining equations, its
 radical from the trace form (characteristic zero), and splits along an
 element whose minimal polynomial factors into coprime parts; a pencil is
 reported outside the field only with a certificate that End/rad is a field
-bigger than K.  `factor_unipoly` hands polynomials to the `symbolic`
-adapter, which loads sympy on first use.
+bigger than K.  `factor_unipoly` factors polynomials of degree <= 2 in
+closed form and hands higher degrees to the `symbolic` adapter, which loads
+sympy on first use.
 """
 
 from __future__ import annotations
@@ -116,10 +117,38 @@ def min_poly(M: Mat) -> UniPoly:
 
 
 def factor_unipoly(p: UniPoly, field: Field) -> List[Tuple[UniPoly, int]]:
-    """Irreducible factorization over the configured field (monic factors)."""
-    from .symbolic import factor
+    """Irreducible factorization over the configured field (monic factors),
+    in sympy's order: `_splitting_element` splits on the first factor.
 
-    return factor(p, field)
+    Degrees up to 2 are solved in closed form from `Field.sqrt` of the
+    discriminant; higher degrees go to `symbolic.factor`.
+    """
+    for k in sorted(p.coeffs, reverse=True):
+        if not field.contains(p.coeffs[k]):
+            raise ValueError(f"coefficient {p.coeffs[k]} is not rational")
+    d = p.degree()
+    if not d:
+        return []
+    if d > 2:
+        from .symbolic import factor
+
+        return factor(p, field)
+    c, b = (p.coeffs.get(k, ZERO) / p.leading() for k in (0, 1))
+    if d == 1:
+        return [(UniPoly({1: ONE, 0: c}), 1)]
+    s = field.sqrt(b * b - 4 * c)
+    if s is None:
+        return [(UniPoly({2: ONE, 1: b, 0: c}), 1)]
+    if s.is_zero():
+        return [(UniPoly({1: ONE, 0: b / 2}), 2)]
+    # monic t - r with constant -r; sympy sorts Q factors by their primitive
+    # integer form d*t - n (r = n/d) and Q(i) factors by -r as (im, re)
+    consts = [(b + s) / 2, (b - s) / 2]
+    if field.has_i:
+        consts.sort(key=lambda k: (k.im, k.re))
+    else:
+        consts.sort(key=lambda k: (k.re.denominator, k.re.numerator))
+    return [(UniPoly({1: ONE, 0: k}), 1) for k in consts]
 
 
 def _eval_poly_at_matrix(p: UniPoly, M: Mat) -> Mat:

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from math import prod
 from typing import List, Optional
 
 from . import __version__
@@ -27,6 +28,7 @@ from .classify import (
     string_module,
 )
 from .modules import (
+    MAX_WINDOW_POINTS,
     DomainError,
     DSet,
     Fiber,
@@ -120,7 +122,16 @@ def _parse_window_arg(text: str, n: int):
         out = out * n
     if len(out) != n:
         raise UsageError(f"window has {len(out)} intervals for arity {n}")
-    return out
+    return _bounded_window(out)
+
+
+def _bounded_window(window):
+    points = prod(max(b - a + 1, 0) for a, b in window)
+    if points > MAX_WINDOW_POINTS:
+        raise DomainError(
+            f"window of {points} points exceeds the limit MAX_WINDOW_POINTS = {MAX_WINDOW_POINTS}"
+        )
+    return window
 
 
 def _read_operator(text: str, cfg: SessionConfig) -> Operator:
@@ -139,11 +150,13 @@ def _load_module(args, cfg: SessionConfig) -> ModuleWindow:
         if not isinstance(doc, dict):
             raise DomainError("module document is not a JSON object")
         try:
-            return module_from_json(doc)
+            M = module_from_json(doc)
         except KeyError as exc:
             raise DomainError(f"module document lacks key {exc.args[0]!r}")
         except (TypeError, AttributeError) as exc:
             raise DomainError(f"malformed module document: {exc}")
+        _bounded_window(M.window)
+        return M
     kind = getattr(args, "module", None)
     if kind is None:
         raise UsageError("need --module {simple,Ms} or --in FILE")

@@ -35,6 +35,11 @@ from .scalars import ONE, ZERO, Scalar
 Point = Tuple[int, ...]
 Window = Tuple[Tuple[int, int], ...]
 
+# most points a window box given on the command line may hold.  Decomposing
+# an arity-1 window takes time quadratic in its points: block-split of a
+# 1,000-point Ms window with s = 3 takes about 4 s on a 2-CPU machine.
+MAX_WINDOW_POINTS = 1_000
+
 
 class DomainError(ValueError):
     """A well-formed request whose mathematical preconditions fail."""

@@ -2,11 +2,12 @@
 determinants.
 
 Nothing imports this module when the package loads.  `classify.factor_unipoly`
-and `linalg.invertible_combination` import it inside their bodies, so a
-process that never factors a polynomial or needs a determinant certificate
-never loads sympy.  Scalars cross into sympy as exact QQ or QQ_I domain
-elements and come back from the numerators and denominators of those
-elements, never through strings or floats.
+imports it for polynomials of degree >= 3, and `linalg.invertible_combination`
+for certificates whose integer grid is larger than MAX_CERTIFICATE_POINTS,
+both inside their bodies; a process that asks for neither never loads sympy.
+Scalars cross into sympy as exact QQ or QQ_I domain elements and come back
+from the numerators and denominators of those elements, never through
+strings or floats.
 """
 
 from __future__ import annotations

@@ -1,12 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intdiffops import classify
+from intdiffops import classify, symbolic
 
 from intdiffops.classify import (
     AModuleDescriptor,
@@ -86,6 +90,10 @@ def test_min_poly_and_factor():
     p2 = UniPoly({0: Scalar(1), 2: Scalar(1)})
     assert len(factor_unipoly(p2, QQ)) == 1
     assert len(factor_unipoly(p2, QQI)) == 2
+    # a Gaussian coefficient has no factorization over Q, in closed form or not
+    for d in (1, 2, 3):
+        with pytest.raises(ValueError, match="not rational"):
+            factor_unipoly(UniPoly({d: ONE, 0: Scalar(1, 1)}), QQ)
 
 
 roots_q = st.builds(Fraction, st.integers(-50, 50), st.sampled_from([1, 2, 3, 7, 21])).map(Scalar)
@@ -96,23 +104,92 @@ roots_qi = st.builds(
 )
 
 
+leads_q = st.builds(Fraction, st.integers(1, 9), st.sampled_from([1, 2, 5])).map(Scalar)
+leads_qi = st.builds(Scalar, st.integers(-3, 3), st.integers(1, 3))
+
+
 @given(
     st.one_of(
-        st.tuples(st.just(QQ), st.dictionaries(roots_q, st.integers(1, 3), min_size=1, max_size=3)),
-        st.tuples(st.just(QQI), st.dictionaries(roots_qi, st.integers(1, 2), min_size=1, max_size=3)),
+        st.tuples(st.just(QQ), st.dictionaries(roots_q, st.integers(1, 3), min_size=1, max_size=3), leads_q),
+        st.tuples(st.just(QQI), st.dictionaries(roots_qi, st.integers(1, 2), min_size=1, max_size=3), leads_qi),
     )
 )
-@settings(max_examples=25, deadline=None)
+@example((QQ, {ZERO: 1, Scalar(Fraction(-3, 7)): 1}, Scalar(5)))
+@example((QQI, {ZERO: 2}, Scalar(2, 1)))
+@example((QQI, {Scalar(1, 1): 1, Scalar(-1, 1): 1}, ONE))
+@example((QQI, {Scalar(0, -1): 1, Scalar(-1): 1}, ONE))  # order by im before re
+@example((QQ, {Scalar(2): 1, Scalar(-1): 1}, Scalar(3)))  # order by -numerator
+@settings(max_examples=30, deadline=None)
 def test_factor_round_trip_is_exact(case):
-    field, roots = case
-    p = UniPoly.const(1)
+    field, roots, lead = case
+    p = UniPoly.const(lead)
     for r, m in roots.items():
         p = p * UniPoly({1: ONE, 0: -r}) ** m
+    factors = factor_unipoly(p, field)
+    if p.degree() <= 2:
+        # sympy's list, order and multiplicities included: splitting uses factors[0]
+        assert factors == symbolic.factor(p, field)
     got = {}
-    for f, m in factor_unipoly(p, field):
+    for f, m in factors:
         assert f.degree() == 1 and f.coeffs[1] == ONE
         got[-f.coeffs.get(0, ZERO)] = m
     assert got == roots
+
+
+def _coeffs(field):
+    small = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 9]))
+    if field == QQ:
+        return small.map(Scalar)
+    return st.builds(Scalar, small, small)
+
+
+@given(
+    st.sampled_from([QQ, QQI]).flatmap(
+        lambda field: st.tuples(st.just(field), st.lists(_coeffs(field), min_size=2, max_size=3))
+    )
+)
+@example((QQ, [ONE, ZERO, ONE]))  # t^2 + 1, irreducible over Q
+@example((QQI, [Scalar(-2), ZERO, ONE]))  # t^2 - 2, irreducible over Q(i)
+@example((QQI, [Scalar(0, -2), ZERO, ONE]))  # t^2 - 2i = (t - 1 - i)(t + 1 + i)
+@example((QQ, [Scalar(4), Scalar(-4), Scalar(1)]))  # (t - 2)^2
+@example((QQ, [ZERO, Scalar(3), Scalar(-6)]))  # -6t(t - 1/2)
+@settings(max_examples=40, deadline=None)
+def test_factor_up_to_degree_two_matches_sympy(case):
+    field, coeffs = case
+    p = UniPoly(dict(enumerate(coeffs)))
+    assert factor_unipoly(p, field) == symbolic.factor(p, field)
+
+
+_DEGREE_TWO_CLASSIFICATION = """
+import sys
+from intdiffops.classify import (BandOrbit, KroneckerBlockLabel, KroneckerRep, band_module,
+    is_indecomposable, kronecker_block, kronecker_decompose_with_iso, kronecker_sum, modules_isomorphic)
+from intdiffops.linalg import Mat
+from intdiffops.scalars import QQI, Scalar
+
+i = Scalar(0, 1)
+labels = [KroneckerBlockLabel("S4", 1, i), KroneckerBlockLabel("S4", 1, 1 + i), KroneckerBlockLabel("S2", 1)]
+S = kronecker_sum([kronecker_block(l) for l in labels])
+U = Mat(3, 3, [[1, i, 0], [0, 1, -1], [0, 0, 1]])
+V = Mat(4, 4, [[1, 0, 0, 0], [-i, 1, 0, 0], [1, i, 1, 0], [0, 0, -1, 1]])
+got, _, _ = kronecker_decompose_with_iso(KroneckerRep(V @ S.A @ U, V @ S.B @ U), QQI)
+band = band_module(BandOrbit((1, 2, 2)), 1, 1 + i).matrices
+other = band_module(BandOrbit((1, 2, 2)), 1, 2 + i).matrices
+print(got, is_indecomposable(band), modules_isomorphic(band, other), "sympy" in sys.modules)
+"""
+
+
+def test_small_classification_leaves_sympy_unloaded():
+    # min polys of degree <= 2 and certificates on small grids need no sympy
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEGREE_TWO_CLASSIFICATION],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[S2(1), S4(1,i), S4(1,1+i)] True None False"
 
 
 def test_residue_field_certificate_stops_the_search(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 
 from intdiffops.cli import main
 from intdiffops.action import MAX_ACTION_CELLS
+from intdiffops.modules import MAX_WINDOW_POINTS
 from intdiffops.parser import MAX_EXPONENT, MAX_NESTING
 from golden_cases import GOLDEN_CASES
 
@@ -112,6 +113,38 @@ def test_action_size_limit_is_a_domain_error():
     message = doc["error"]["message"]
     assert f"MAX_ACTION_CELLS = {MAX_ACTION_CELLS}" in message
     assert "27 domain x 79507 codomain monomials (2146689 cells)" in message
+
+
+def test_window_size_limit_is_a_domain_error():
+    start = time.perf_counter()
+    code, out = run_cli(["--json", "--window=-100000..100000", "dims", "--module", "Ms", "--s", "3", "--lambda", "0"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == {
+        "kind": "domain",
+        "message": f"window of 200001 points exceeds the limit MAX_WINDOW_POINTS = {MAX_WINDOW_POINTS}",
+    }
+    argv = ["--arity", "3", "--window=-60..60", "support", "--module", "simple", "--orbit", "Z,Z,Z", "--dset", "1"]
+    code, out = run_cli(["--json", *argv])
+    assert code == 1
+    assert "window of 1771561 points" in json.loads(out)["error"]["message"]
+    assert time.perf_counter() - start < 1.0
+    # a box of exactly MAX_WINDOW_POINTS points is allowed, one more slice is not
+    code, out = run_cli(argv[:2] + ["--window=-4..5"] + argv[3:])
+    assert 10**3 == MAX_WINDOW_POINTS and code == 0 and out.strip()
+    code, out = run_cli(["--json", *argv[:2], "--window=-4..5,-4..5,-4..6", *argv[3:]])
+    assert code == 1 and "window of 1100 points" in json.loads(out)["error"]["message"]
+
+
+def test_window_size_limit_holds_for_module_files(tmp_path):
+    code, out = run_cli(["--json", "--window=-2..2", "module-build", "--module", "Ms", "--s", "1", "--lambda", "0"])
+    doc = json.loads(out)["result"]
+    doc["window"] = [[-2000000, 2000000]]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["--json", "dims", "--in", str(path)])
+    assert code == 1
+    assert "window of 4000001 points" in json.loads(out)["error"]["message"]
 
 
 def test_json_error_object():

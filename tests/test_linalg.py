@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intdiffops import symbolic
 from intdiffops.linalg import (
+    MAX_CERTIFICATE_POINTS,
     BlockSystem,
     Mat,
     QuiverRep,
+    _combine,
     _int_rows,
     block_diag,
     column_space_basis,
@@ -25,6 +28,7 @@ from intdiffops.linalg import (
     solve_linear,
 )
 from intdiffops.scalars import ONE, ZERO, Scalar
+from intdiffops.symbolic import invertible_point
 
 entries = st.fractions(min_value=-20, max_value=20, max_denominator=6).map(Scalar)
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -454,6 +458,34 @@ def test_invertible_combination_matches_generic_det(span):
         assert [m.shape for m in got] == [(n, n) for n in sizes]
         assert all(rank(m) == n for m, n in zip(got, sizes))
         assert in_span(_flat(got), [_flat(h) for h in homs])
+    # past the single homs, the grid gives the point of the generic determinants
+    live = [b for b, n in enumerate(sizes) if n]
+    if got is not None and live and not any(all(rank(b) == b.rows for b in h) for h in homs):
+        point = invertible_point([[h[b] for h in homs] for b in live])
+        assert got == _combine(point, homs, [(n, n) for n in sizes])
+
+
+def test_invertible_combination_grid_limit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(symbolic, "invertible_point", lambda blocks: calls.append(1) or invertible_point(blocks))
+    # 3x3 skew-symmetric matrices are all singular, with no kernel vector in
+    # common: the whole 4^3-point grid proves None without sympy
+    skew = [
+        Mat(3, 3, [[1 if (r, c) == (i, j) else -1 if (c, r) == (i, j) else 0 for c in range(3)] for r in range(3)])
+        for i, j in [(0, 1), (0, 2), (1, 2)]
+    ]
+    assert invertible_combination([(m,) for m in skew], [3]) is None
+    assert calls == []
+    e1 = Mat(2, 2, [[1, 0], [0, 0]])
+    e2 = Mat(2, 2, [[0, 0], [0, 1]])
+    # a row or a column zero in every hom proves None on a grid of any size
+    for other in (Mat(2, 2, [[1, 1], [0, 0]]), Mat(2, 2, [[1, 0], [1, 0]])):
+        assert invertible_combination([(e1,)] + [(other,)] * 6, [2]) is None
+    assert calls == []
+    # the least invertible point (1, 0, ..., 0, 1) lies past 3^6 = 729 grid points
+    assert 3**6 > MAX_CERTIFICATE_POINTS
+    assert invertible_combination([(e2,)] + [(e1,)] * 6, [2]) == (Mat.identity(2),)
+    assert calls == [1]
 
 
 def test_invertible_combination_witness_and_certificate():
