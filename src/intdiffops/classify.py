@@ -36,10 +36,10 @@ from .linalg import (
     isomorphism,
     kernel_basis,
     rank,
-    restrict,
     retraction,
     rref,
     solve_linear,
+    split,
 )
 from .local_ideals import LocalIdeal
 from .modules import DSet, DomainError, Fiber, Orbit
@@ -389,7 +389,7 @@ def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, T
     if residue_dim == 1:
         return [(R, tuple(Mat.identity(d) for d in R.dims))]
     m, f1, f2 = _splitting_element(end, field, residue_dim)
-    out = []
+    parts = []
     for f in (f1, f2):
         fm = _eval_poly_at_matrix(f, m)
         bases, o = [], 0
@@ -397,13 +397,14 @@ def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, T
             block = fm.select_rows(range(o, o + d)).select_cols(range(o, o + d))
             bases.append(Mat.from_cols(kernel_basis(block) if d else [], d))
             o += d
-        sub = restrict(R, bases)
-        if sub is None:
-            raise DomainError("subspace is not invariant")
+        parts.append(bases)
+    subs = split(R, parts)
+    if subs is None:
+        raise DomainError("subspace is not invariant")
+    out = []
+    for bases, sub in zip(parts, subs):
         for piece, emb in split_indecomposables(sub, field):
             out.append((piece, tuple(B @ E for B, E in zip(bases, emb))))
-    if tuple(map(sum, zip(*(piece.dims for piece, _ in out)))) != R.dims:
-        raise DomainError("splitting lost dimensions")
     return out
 
 
@@ -592,7 +593,7 @@ def jordan_fiber_decompose(fiber: Fiber) -> Dict[Tuple[int, Scalar], int]:
     A = fiber.matrices[0]
     lam = fiber.center[0]
     d = fiber.dim
-    N = A - Mat.identity(d).scale(lam)
+    N = A - Mat.scalar(d, lam)
     kers = [0]
     P = Mat.identity(d)
     for _ in range(d):

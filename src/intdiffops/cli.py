@@ -28,6 +28,7 @@ from .classify import (
     string_module,
 )
 from .modules import (
+    MAX_MS_LENGTH,
     MAX_WINDOW_POINTS,
     DomainError,
     DSet,
@@ -165,6 +166,8 @@ def _load_module(args, cfg: SessionConfig) -> ModuleWindow:
     if kind == "Ms":
         if args.s is None or args.lam is None:
             raise UsageError("module Ms needs --s and --lambda")
+        if args.s > MAX_MS_LENGTH:
+            raise DomainError(f"length {args.s} exceeds the limit MAX_MS_LENGTH = {MAX_MS_LENGTH}")
         window = _parse_window_arg(args.window or cfg.window, 1)
         return build_Ms(args.s, _parse_scalar_arg(args.lam), window)
     if kind == "simple":

@@ -8,8 +8,9 @@ of right-hand sides.  It is also the one place that writes and searches
 Hom spaces.  Pencils, modules on one space and module windows are all
 `QuiverRep`s; `hom_space` turns the intertwining equations phi_t f = g phi_s
 of two of them into one `BlockSystem`, `isomorphism` looks for an invertible
-element with `invertible_combination`, and `restrict` gives the
-sub-representation on per-vertex bases.
+element with `invertible_combination`, `restrict` gives the
+sub-representation on per-vertex bases, and `split` the summands of a
+direct sum given by bases that fill every vertex.
 
 A `Mat` works on integer rows.  Row i is a list of ints over one positive
 scale (and a second list for the imaginary parts over Q(i)), in lowest
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from math import gcd, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -46,6 +47,10 @@ from .scalars import ONE, ZERO, Scalar
 MAX_CERTIFICATE_POINTS = 256
 
 
+class DomainError(ValueError):
+    """A well-formed request whose mathematical preconditions fail."""
+
+
 class Mat:
     """Dense matrix over Q or Q(i) with explicit (rows, cols).
 
@@ -56,13 +61,14 @@ class Mat:
     rational.  The form is canonical: two matrices are equal iff their forms
     are, and it is what `_int_rows` makes of the same Scalars.
 
-    `.data` is the rows of Scalars.  A matrix born of arithmetic builds them
-    once, on first read; a matrix built from Scalars (`Mat(rows, cols, data)`,
-    `zero`, `identity`, ...) has them from the start and derives its integer
-    form on first use as an operand or in a comparison.  A right operand of
-    `@` also caches its columns.  So a Mat is written (through `.data`) only
-    while fresh: it is never written after its first use as an operand, and
-    every write site fills a matrix it has just built from Scalars.
+    `.data` is the rows of Scalars.  A matrix born of arithmetic or of
+    `scalar` builds them once, on first read; a matrix built from Scalars
+    (`Mat(rows, cols, data)`, `zero`, `identity`, ...) has them from the
+    start and derives its integer form on first use as an operand or in a
+    comparison.  A right operand of `@` also caches its columns.  So a Mat
+    is written (through `.data`) only while fresh: it is never written after
+    its first use as an operand, and every write site fills a matrix it has
+    just built from Scalars.
     """
 
     __slots__ = ("rows", "cols", "_data", "_ints", "_colform")
@@ -116,6 +122,24 @@ class Mat:
         for i in range(n):
             m._data[i][i] = ONE
         return m
+
+    @staticmethod
+    def scalar(n: int, c) -> "Mat":
+        """c times the n x n identity, built in integer form: c = (p + r*i)/q
+        in lowest terms on every diagonal entry."""
+        c = Scalar.of(c)
+        if c.is_zero():
+            return _zeros(n, n)
+        q = lcm(c.re.denominator, c.im.denominator)
+        pr = c.re.numerator * (q // c.re.denominator)
+        pi = c.im.numerator * (q // c.im.denominator)
+        re = [[0] * n for _ in range(n)]
+        im = [[0] * n for _ in range(n)] if pi else None
+        for i in range(n):
+            re[i][i] = pr
+            if pi:
+                im[i][i] = pi
+        return _mat(n, n, re, im, [q] * n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
@@ -265,7 +289,7 @@ class Mat:
         return im is None and not any(map(any, re))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Mat.identity(self.rows)
+        return self.rows == self.cols and self == Mat.scalar(self.rows, ONE)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -634,7 +658,7 @@ def invert(matrix: Mat) -> Optional[Mat]:
     if matrix.rows != matrix.cols:
         return None
     n = matrix.rows
-    R, piv = rref(matrix.hstack(Mat.identity(n)))
+    R, piv = rref(matrix.hstack(Mat.scalar(n, ONE)))
     if piv[:n] != list(range(n)):
         return None
     return R.select_cols(range(n, 2 * n))
@@ -862,12 +886,58 @@ def restrict(R: QuiverRep, bases: Sequence[Mat]) -> Optional[QuiverRep]:
     return QuiverRep([B.cols for B in bases], arrows)
 
 
+def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverRep]]:
+    """R as the direct sum of its restrictions to the parts, one QuiverRep
+    per part, or None when some part is not stable under the arrows.
+
+    parts[k][v] is a column basis of part k at vertex v.  Side by side in
+    part order they form T_v, which must be invertible (DomainError
+    otherwise); T_v is inverted once.  An arrow f : s -> t becomes X =
+    T_t^-1 f T_s.  Its diagonal blocks are the part maps, equal to what
+    `restrict` solves for part by part, and its off-diagonal blocks vanish
+    exactly when every part is stable.  Both are read from X's integer rows
+    in one pass.
+    """
+    T, Tinv, bounds = [], [], []
+    for v, d in enumerate(R.dims):
+        Tv = _zeros(d, 0).hstack(*(p[v] for p in parts))
+        if Tv.cols != d:
+            raise DomainError(f"the parts hold {Tv.cols} columns at vertex {v} of dimension {d}")
+        if Tv.is_identity():
+            T.append(None)
+            Tinv.append(None)
+        else:
+            inv = invert(Tv)
+            if inv is None:
+                raise DomainError(f"the parts do not form a basis at vertex {v}")
+            T.append(Tv)
+            Tinv.append(inv)
+        bounds.append(list(accumulate((p[v].cols for p in parts), initial=0)))
+    arrows: List[list] = [[] for _ in parts]
+    for s, t, f in R.arrows:
+        X = f if T[s] is None else f @ T[s]
+        if Tinv[t] is not None:
+            X = Tinv[t] @ X
+        re, im, sc = X._int()
+        bs, bt = bounds[s], bounds[t]
+        for k, out in enumerate(arrows):
+            a, b = bs[k], bs[k + 1]
+            rows = []
+            for r in range(bt[k], bt[k + 1]):
+                row, irow = re[r], None if im is None else im[r]
+                if any(row[:a]) or any(row[b:]) or irow is not None and (any(irow[:a]) or any(irow[b:])):
+                    return None
+                rows.append(_lowest(row[a:b], None if irow is None else irow[a:b], sc[r]))
+            out.append((s, t, _mat(len(rows), b - a, *_unzip(rows))))
+    return [QuiverRep([p[v].cols for v in range(len(R.dims))], out) for p, out in zip(parts, arrows)]
+
+
 def complete_basis(B: Mat) -> Mat:
     """Standard basis columns extending the independent columns of B to a
     basis: the e_r outside the span of B and of the e's before them, which
     are the pivots of rref([B | I]) past B's columns."""
     n = B.rows
-    _, piv = rref(B.hstack(Mat.identity(n)))
+    _, piv = rref(B.hstack(Mat.scalar(n, ONE)))
     if piv[: B.cols] != list(range(B.cols)):
         raise ValueError("input columns were dependent")
     extra = [c - B.cols for c in piv[B.cols :]]

@@ -15,6 +15,7 @@ from itertools import combinations, product
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import (
+    DomainError,
     Mat,
     QuiverRep,
     column_space_basis,
@@ -27,6 +28,7 @@ from .linalg import (
     restrict,
     retraction,
     rref,
+    split,
 )
 from .local_ideals import LocalIdeal, MaxIdeal, quotient_basis
 from .poly import MultiPoly
@@ -36,13 +38,16 @@ Point = Tuple[int, ...]
 Window = Tuple[Tuple[int, int], ...]
 
 # most points a window box given on the command line may hold.  Decomposing
-# an arity-1 window takes time quadratic in its points: block-split of a
-# 1,000-point Ms window with s = 3 takes about 4 s on a 2-CPU machine.
+# a window now costs time linear in its points (block-split of a 1,000-point
+# Ms window with s = 3 takes about 0.3 s on a 2-CPU machine); a larger value
+# waits until every window command has been timed at it.
 MAX_WINDOW_POINTS = 1_000
 
-
-class DomainError(ValueError):
-    """A well-formed request whose mathematical preconditions fail."""
+# longest Ms module the command line may build.  Its weight spaces are
+# s-dimensional, so window work grows like s^3 per point: at s = 30 on a
+# 1,000-point window block-split takes about 4 s and `--json module-build`
+# prints 14 MB on a 2-CPU machine.
+MAX_MS_LENGTH = 30
 
 
 # -- orbits and degeneracy sets --------------------------------------------
@@ -170,7 +175,7 @@ class Fiber:
                 if self.matrices[a] @ self.matrices[b] != self.matrices[b] @ self.matrices[a]:
                     raise DomainError("fiber matrices do not commute")
         for A, mu in zip(self.matrices, self.center):
-            N = A - Mat.identity(d).scale(mu)
+            N = A - Mat.scalar(d, mu)
             P = Mat.identity(d)
             for _ in range(d):
                 P = P @ N
@@ -215,6 +220,15 @@ class ModuleWindow:
         self.maps = dict(maps)
         self.side = side
         self._validate_shapes()
+
+    @staticmethod
+    def _trusted(orbit: Orbit, window: Window, spaces: Dict[Point, int], maps, side: str) -> "ModuleWindow":
+        """A window on positive spaces at points inside it and maps of the
+        right shapes, taken as they are: the form a decomposition builds its
+        pieces in."""
+        M = object.__new__(ModuleWindow)
+        M.orbit, M.window, M.spaces, M.maps, M.side = orbit, window, spaces, maps, side
+        return M
 
     # -- geometry ------------------------------------------------------
 
@@ -269,8 +283,11 @@ class ModuleWindow:
         order, and the (kind, slot, p) key of each arrow."""
         pts = sorted(self.points())
         index = {p: v for v, p in enumerate(pts)}
-        keys = [(kind, i, p) for p in pts for kind, i, _ in self.arrows(p)]
-        arrows = [(index[key[2]], index[self.target(*key)], self.map(*key)) for key in keys]
+        keys, arrows = [], []
+        for p in pts:
+            for kind, i, q in self.arrows(p):
+                keys.append((kind, i, p))
+                arrows.append((index[p], index[q], self.map(kind, i, p)))
         return pts, keys, QuiverRep([self.dim(p) for p in pts], arrows)
 
     def map(self, kind: str, slot: int, p: Point) -> Mat:
@@ -346,10 +363,15 @@ class ModuleWindow:
 
     def is_weight(self) -> Tuple[bool, Optional[Point]]:
         """True when every H_i acts as its weight scalar at every point."""
+        # the weight scalar matrices, by slot, layer and dimension
+        scalars: Dict[Tuple[int, int, int], Mat] = {}
         for p in self.support():
             for i in range(1, self.n + 1):
                 H = self.map("H", i, p)
-                if H != Mat.identity(H.rows).scale(self.orbit.weight(i, p[i - 1])):
+                key = (i, p[i - 1], H.rows)
+                if key not in scalars:
+                    scalars[key] = Mat.scalar(H.rows, self.orbit.weight(i, p[i - 1]))
+                if H != scalars[key]:
                     return False, p
         return True, None
 
@@ -413,7 +435,7 @@ def induce(fiber: Fiber, dset: DSet, window) -> ModuleWindow:
     maps: Dict[Tuple[str, int, Point], Mat] = {}
     idm = Mat.identity(d)
     nil = {
-        j: A - Mat.identity(d).scale(mu)
+        j: A - Mat.scalar(d, mu)
         for j, mu, A in zip(fiber.slots, fiber.center, fiber.matrices)
     }
     for p in spaces:
@@ -421,14 +443,14 @@ def induce(fiber: Fiber, dset: DSet, window) -> ModuleWindow:
             up = ModuleWindow.shift(p, i, 1)
             dn = ModuleWindow.shift(p, i, -1)
             if i in dset.D:
-                maps[("H", i, p)] = idm.scale(Scalar(p[i - 1]))
+                maps[("H", i, p)] = Mat.scalar(d, p[i - 1])
                 if _inside(up, w):
                     maps[("int", i, p)] = idm
                 if _inside(dn, w):
                     maps[("d", i, p)] = idm if dn[i - 1] >= 1 else Mat.zero(0, d)
             else:
                 wgt = orbit.weight(i, p[i - 1])
-                maps[("H", i, p)] = idm.scale(wgt) + nil[i]
+                maps[("H", i, p)] = Mat.scalar(d, wgt) + nil[i]
                 if _inside(up, w):
                     maps[("int", i, p)] = idm
                 if _inside(dn, w):
@@ -444,7 +466,7 @@ def build_simple(dset: DSet, window) -> ModuleWindow:
     """The simple weight module labeled by a degeneracy set."""
     nondeg = [j for j in range(1, dset.n + 1) if j not in dset.D]
     center = [dset.orbit.reps[j - 1] for j in nondeg]
-    fiber = Fiber(nondeg, center, [Mat.identity(1).scale(c) for c in center])
+    fiber = Fiber(nondeg, center, [Mat.scalar(1, c) for c in center])
     return induce(fiber, dset, window)
 
 
@@ -476,7 +498,7 @@ def build_V(ideal: LocalIdeal, dset: DSet, window) -> ModuleWindow:
     mats = []
     for r, j in enumerate(nondeg, start=1):
         mu = ideal.center.center[r - 1]
-        mats.append(qb.multiplication_matrix(r) + Mat.identity(qb.dim).scale(mu))
+        mats.append(qb.multiplication_matrix(r) + Mat.scalar(qb.dim, mu))
     fiber = Fiber(nondeg, ideal.center.center, mats)
     return induce(fiber, dset, window)
 
@@ -512,7 +534,7 @@ def _socle_projector(M: ModuleWindow, slot: int, p: Point) -> Optional[Mat]:
     if not M.in_window(dn):
         return None
     d = M.dim(p)
-    return Mat.identity(d) - M.map("int", slot, dn) @ M.map("d", slot, p)
+    return Mat.scalar(d, ONE) - M.map("int", slot, dn) @ M.map("d", slot, p)
 
 
 def annihilator_dset(M: ModuleWindow, strict: bool = True) -> Tuple[FrozenSet[int], AnnihilatorLabel]:
@@ -560,46 +582,50 @@ def annihilator_dset(M: ModuleWindow, strict: bool = True) -> Tuple[FrozenSet[in
     return frozenset(active), AnnihilatorLabel(comp)
 
 
-def _restrict_to_bases(M: ModuleWindow, bases: Dict[Point, Mat], quiver=None) -> ModuleWindow:
-    """Submodule window in the coordinates of the given pointwise bases;
-    quiver is M.quiver() when the caller has it already."""
-    pts, keys, rep = quiver or M.quiver()
+def _unstable_target(pts: List[Point], rep: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Point:
+    """The first point into which some generator maps a part's basis
+    outside that part's basis there."""
+    into = (QuiverRep(rep.dims, [a for a in rep.arrows if a[1] == v]) for v in range(len(pts)))
+    return next(q for q, R in zip(pts, into) if any(restrict(R, full) is None for full in parts))
+
+
+def _restrict_to_bases(M: ModuleWindow, bases: Dict[Point, Mat]) -> ModuleWindow:
+    """Submodule window in the coordinates of the given pointwise bases."""
+    pts, keys, rep = M.quiver()
     full = [bases.get(p, Mat(M.dim(p), 0)) for p in pts]
     sub = restrict(rep, full)
     if sub is None:
-        into = (QuiverRep(rep.dims, [a for a in rep.arrows if a[1] == v]) for v in range(len(pts)))
-        q = next(q for q, R in zip(pts, into) if restrict(R, full) is None)
+        q = _unstable_target(pts, rep, [full])
         raise DomainError(f"bases are not stable under the generators into {q}")
     spaces = {p: B.cols for p, B in bases.items() if B.cols > 0}
     maps = {key: f for key, (_, _, f) in zip(keys, sub.arrows) if key[2] in spaces}
     return ModuleWindow(M.orbit, M.window, spaces, maps, M.side)
 
 
-def _transported_projector(M: ModuleWindow, slot: int, p: Point) -> Mat:
-    """Window matrix at p of the diagonal socle unit at layer p_slot."""
-    c = p[slot - 1]
-    d = M.dim(p)
-    if c < 1:
-        return Mat.zero(d, d)
-    if M.window[slot - 1][0] > 0:
-        raise DomainError(
-            f"window too small for socle transport in slot {slot}: "
-            f"extend the slot interval down to 0"
-        )
-    # d_slot^(c-1), then the socle projector, then int_slot^(c-1)
-    chain = []
-    cur = p
-    for _ in range(c - 1):
-        chain.append(M.map("d", slot, cur))
-        cur = ModuleWindow.shift(cur, slot, -1)
-    chain.append(_socle_projector(M, slot, cur))
-    for _ in range(c - 1):
-        chain.append(M.map("int", slot, cur))
-        cur = ModuleWindow.shift(cur, slot, 1)
-    comp = chain[0]
-    for m in chain[1:]:
-        comp = m @ comp
-    return comp
+def _transported_projectors(M: ModuleWindow, slot: int) -> Dict[Point, Mat]:
+    """Window matrix at every support point p of the diagonal socle unit at
+    layer p_slot: zero below layer 1, 1 - int d on layer 1, and above it
+    int P(p - e_slot) d, walked up the slot one layer at a time."""
+    out: Dict[Point, Mat] = {}
+    for p in sorted(M.support(), key=lambda p: p[slot - 1]):
+        c = p[slot - 1]
+        d = M.dim(p)
+        if c < 1:
+            out[p] = Mat.scalar(d, ZERO)
+            continue
+        if M.window[slot - 1][0] > 0:
+            raise DomainError(
+                f"window too small for socle transport in slot {slot}: "
+                f"extend the slot interval down to 0"
+            )
+        if c == 1:
+            out[p] = _socle_projector(M, slot, p)
+            continue
+        # the layer below is in the window; off the support the chain is zero
+        q = ModuleWindow.shift(p, slot, -1)
+        below = out.get(q)
+        out[p] = Mat.scalar(d, ZERO) if below is None else M.map("int", slot, q) @ below @ M.map("d", slot, p)
+    return out
 
 
 def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
@@ -610,18 +636,32 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
     P_D = F_1 F_2 ... with F_i = P_i for i in D and I - P_i otherwise.
     The P_D are the leaves of a prefix tree walked slot by slot in order:
     each prefix product is extended by both factors of the next slot, and
-    a prefix whose product is zero is dropped with its whole subtree, so a
-    point costs products only along its nonzero branches.  The basis of a
-    block at a point is the pivot columns of its P_D.  Blocks come ordered
-    by |D|, then as `combinations` lists them.
+    a prefix whose product is zero is dropped with its whole subtree, and a
+    slot whose P_i is 0 or the identity extends each prefix without a
+    product, so a point costs products only along its split branches.  The
+    basis B_D of a block at a point is the pivot columns of its P_D.  Each
+    P_i comes from the one a layer below (`_transported_projectors`), so
+    the projectors cost two products per point and slot.
+
+    Side by side in block order the B_D form one change of basis T_p per
+    point, and `linalg.split` reads every block map of a generator f : p ->
+    q off T_q^-1 f T_p, whose off-diagonal blocks must vanish.  Blocks come
+    ordered by |D|, then as `combinations` lists them.
     """
     dd = M.orbit.integer_slots()
-    leaves: Dict[Point, Dict[Tuple[int, ...], Mat]] = {}
+    proj = {i: _transported_projectors(M, i) for i in dd}
+    bases: Dict[Point, Dict[Tuple[int, ...], Mat]] = {}
     for p in M.support():
-        I = Mat.identity(M.dim(p))
+        I = Mat.scalar(M.dim(p), ONE)
         prefixes: List[Tuple[Tuple[int, ...], Optional[Mat]]] = [((), None)]
         for i in dd:
-            Pi = _transported_projector(M, i, p)
+            Pi = proj[i][p]
+            # a factor pair (0, I) or (I, 0) extends each prefix by its product alone
+            if Pi.is_zero():
+                continue
+            if Pi == I:
+                prefixes = [(D + (i,), Q) for D, Q in prefixes]
+                continue
             factors = (((i,), Pi), ((), I - Pi))
             grown = []
             for D, Q in prefixes:
@@ -630,28 +670,26 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
                     if not QF.is_zero():
                         grown.append((D + e, QF))
             prefixes = grown
-        leaves[p] = {D: I if Q is None else Q for D, Q in prefixes}
-    blocks: List[Tuple[DSet, ModuleWindow]] = []
-    covered = {p: 0 for p in M.support()}
-    quiver = M.quiver()
-    for r in range(len(dd) + 1):
-        for D in combinations(dd, r):
-            bases = {}
-            for p, at_p in leaves.items():
-                P = at_p.get(D)
-                if P is not None:
-                    bases[p] = P.select_cols(rref(P)[1])
-            if not bases:
-                continue
-            sub = _restrict_to_bases(M, bases, quiver)
-            for p, B in bases.items():
-                covered[p] += B.cols
-            blocks.append((DSet(M.orbit, D), sub))
-    for p, c in covered.items():
+        bases[p] = {D: I if Q is None else Q.select_cols(rref(Q)[1]) for D, Q in prefixes}
+    pts, keys, rep = M.quiver()
+    order = [D for r in range(len(dd) + 1) for D in combinations(dd, r) if any(D in at_p for at_p in bases.values())]
+    parts = [[] for _ in order]
+    for p in pts:
+        at_p, empty = bases.get(p, {}), Mat(M.dim(p), 0)
+        for D, part in zip(order, parts):
+            part.append(at_p.get(D, empty))
+        c = sum(part[-1].cols for part in parts)
         if c != M.dim(p):
-            raise DomainError(
-                f"projector split does not exhaust the space at {p}: {c} of {M.dim(p)}"
-            )
+            raise DomainError(f"projector split does not exhaust the space at {p}: {c} of {M.dim(p)}")
+    pieces = split(rep, parts)
+    if pieces is None:
+        q = _unstable_target(pts, rep, parts)
+        raise DomainError(f"bases are not stable under the generators into {q}")
+    blocks = []
+    for D, sub in zip(order, pieces):
+        spaces = {p: d for p, d in zip(pts, sub.dims) if d}
+        maps = {key: f for key, (_, _, f) in zip(keys, sub.arrows) if key[2] in spaces}
+        blocks.append((DSet(M.orbit, D), ModuleWindow._trusted(M.orbit, M.window, spaces, maps, M.side)))
     return blocks
 
 

@@ -344,6 +344,7 @@ def test_criterion_08_block_decomposition():
     got = {}
     for ds, sub in blocks:
         got[tuple(sorted(ds.D))] = sub.total_dim()
+        sub._validate_shapes()
         assert is_absolutely_prime_window(sub)
         _, label = annihilator_dset(sub)
         assert set(label.prime_slots) == {1, 2} - set(ds.D)

@@ -11,7 +11,7 @@ import pytest
 
 from intdiffops.cli import main
 from intdiffops.action import MAX_ACTION_CELLS
-from intdiffops.modules import MAX_WINDOW_POINTS
+from intdiffops.modules import MAX_MS_LENGTH, MAX_WINDOW_POINTS
 from intdiffops.parser import MAX_EXPONENT, MAX_NESTING
 from golden_cases import GOLDEN_CASES
 
@@ -145,6 +145,22 @@ def test_window_size_limit_holds_for_module_files(tmp_path):
     code, out = run_cli(["--json", "dims", "--in", str(path)])
     assert code == 1
     assert "window of 4000001 points" in json.loads(out)["error"]["message"]
+
+
+def test_ms_length_limit_is_a_domain_error():
+    argv = ["--window=0..1", "dims", "--module", "Ms", "--lambda", "0", "--s"]
+    code, out = run_cli([*argv, str(MAX_MS_LENGTH)])
+    assert code == 0 and out.strip()
+    start = time.perf_counter()
+    code, out = run_cli(["--json", *argv, str(MAX_MS_LENGTH + 1)])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "domain",
+        "message": f"length {MAX_MS_LENGTH + 1} exceeds the limit MAX_MS_LENGTH = {MAX_MS_LENGTH}",
+    }
+    code, out = run_cli([*argv, "1000000"])
+    assert code == 1 and out == ""
+    assert time.perf_counter() - start < 1.0
 
 
 def test_json_error_object():

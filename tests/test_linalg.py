@@ -9,6 +9,7 @@ from intdiffops import symbolic
 from intdiffops.linalg import (
     MAX_CERTIFICATE_POINTS,
     BlockSystem,
+    DomainError,
     Mat,
     QuiverRep,
     _combine,
@@ -26,6 +27,7 @@ from intdiffops.linalg import (
     restrict,
     rref,
     solve_linear,
+    split,
 )
 from intdiffops.scalars import ONE, ZERO, Scalar
 from intdiffops.symbolic import invertible_point
@@ -353,6 +355,67 @@ def test_restrict_rejects_an_unstable_line():
     R = QuiverRep([2], [(0, 0, Mat(2, 2, [[0, 1], [1, 0]]))])
     assert restrict(R, [Mat(2, 1, [[1], [0]])]) is None
     assert restrict(R, [Mat(2, 1, [[1], [1]])]).arrows == [(0, 0, Mat(1, 1, [[1]]))]
+
+
+@st.composite
+def planted_splits(draw):
+    """A planted direct sum of 1-3 parts on a random quiver with 1-3 vertices
+    (loops allowed) over Q or Q(i), scrambled by a random basis change G_v at
+    every vertex, and per part the columns of G_v over its coordinates
+    (stable) or over the same coordinates of an unrelated H_v (mostly not
+    stable)."""
+    elements = draw(st.sampled_from([entries, gaussian_entries]))
+    sparse = st.one_of(st.just(ZERO), st.just(ONE), elements)
+    k = draw(st.integers(1, 3))
+    dims = [draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)) for _ in range(draw(st.integers(1, 3)))]
+    sizes = [sum(d[v] for d in dims) for v in range(k)]
+
+    def invertible(n):
+        # unitriangular L times unitriangular U: determinant 1
+        L, U = draw(mats(n, n, sparse)), draw(mats(n, n, sparse))
+        tri = lambda A, below: Mat(n, n, [[ONE if i == j else A[i, j] if (i > j) == below else ZERO for j in range(n)] for i in range(n)])
+        return tri(L, True) @ tri(U, False)
+
+    G = [invertible(n) for n in sizes]
+    arrows = []
+    for _ in range(draw(st.integers(1, 4))):
+        s, t = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        planted = block_diag(*(draw(mats(d[t], d[s], sparse)) for d in dims))
+        arrows.append((s, t, G[t] @ planted @ invert(G[s])))
+    stable = draw(st.booleans())
+    H = G if stable else [invertible(n) for n in sizes]
+    parts, offsets = [], [0] * k
+    for d in dims:
+        parts.append([H[v].select_cols(range(offsets[v], offsets[v] + d[v])) for v in range(k)])
+        offsets = [o + n for o, n in zip(offsets, d)]
+    return QuiverRep(sizes, arrows), parts, stable
+
+
+@given(planted_splits())
+@settings(max_examples=80, deadline=None)
+def test_split_matches_restrict_per_part(case):
+    R, parts, stable = case
+    ref = [restrict(R, bases) for bases in parts]
+    got = split(R, parts)
+    if any(sub is None for sub in ref):
+        assert not stable and got is None
+        return
+    assert got is not None and len(got) == len(parts)
+    for sub, want in zip(got, ref):
+        assert sub.dims == want.dims and sub.arrows == want.arrows
+
+
+def test_split_needs_a_basis_at_every_vertex():
+    # the loop swaps the two coordinates: the lines of (1, 1) and (1, -1) are stable
+    R = QuiverRep([2], [(0, 0, Mat(2, 2, [[0, 1], [1, 0]]))])
+    plus, minus = Mat(2, 1, [[1], [1]]), Mat(2, 1, [[1], [-1]])
+    pieces = split(R, [[plus], [minus]])
+    assert [p.arrows for p in pieces] == [[(0, 0, Mat(1, 1, [[1]]))], [(0, 0, Mat(1, 1, [[-1]]))]]
+    assert split(R, [[Mat(2, 1, [[1], [0]])], [Mat(2, 1, [[0], [1]])]]) is None
+    with pytest.raises(DomainError, match="do not form a basis at vertex 0"):
+        split(R, [[plus], [plus]])
+    with pytest.raises(DomainError, match="1 columns at vertex 0"):
+        split(R, [[plus]])
 
 
 def test_column_space_and_span():

@@ -27,7 +27,7 @@ from intdiffops.modules import (
     window_isomorphism,
     _cyclic_closure,
     _restrict_to_bases,
-    _transported_projector,
+    _socle_projector,
 )
 from intdiffops.scalars import ONE, Scalar
 
@@ -147,6 +147,24 @@ def test_block_decompose_and_weight_decompose():
     }
 
 
+def _reference_projector(M, slot, p):
+    """The transported socle projector at p built from scratch: d_slot down
+    to layer 1, the socle projector 1 - int d there, and int_slot back up."""
+    c = p[slot - 1]
+    if c < 1:
+        return Mat.zero(M.dim(p), M.dim(p))
+    chain = []
+    cur = p
+    for _ in range(c - 1):
+        chain.append(M.map("d", slot, cur))
+        cur = ModuleWindow.shift(cur, slot, -1)
+    chain.append(_socle_projector(M, slot, cur))
+    for _ in range(c - 1):
+        chain.append(M.map("int", slot, cur))
+        cur = ModuleWindow.shift(cur, slot, 1)
+    return reduce(lambda comp, m: m @ comp, chain[1:], chain[0])
+
+
 @pytest.mark.parametrize("n, sizes, seed", [(2, (0, 1, 1, 2), 3), (3, (0, 1, 2, 3), 4), (3, (1, 2, 2), 5)])
 def test_block_decompose_matches_projector_reference(n, sizes, seed):
     rng = random.Random(seed)
@@ -161,7 +179,7 @@ def test_block_decompose_matches_projector_reference(n, sizes, seed):
     for p in M.support():
         d = M.dim(p)
         I = Mat.identity(d)
-        P = {i: _transported_projector(M, i, p) for i in dd}
+        P = {i: _reference_projector(M, i, p) for i in dd}
         for i in dd:
             assert P[i] @ P[i] == P[i]
             for j in dd:
@@ -181,6 +199,26 @@ def test_block_decompose_matches_projector_reference(n, sizes, seed):
     assert [tuple(sorted(ds.D)) for ds, _ in got] == [D for D, _ in expected]
     for (_, sub), (_, ref) in zip(got, expected):
         assert sub == ref
+        sub._validate_shapes()
+
+
+def test_block_decompose_products_grow_linearly(monkeypatch):
+    # each transported projector comes from the one a layer below: two
+    # products per point, where a chain from layer 1 costs 2c - 1
+    counts = [0]
+    matmul = Mat.__matmul__
+
+    def counted(self, other):
+        counts[-1] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    for window in ([(-50, 49)], [(-100, 99)]):
+        M = build_Ms(3, 0, window)
+        counts.append(0)
+        block_decompose(M)
+    # counts[0] is the building of the first window
+    assert counts[2] < 2.2 * counts[1]
 
 
 def test_decompose_scrambled_sum():
@@ -191,6 +229,8 @@ def test_decompose_scrambled_sum():
     B = build_simple(DSet(orbit, set()), window)
     M = scramble(direct_sum(direct_sum(A, B), B), rng)
     assert M.relation_violations() == []
+    for _, sub in block_decompose(M):
+        sub._validate_shapes()
     mults = decompose_weight(M)
     assert {frozenset(ds.D): m for ds, m in mults.items()} == {
         frozenset({1}): 1,
