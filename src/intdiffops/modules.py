@@ -635,8 +635,8 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
     integer slots commute, and the block of D is the image of
     P_D = F_1 F_2 ... with F_i = P_i for i in D and I - P_i otherwise.
     The P_D are the leaves of a prefix tree walked slot by slot in order:
-    each prefix product is extended by both factors of the next slot, and
-    a prefix whose product is zero is dropped with its whole subtree, and a
+    each prefix product is extended by both factors of the next slot.  A
+    prefix whose product is zero is dropped with its whole subtree, and a
     slot whose P_i is 0 or the identity extends each prefix without a
     product, so a point costs products only along its split branches.  The
     basis B_D of a block at a point is the pivot columns of its P_D.  Each

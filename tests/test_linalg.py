@@ -371,10 +371,11 @@ def planted_splits(draw):
     sizes = [sum(d[v] for d in dims) for v in range(k)]
 
     def invertible(n):
-        # unitriangular L times unitriangular U: determinant 1
+        # a unitriangular lower times a unitriangular upper matrix: determinant 1
         L, U = draw(mats(n, n, sparse)), draw(mats(n, n, sparse))
-        tri = lambda A, below: Mat(n, n, [[ONE if i == j else A[i, j] if (i > j) == below else ZERO for j in range(n)] for i in range(n)])
-        return tri(L, True) @ tri(U, False)
+        lower = Mat(n, n, [[ONE if i == j else L[i, j] if i > j else ZERO for j in range(n)] for i in range(n)])
+        upper = Mat(n, n, [[ONE if i == j else U[i, j] if i < j else ZERO for j in range(n)] for i in range(n)])
+        return lower @ upper
 
     G = [invertible(n) for n in sizes]
     arrows = []
@@ -698,6 +699,7 @@ def test_int_mat_ops_match_scalar_reference(gaussian, data):
         _agrees(A.vstack(B), a + b, (2 * n, m))
         _agrees(A.transpose(), [list(col) for col in zip(*a)] if n else [[] for _ in range(m)], (m, n))
         _agrees(A.scale(x), [[x * u for u in r] for r in a], (n, m))
+        _agrees(Mat.scalar(n, x), [[x if i == j else ZERO for j in range(n)] for i in range(n)], (n, n))
         _agrees(-A, [[-u for u in r] for r in a], (n, m))
         _agrees(A.select_cols(js), [[r[j] for j in js] for r in a], (n, len(js)))
         _agrees(A.select_rows(rs), [a[i] for i in rs], (len(rs), m))
