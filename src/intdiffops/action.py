@@ -116,9 +116,9 @@ class ActionMatrix:
         return self.codomain.N
 
 
-def to_matrix(a: Operator, N: int) -> ActionMatrix:
-    """Action matrix on exponents up to N; the codomain bound is enlarged by
-    the operator's maximal positive degree so no image is truncated."""
+def _check_action_cells(a: Operator, N: int):
+    """Refuse, before any work, an action window on exponents up to N whose
+    matrix would exceed MAX_ACTION_CELLS."""
     dom_dim = max(N + 1, 0) ** a.n
     cod_dim = max(N + 1 + a.max_positive_degree(), 0) ** a.n
     if dom_dim * cod_dim > MAX_ACTION_CELLS:
@@ -126,6 +126,12 @@ def to_matrix(a: Operator, N: int) -> ActionMatrix:
             f"action matrix on {dom_dim} domain x {cod_dim} codomain monomials "
             f"({dom_dim * cod_dim} cells) exceeds the limit MAX_ACTION_CELLS = {MAX_ACTION_CELLS}"
         )
+
+
+def to_matrix(a: Operator, N: int) -> ActionMatrix:
+    """Action matrix on exponents up to N; the codomain bound is enlarged by
+    the operator's maximal positive degree so no image is truncated."""
+    _check_action_cells(a, N)
     dom = TruncatedSpace(a.n, N)
     cod = TruncatedSpace(a.n, N + a.max_positive_degree())
     m = Mat(cod.dim, dom.dim)
@@ -171,6 +177,8 @@ def is_zero_by_action(a: Operator) -> bool:
 
     Beyond the largest d/int/e index every graded component acts as a shift
     composed with a polynomial in the slot degrees, so probing one more point
-    per polynomial degree decides vanishing exactly."""
+    per polynomial degree decides vanishing exactly.  Decided from the
+    images of the window's monomials, stopping at the first nonzero one."""
     B = a.index_bound() + a.max_poly_degree() + 1
-    return to_matrix(a, B).matrix.is_zero()
+    _check_action_cells(a, B)
+    return not any(act_monomial(a, alpha) for alpha in TruncatedSpace(a.n, B).basis)

@@ -147,7 +147,7 @@ def factor_unipoly(p: UniPoly, field: Field) -> List[Tuple[UniPoly, int]]:
     if field.has_i:
         consts.sort(key=lambda k: (k.im, k.re))
     else:
-        consts.sort(key=lambda k: (k.re.denominator, k.re.numerator))
+        consts.sort(key=lambda k: (k.den, k.nre))
     return [(UniPoly({1: ONE, 0: k}), 1) for k in consts]
 
 

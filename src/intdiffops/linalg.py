@@ -32,13 +32,12 @@ echelon form is unique, so the pivot rule never shows in results.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, islice, product
 from math import gcd, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, common_den
 
 # most integer points `invertible_combination` tries before it falls back
 # to the generic determinant of `symbolic.invertible_point`.  A point costs
@@ -130,9 +129,7 @@ class Mat:
         c = Scalar.of(c)
         if c.is_zero():
             return _zeros(n, n)
-        q = lcm(c.re.denominator, c.im.denominator)
-        pr = c.re.numerator * (q // c.re.denominator)
-        pi = c.im.numerator * (q // c.im.denominator)
+        pr, pi, q = c.nre, c.nim, c.den
         re = [[0] * n for _ in range(n)]
         im = [[0] * n for _ in range(n)] if pi else None
         for i in range(n):
@@ -255,9 +252,7 @@ class Mat:
         """c times the matrix: each row times c's numerator p over the row's
         scale times c's denominator q."""
         c = Scalar.of(c)
-        q = lcm(c.re.denominator, c.im.denominator)
-        pr = c.re.numerator * (q // c.re.denominator)
-        pi = c.im.numerator * (q // c.im.denominator)
+        pr, pi, q = c.nre, c.nim, c.den
         re, im, sc = self._int()
         out = []
         for i, (row, s) in enumerate(zip(re, sc)):
@@ -378,18 +373,14 @@ def _lowest(re: List[int], im: Optional[List[int]], den: int):
 
 def _scalar_rows(re, im, sc) -> List[List[Scalar]]:
     """The rows of Scalars of an integer form."""
+    frac = Scalar.frac
     out = []
     for i, (row, s) in enumerate(zip(re, sc)):
         irow = None if im is None else im[i]
         if irow is None or not any(irow):
-            if s == 1:
-                out.append([Scalar(a) if a else ZERO for a in row])
-            else:
-                out.append([Scalar(Fraction(a, s)) if a else ZERO for a in row])
+            out.append([frac(a, 0, s) if a else ZERO for a in row])
         else:
-            out.append(
-                [Scalar(Fraction(a, s), Fraction(b, s)) if a or b else ZERO for a, b in zip(row, irow)]
-            )
+            out.append([frac(a, b, s) if a or b else ZERO for a, b in zip(row, irow)])
     return out
 
 
@@ -400,16 +391,14 @@ def _int_rows(data: Sequence[Sequence[Scalar]]):
     Returns (re_rows, im_rows, scales); im_rows is None when every entry is
     rational.  This is the one way from Scalars into a Mat's integer form.
     """
-    gaussian = any(x.im for row in data for x in row)
+    gaussian = any(x.nim for row in data for x in row)
     re_rows, scales = [], []
     im_rows = [] if gaussian else None
     for row in data:
+        m = common_den(row)
+        re_rows.append([x.nre * (m // x.den) for x in row])
         if gaussian:
-            m = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
-            im_rows.append([x.im.numerator * (m // x.im.denominator) for x in row])
-        else:
-            m = lcm(*(x.re.denominator for x in row))
-        re_rows.append([x.re.numerator * (m // x.re.denominator) for x in row])
+            im_rows.append([x.nim * (m // x.den) for x in row])
         scales.append(m)
     return re_rows, im_rows, scales
 
@@ -956,4 +945,4 @@ def det(matrix: Mat) -> Scalar:
     if len(pivots) < n:
         return ZERO
     den = (-1) ** swaps * prod(scales)
-    return Scalar(Fraction(dr, den), Fraction(di, den))
+    return Scalar.frac(dr, di, den)

@@ -78,8 +78,8 @@ class Orbit:
                 reps.append(ZERO)
                 flags.append(True)
             else:
-                shift = s.re - (s.re.numerator // s.re.denominator)
-                reps.append(Scalar(shift, s.im))
+                # shifting the real part into [0, 1) keeps the triple normalized
+                reps.append(Scalar.frac(s.nre % s.den, s.nim, s.den))
                 flags.append(False)
         return Orbit(reps, flags)
 
@@ -91,7 +91,7 @@ class Orbit:
         return tuple(j for j, f in enumerate(self.integer, start=1) if f)
 
     def weight(self, slot: int, offset: int) -> Scalar:
-        return self.reps[slot - 1] + Scalar(offset)
+        return self.reps[slot - 1] + offset
 
     def __eq__(self, other):
         return (
@@ -426,7 +426,7 @@ def induce(fiber: Fiber, dset: DSet, window) -> ModuleWindow:
         diff = mu - orbit.reps[j - 1]
         if not diff.is_integer():
             raise DomainError(f"fiber center at slot {j} is outside the orbit")
-        offset0[j] = int(diff.re)
+        offset0[j] = diff.nre
     d = fiber.dim
     spaces: Dict[Point, int] = {}
     for p in product(*[range(a, b + 1) for a, b in w]):

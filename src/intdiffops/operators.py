@@ -22,13 +22,12 @@ term.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .parser import left_spine
 from .poly import UniPoly
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar, common_den
 
 Slot = Tuple
 TermN = Tuple[Slot, ...]
@@ -203,11 +202,14 @@ def _spread(ta: TermN, tb: TermN, c: int) -> List[Tuple[TermN, int]]:
 def over_denominator(den: int, re: Dict, im: Dict) -> Dict:
     """The nonzero (re[key] + im[key]*i)/den as Scalars, im missing a key
     meaning 0: where integer sums become coefficients."""
+    frac = Scalar.frac
+    if not im:
+        return {key: frac(r, 0, den) for key, r in re.items() if r}
     out = {}
     for key, r in re.items():
         i = im.get(key, 0)
         if r or i:
-            out[key] = Scalar(Fraction(r, den), Fraction(i, den) if i else 0)
+            out[key] = frac(r, i, den)
     return out
 
 
@@ -247,12 +249,10 @@ class Operator:
     def numerators(self) -> Tuple[int, List[Tuple[TermN, int, int]]]:
         """(den, [(term, re, im), ...]): each coefficient is (re + im*i)/den,
         den being the lcm of every real and imaginary denominator."""
-        cs = self.terms.values()
-        den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
-        return den, [
-            (t, c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator))
-            for t, c in self.terms.items()
-        ]
+        den = common_den(self.terms.values())
+        if den == 1:
+            return 1, [(t, c.nre, c.nim) for t, c in self.terms.items()]
+        return den, [(t, c.nre * (f := den // c.den), c.nim * f) for t, c in self.terms.items()]
 
     # -- constructors --------------------------------------------------
 
@@ -303,18 +303,27 @@ class Operator:
             raise ValueError("arity mismatch")
 
     def __add__(self, other: "Operator") -> "Operator":
+        return self._plus(other, False)
+
+    def __sub__(self, other: "Operator") -> "Operator":
+        return self._plus(other, True)
+
+    def _plus(self, other: "Operator", negate: bool) -> "Operator":
+        """self + other, or self - other when negate: one pass over other's
+        terms, with no negated copy of it."""
         self._check(other)
         out = dict(self.terms)
         for t, c in other.terms.items():
-            cur = out.get(t, ZERO) + c
+            cur = out.get(t)
+            if cur is None:
+                out[t] = -c if negate else c
+                continue
+            cur = cur - c if negate else cur + c
             if cur.is_zero():
-                out.pop(t, None)
+                del out[t]
             else:
                 out[t] = cur
         return Operator._trusted(self.n, out)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return self + (-other)
 
     def __neg__(self) -> "Operator":
         return Operator._trusted(self.n, {t: -c for t, c in self.terms.items()})
@@ -498,9 +507,9 @@ def _term_str(term: TermN) -> str:
 def _coeff_term_str(c: Scalar, body: str) -> Tuple[str, str]:
     """Render coeff*body as (sign, text) with sign in {'+','-'}."""
     sign = "+"
-    if c.im == 0 and c.re < 0 or c.re == 0 and c.im < 0:
+    if not c.nim and c.nre < 0 or not c.nre and c.nim < 0:
         sign, c = "-", -c
-    cs = f"({c})" if c.re and c.im else str(c)
+    cs = f"({c})" if c.nre and c.nim else str(c)
     if body == "1":
         return sign, cs
     if c.is_one():

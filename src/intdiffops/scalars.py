@@ -1,34 +1,65 @@
 """Exact scalars: rationals and Gaussian rationals.
 
-All arithmetic in the engine runs over Q or Q(i).  A Scalar always carries
-both coordinates as reduced Fractions; the field choice ("q" vs "qi") only
-controls which values are admissible as inputs and whether square roots of
-negative rationals exist.
+All arithmetic in the engine runs over Q or Q(i).  A Scalar is one
+normalized integer triple (nre, nim, den): the value (nre + nim*i)/den with
+den > 0 and gcd(nre, nim, den) = 1, so zero is (0, 0, 1) and equal values
+have equal triples.  Arithmetic runs on the ints, with fast paths for an
+integer (den = 1) and a rational (nim = 0) operand; `.re` and `.im` are
+Fractions built on read.  The field choice ("q" vs "qi") only controls which
+values are admissible as inputs and whether square roots of negative
+rationals exist.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 Rat = Union[int, Fraction]
 
 
 class Scalar:
-    """Element of Q(i), stored as re + im*i with reduced Fraction parts."""
+    """Element of Q(i), stored as (nre + nim*i)/den with den > 0 and
+    gcd(nre, nim, den) = 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("nre", "nim", "den")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        # a Fraction is already reduced; only ints need wrapping
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(re) is not int or type(im) is not int:
+            # ints and Fractions both carry numerator and denominator
+            if type(re) is not int and type(re) is not Fraction:
+                re = Fraction(re)
+            if type(im) is not int and type(im) is not Fraction:
+                im = Fraction(im)
+            a, b = re.denominator, im.denominator
+            # lcm of two reduced denominators: the triple is normalized
+            den = a if a == b or b == 1 else b if a == 1 else a // gcd(a, b) * b
+            _set_re(self, re.numerator * (den // a))
+            _set_im(self, im.numerator * (den // b))
+            _set_den(self, den)
+            return
+        _set_re(self, re)
+        _set_im(self, im)
+        _set_den(self, 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def frac(nre: int, nim: int, den: int) -> "Scalar":
+        """(nre + nim*i)/den from ints, normalized; den must be nonzero."""
+        if den != 1:
+            if den < 0:
+                nre, nim, den = -nre, -nim, -den
+            elif not den:
+                raise ZeroDivisionError("Scalar with zero denominator")
+            g = gcd(nre, nim, den) if nim else gcd(nre, den)
+            if g != 1:
+                nre, nim, den = nre // g, nim // g, den // g
+        return _trusted(nre, nim, den)
 
     @staticmethod
     def of(value) -> "Scalar":
@@ -44,53 +75,85 @@ class Scalar:
     def i() -> "Scalar":
         return Scalar(0, 1)
 
+    # -- parts ----------------------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.nre, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.nim, self.den)
+
     # -- predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.nre and not self.nim
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self.nre == 1 and self.den == 1 and not self.nim
 
     def is_integer(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
+        return self.den == 1 and not self.nim
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        other = Scalar.of(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _trusted(self.nre + other * self.den, self.nim, self.den)
+            other = Scalar.of(other)
+        d, f = self.den, other.den
+        if d == f:
+            if d == 1:
+                return _trusted(self.nre + other.nre, self.nim + other.nim, 1)
+            return Scalar.frac(self.nre + other.nre, self.nim + other.nim, d)
+        return Scalar.frac(self.nre * f + other.nre * d, self.nim * f + other.nim * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        other = Scalar.of(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return _trusted(self.nre - other * self.den, self.nim, self.den)
+            other = Scalar.of(other)
+        d, f = self.den, other.den
+        if d == f:
+            if d == 1:
+                return _trusted(self.nre - other.nre, self.nim - other.nim, 1)
+            return Scalar.frac(self.nre - other.nre, self.nim - other.nim, d)
+        return Scalar.frac(self.nre * f - other.nre * d, self.nim * f - other.nim * d, d * f)
 
     def __rsub__(self, other) -> "Scalar":
         return Scalar.of(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _trusted(-self.nre, -self.nim, self.den)
 
     def __mul__(self, other) -> "Scalar":
-        other = Scalar.of(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
+        a, b, c, e = self.nre, self.nim, other.nre, other.nim
+        den = self.den * other.den
+        if not b and not e:
+            if den == 1:
+                return _trusted(a * c, 0, 1)
+            return Scalar.frac(a * c, 0, den)
+        return Scalar.frac(a * c - b * e, a * e + b * c, den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Scalar":
-        other = Scalar.of(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        if type(other) is not Scalar:
+            other = Scalar.of(other)
+        a, b, c, e, f = self.nre, self.nim, other.nre, other.nim, other.den
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero Scalar")
+            return Scalar.frac(a * f, b * f, self.den * c)
+        n = c * c + e * e
+        return Scalar.frac((a * c + b * e) * f, (b * c - a * e) * f, self.den * n)
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar.of(other) / self
@@ -101,21 +164,25 @@ class Scalar:
         return power(self, k, ONE)
 
     def conj(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _trusted(self.nre, -self.nim, self.den)
 
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is Scalar:
+            return self.nre == other.nre and self.nim == other.nim and self.den == other.den
+        if isinstance(other, int):
+            return self.den == 1 and not self.nim and self.nre == other
+        if isinstance(other, Fraction):
+            return not self.nim and self.nre == other.numerator and self.den == other.denominator
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # a rational hashes like its Fraction, so Scalar(q) and q are one key
+        re = hash(self.nre) if self.den == 1 else hash(self.re)
+        if not self.nim:
+            return re
+        return hash((re, hash(self.nim) if self.den == 1 else hash(self.im)))
 
     def sort_key(self):
         return (self.re, self.im)
@@ -127,16 +194,44 @@ class Scalar:
 
     def __str__(self):
         """'p', 'p/q', 'i', '-i', 'q*i' or 'p+q*i': the form scalar_from_str reads."""
-        if self.im == 0:
+        if not self.nim:
             return str(self.re)
-        ims = "i" if self.im == 1 else "-i" if self.im == -1 else f"{self.im}*i"
-        if self.re == 0:
+        im = self.im
+        ims = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+        if not self.nre:
             return ims
-        return f"{self.re}{'+' if self.im > 0 else ''}{ims}"
+        return f"{self.re}{'+' if im > 0 else ''}{ims}"
+
+
+_new = object.__new__
+_set_re = Scalar.nre.__set__
+_set_im = Scalar.nim.__set__
+_set_den = Scalar.den.__set__
+
+
+def _trusted(nre: int, nim: int, den: int) -> Scalar:
+    """The Scalar of a triple that is already normalized."""
+    s = _new(Scalar)
+    _set_re(s, nre)
+    _set_im(s, nim)
+    _set_den(s, den)
+    return s
 
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+
+
+def common_den(scalars) -> int:
+    """The lcm of the scalars' denominators, folded one at a time: a call
+    with a star-argument tuple sized by the input would leave such tuples in
+    CPython's free lists on hot paths."""
+    den = 1
+    for c in scalars:
+        d = c.den
+        if den % d:
+            den = den // gcd(den, d) * d
+    return den
 
 
 def power(base, k: int, one):

@@ -624,6 +624,17 @@ def test_matmul_shapes():
         Mat(2, 3) @ Mat(2, 3)
 
 
+def test_integer_entries_get_scale_one():
+    rows = [[Scalar(3), ZERO, Scalar(-7)], [ZERO, ZERO, ZERO], [Scalar(2, -5), ONE, Scalar(0, 4)]]
+    re, im, sc = _int_rows(rows)
+    assert sc == [1, 1, 1]
+    assert re == [[3, 0, -7], [0, 0, 0], [2, 1, 0]] and im == [[0, 0, 0], [0, 0, 0], [-5, 0, 4]]
+    M = Mat(3, 3, rows)
+    for A in (M, M @ Mat.identity(3), M.scale(-1), M.transpose(), Mat.scalar(3, Scalar(2, 1))):
+        assert A._int()[2] == [1, 1, 1]
+    assert _int_rows([[Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 3))]])[2] == [6]
+
+
 # -- the integer form against per-entry Scalar arithmetic -------------------
 
 

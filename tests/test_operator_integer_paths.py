@@ -1,5 +1,6 @@
 """Differential tests of the integer arithmetic behind operator products and
-the action oracle, against term-by-term Scalar references kept here."""
+the action oracle, against term-by-term Scalar references kept here.  Scalar
+itself is checked against Fraction pairs in test_scalar_reference.py."""
 
 from fractions import Fraction
 from itertools import product
@@ -156,3 +157,36 @@ def test_structure_constants_are_ints_and_compose_the_action():
                 if hit is not None:
                     got[hit[0]] = got.get(hit[0], 0) + k * hit[1]
             assert {e: v for e, v in got.items() if v} == expected, (a, b, s)
+
+
+def test_zero_operator_numerators():
+    for n in (1, 2, 3):
+        assert Operator.zero(n).numerators() == (1, [])
+
+
+def test_mixed_denominators_and_gaussian_coefficients():
+    h, d, e = (("H", 1),), (("D", 1, 0),), (("E", 0, 1),)
+    a = Operator(1, {h: Fraction(1, 2), d: Scalar(Fraction(1, 3), Fraction(2, 5)), e: Scalar(0, Fraction(-1, 4))})
+    b = Operator(1, {h: Scalar(Fraction(-1, 2), 1), d: Fraction(5, 6)})
+    den, items = a.numerators()
+    assert den == 60
+    assert sorted(items) == sorted([(h, 30, 0), (d, 20, 24), (e, 0, -15)])
+    assert (a * b).terms == reference_mul(a, b)
+    assert (a + b).terms == {h: Scalar(0, 1), d: Scalar(Fraction(7, 6), Fraction(2, 5)), e: Scalar(0, Fraction(-1, 4))}
+    assert (a - a).is_zero() and (a + (-a)).is_zero()
+    assert _is_canonical(a * b) and _is_canonical(a + b) and _is_canonical(a - b)
+
+
+@given(operator_pairs())
+@settings(max_examples=40, deadline=None)
+def test_difference_is_sum_with_the_negation(ab):
+    a, b = ab
+    got = a - b
+    assert got == a + (-b)
+    assert _is_canonical(got)
+    want = {}
+    for t in {*a.terms, *b.terms}:
+        c = a.terms.get(t, ZERO) - b.terms.get(t, ZERO)
+        if not c.is_zero():
+            want[t] = c
+    assert got.terms == want

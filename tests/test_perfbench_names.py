@@ -27,3 +27,25 @@ def test_imported_names_exist():
                 for alias in node.names:
                     name = f"{node.module}.{alias.name}"
                     assert hasattr(module, alias.name) or importlib.util.find_spec(name), f"{path.name}: {name}"
+
+
+def test_scalar_and_mat_contract():
+    """What the benchmark reads of Scalar and Mat: construction from Fractions
+    and ints, Fraction parts, rational hashes, and writes into a fresh Mat."""
+    from fractions import Fraction
+
+    from intdiffops.linalg import Mat
+    from intdiffops.scalars import ONE, Scalar
+
+    q = Fraction(-5, 3)
+    h = Fraction(1, 2)
+    for s, re, im in ((Scalar(q, 2), q, 2), (Scalar(q), q, 0), (Scalar(7, h), 7, h), (Scalar(h, h), h, h)):
+        assert type(s.re) is Fraction and type(s.im) is Fraction
+        assert (s.re, s.im) == (re, im)
+    for v in (q, Fraction(7), Fraction(0), Fraction(1, 10**20)):
+        assert hash(Scalar(v)) == hash(v) and Scalar(v) == v
+    m = Mat.identity(2)
+    m.data[0][1] = Scalar(q)
+    m.data[1][0] = Scalar(0, 1)
+    assert (m @ Mat.identity(2)).data == [[ONE, Scalar(q)], [Scalar(0, 1), ONE]]
+    assert (m + Mat.zero(2, 2)) == m and m.scale(2).data[0][1] == 2 * q
