@@ -18,11 +18,13 @@ from typing import List, Optional
 
 from . import __version__
 from .classify import (
+    MAX_GAMMA_DIM,
     BandOrbit,
     KroneckerRep,
     band_module,
     is_indecomposable,
     kronecker_decompose,
+    parse_word,
     rep_type,
     rep_type_orbit,
     string_module,
@@ -348,8 +350,17 @@ def cmd_kronecker(args, cfg):
     )
 
 
+def _bounded_gamma_dim(kind: str, dim: int) -> None:
+    if dim > MAX_GAMMA_DIM:
+        raise DomainError(
+            f"{kind} module of dimension {dim} exceeds the limit MAX_GAMMA_DIM = {MAX_GAMMA_DIM}"
+        )
+
+
 def cmd_string(args, cfg):
-    m = string_module(args.word)
+    word = parse_word(args.word)
+    _bounded_gamma_dim("string", len(word) + 1)
+    m = string_module(word)
     indec = is_indecomposable(m.matrices)
     text = f"dim {m.dim}; {'indecomposable' if indec else 'decomposable'}"
     _emit(
@@ -367,9 +378,14 @@ def cmd_string(args, cfg):
 def cmd_band(args, cfg):
     if args.lam is None:
         raise UsageError("band needs --lambda")
-    m = band_module(args.word, args.n, _parse_scalar_arg(args.lam))
+    lam = _parse_scalar_arg(args.lam)
+    word = parse_word(args.word)
+    if args.n < 1:
+        raise DomainError("band multiplicity must be positive")
+    _bounded_gamma_dim("band", args.n * len(word))
+    canon = BandOrbit(word)
+    m = band_module(canon, args.n, lam)
     indec = is_indecomposable(m.matrices)
-    canon = BandOrbit(args.word)
     text = f"dim {m.dim}; {'indecomposable' if indec else 'decomposable'}"
     _emit(
         cfg,

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q / Q(i).
+"""Exact linear algebra over Q / Q(i).
 
 Matrices carry explicit (rows, cols) so zero-dimensional spaces (which occur
 as weight spaces outside a module's support) are handled uniformly.  This is
@@ -18,22 +18,35 @@ terms, so the form is canonical.  Products, sums, stacks, slices and scalar
 multiples compute the integer result directly and reduce each output row by
 one gcd with its scale; a right operand of `@` keeps its columns over a
 common scale.  Scalars are built only when `.data` is read: for printing,
-JSON, and the callers that walk entries.
+JSON, and the callers that walk entries.  Rows are never written once a
+Mat holds them, so Mats may share rows.
 
-Elimination runs on those rows with one of two kernels.  Rational matrices
-go to a content-reduced forward pass over Z (each new row divided by the
-gcd of its entries, pivot rows chosen sparsest-first) with integer
-back-substitution.  Matrices with a non-real entry go to fraction-free
-Gauss-Jordan over Z[i] (`_ffgj`), whose rows are pairs of int lists and
-whose only division is an exact one by the previous pivot; `det` runs its
-forward half on every matrix.  Both hand back integer rows; the reduced
-echelon form is unique, so the pivot rule never shows in results.
+Elimination has two kernels, and the reduced echelon form is unique, so
+neither pivot rule ever shows in results.
+- Dense, for `rref`, `rank`, `kernel_basis`, `solve_linear`, `invert` and
+  `det`: the small matrices of windows, projectors and changes of basis.
+  Rational matrices go to a content-reduced forward pass over Z (each new
+  row divided by the gcd of its entries, pivot rows chosen sparsest-first)
+  with integer back-substitution.  Matrices with a non-real entry go to
+  fraction-free Gauss-Jordan over Z[i] (`_ffgj`), whose rows are pairs of
+  int lists and whose only division is an exact one by the previous pivot;
+  `det` runs its forward half on every matrix.
+- Sparse, for every Hom system (`BlockSystem`) and for the trace form of
+  `classify`: `sparse_kernel` and `sparse_rank` on rows that are dicts of
+  their nonzero entries (`_sparse_echelon`, `_sparse_rref`).  A Hom system
+  has Sum_v m_v*n_v unknowns but at most d_s + d_t nonzeros per row, so
+  this is what keeps large strings, bands and pencils affordable.
+Dense stays for the rest because nearly all of those matrices are tiny (at
+most 64 cells in a window decomposition), where the dicts and the column
+index cost more than they save: routing `rref` and `rank` through the
+sparse kernel made the 12,878 rrefs of 60 `weight_modules` bench jobs 1.6-1.7x
+slower, and the small rrefs of `classification_qi` 1.4x slower.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, islice, product
+from itertools import accumulate, chain, islice, product
 from math import gcd, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -350,7 +363,8 @@ def _mat(rows: int, cols: int, re, im, sc) -> Mat:
 
 
 def _zeros(rows: int, cols: int) -> Mat:
-    return _mat(rows, cols, [[0] * cols for _ in range(rows)], None, [1] * rows)
+    """The zero matrix; its rows share one list, as rows are never written."""
+    return _mat(rows, cols, [[0] * cols] * rows, None, [1] * rows)
 
 
 def _unzip(rows):
@@ -596,6 +610,170 @@ def kernel_basis(matrix: Mat) -> List[Mat]:
     return _kernel_from_rref(R, piv_cols, matrix.cols)
 
 
+# -- sparse elimination ------------------------------------------------------
+#
+# A sparse row is a dict of its nonzero entries, column -> int over Q and
+# column -> (re, im) over Q(i), with no scale: these rows are homogeneous
+# equations, so only the row space matters and every row is kept primitive
+# (divided by the gcd of all its integer parts).
+
+
+def _primitive_q(row: dict) -> dict:
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def _primitive_qi(row: dict) -> dict:
+    g = gcd(*chain.from_iterable(row.values()))
+    return {k: (a // g, b // g) for k, (a, b) in row.items()} if g > 1 else row
+
+
+def _eliminate_q(row: dict, c: int, prow: dict) -> dict:
+    """P*row - h*prow, primitive, where P = prow[c] and h = row[c]."""
+    P, h = prow[c], row[c]
+    g = gcd(P, h)
+    P, h = P // g, h // g
+    new = {k: P * v for k, v in row.items()} if P != 1 else dict(row)
+    for k, v in prow.items():
+        x = new.get(k, 0) - h * v
+        if x:
+            new[k] = x
+        else:
+            del new[k]
+    return _primitive_q(new) if new else new
+
+
+def _eliminate_qi(row: dict, c: int, prow: dict) -> dict:
+    """P*row - h*prow over Z[i], primitive; the pivot P = prow[c] is real."""
+    P = prow[c][0]
+    hr, hi = row[c]
+    g = gcd(P, hr, hi)
+    P, hr, hi = P // g, hr // g, hi // g
+    new = {k: (P * a, P * b) for k, (a, b) in row.items()} if P != 1 else dict(row)
+    for k, (x, y) in prow.items():
+        a, b = new.get(k, (0, 0))
+        a -= hr * x - hi * y
+        b -= hr * y + hi * x
+        if a or b:
+            new[k] = (a, b)
+        else:
+            del new[k]
+    return _primitive_qi(new) if new else new
+
+
+def _real_pivot(row: dict, c: int) -> dict:
+    """The row times the conjugate of its entry at c, primitive: the pivot
+    becomes the rational integer |row[c]|^2.  Without this, content
+    reduction alone lets the Gaussian entries grow without bound."""
+    pr, pi = row[c]
+    if not pi:
+        return row
+    return _primitive_qi({k: (a * pr + b * pi, b * pr - a * pi) for k, (a, b) in row.items()})
+
+
+def _sparse_echelon(rows: List[dict], ncols: int, gaussian: bool) -> List[Tuple[int, int]]:
+    """Forward elimination of sparse rows, in place; returns the pivots as
+    (column, row index) in column order.
+
+    For each column in order the pivot is the sparsest live row holding it,
+    found through a column -> live rows index, and only the live rows that
+    hold the column are eliminated.  Over Q(i) the pivot row is first made
+    to have a real pivot (`_real_pivot`).  A pivot row holds no earlier pivot
+    column."""
+    holders = [set() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for k in row:
+            holders[k].add(r)
+    eliminate = _eliminate_qi if gaussian else _eliminate_q
+    pivots = []
+    for c in range(ncols):
+        hs = holders[c]
+        if not hs:
+            continue
+        p = min(hs, key=lambda r: (len(rows[r]), r))
+        prow = rows[p]
+        for k in prow:
+            holders[k].discard(p)
+        if gaussian:
+            prow = rows[p] = _real_pivot(prow, c)
+        for r in list(hs):
+            new = rows[r] = eliminate(rows[r], c, prow)
+            for k in prow:
+                if k in new:
+                    holders[k].add(r)
+                else:
+                    holders[k].discard(r)
+        pivots.append((c, p))
+        if len(pivots) == len(rows):
+            break
+    return pivots
+
+
+def _sparse_rref(rows: List[dict], ncols: int, gaussian: bool) -> List[Tuple[int, dict]]:
+    """The pivot rows of the reduced echelon form of sparse rows, as
+    (pivot column, row) in column order; row / row[c] is the reduced row,
+    and its pivot is a positive or negative rational integer."""
+    pivots = _sparse_echelon(rows, ncols, gaussian)
+    eliminate = _eliminate_qi if gaussian else _eliminate_q
+    # the earlier pivot rows holding each pivot column; back-substituting a
+    # later pivot adds only free columns, so these lists stay exact
+    above = {c: [] for c, _ in pivots}
+    for c, r in pivots:
+        for k in rows[r]:
+            if k != c and k in above:
+                above[k].append(r)
+    for c, p in reversed(pivots):
+        prow = rows[p]
+        for r in above[c]:
+            rows[r] = eliminate(rows[r], c, prow)
+    return [(c, rows[r]) for c, r in pivots]
+
+
+def sparse_rank(rows: List[dict], ncols: int, gaussian: bool) -> int:
+    """Rank of sparse rows; the list is rewritten in place, the row dicts
+    are never written."""
+    return len(_sparse_echelon(rows, ncols, gaussian))
+
+
+def sparse_kernel(rows: List[dict], ncols: int, gaussian: bool) -> List[dict]:
+    """Kernel basis of sparse rows (the list is rewritten in place), one
+    vector per free column in order, as a dict of its nonzero entries column -> (re,
+    im, den), each in lowest terms with den > 0.  These are the vectors
+    `kernel_basis` gives for the same matrix: 1 at the free column and
+    minus the reduced row's entry at each pivot column, scaled to coprime
+    integers (den 1) when every entry is rational.  Read off the pivot rows
+    in time linear in their entries."""
+    pivots = _sparse_rref(rows, ncols, gaussian)
+    # per free column, its (pivot column, entry, pivot) in the pivot rows
+    hits = {}
+    for c, row in pivots:
+        P = row[c][0] if gaussian else row[c]
+        for k, v in row.items():
+            if k != c:
+                hits.setdefault(k, []).append((c, v, P))
+    piv_set = {c for c, _ in pivots}
+    basis = []
+    for fc in range(ncols):
+        if fc in piv_set:
+            continue
+        entries = hits.get(fc, ())
+        if gaussian and any(v[1] for _, v, _ in entries):
+            vec = {fc: (1, 0, 1)}
+            for c, (a, b), P in entries:
+                g = gcd(a, b, P) if P > 0 else -gcd(a, b, P)
+                vec[c] = (-a // g, -b // g, P // g)
+            basis.append(vec)
+            continue
+        # -v / P at each pivot column, over the common denominator L
+        L = lcm(*(P for _, _, P in entries)) if entries else 1
+        ints = {fc: L}
+        for c, v, P in entries:
+            ints[c] = -(v[0] if gaussian else v) * (L // P)
+        g = gcd(*ints.values())
+        basis.append({k: (u // g, 0, 1) for k, u in ints.items()})
+    return basis
+
+
 class LinearSolution:
     """Solution set of A X = B: a particular X (A.cols x B.cols, zero on the
     free variables) plus a basis of the kernel of A as column vectors."""
@@ -732,6 +910,8 @@ def _combine(coeffs: Sequence[Scalar], homs: Sequence[Sequence[Mat]], shapes) ->
 def block_diag(*blocks: Mat) -> Mat:
     """Block-diagonal matrix of the given blocks, in order; blocks of any
     shape, zero-sized ones included."""
+    if len(blocks) == 1:
+        return blocks[0]
     cols = sum(b.cols for b in blocks)
     rows = []
     c0 = 0
@@ -751,8 +931,12 @@ class BlockSystem:
     (s, t, f, g) carries f : M_s -> M_t and g : N_s -> N_t.  The unknowns are
     the blocks phi_v : M_v -> N_v, each flattened column-major, so phi_v[k, l]
     is unknown number offset_v + l*dims_n[v] + k.  Every arrow gives the rows
-    of phi_t f - g phi_s = 0, entry (i, j) column-major; solve() returns a
-    basis of the solutions as tuples of blocks, one per vertex.
+    of phi_t f - g phi_s = 0, entry (i, j) column-major, each stored as a
+    sparse row (see `sparse_kernel`) with at most dims_m[t] + dims_n[s]
+    entries; zero rows are not stored, and `gaussian` says whether entries
+    are (re, im) pairs.  solve() returns a basis of the solutions as tuples
+    of blocks, one per vertex: the dense `kernel_basis` of the same
+    equations, cut into blocks.
     """
 
     def __init__(self, dims_m: Sequence[int], dims_n: Sequence[int], arrows):
@@ -765,8 +949,10 @@ class BlockSystem:
         for m, n in zip(self.dims_m, self.dims_n):
             self.offsets.append(self.total)
             self.total += m * n
-        # the system's rows as (re, im or None, scale) in lowest terms
-        self.rows: List[tuple] = []
+        arrows = list(arrows)
+        self.gaussian = any(f._int()[1] is not None or g._int()[1] is not None for _, _, f, g in arrows)
+        # the system's nonzero rows, sparse (see `sparse_kernel`) and primitive
+        self.rows: List[dict] = []
         for s, t, f, g in arrows:
             self._add_arrow(s, t, f, g)
 
@@ -780,50 +966,92 @@ class BlockSystem:
         off_s, off_t = self.offsets[s], self.offsets[t]
         fre, fim, fsc = f._int()
         gre, gim, gsc = g._int()
-        gaussian = fim is not None or gim is not None
-        # nonzero (l, re, im) of f[l, j] * sf per column j of f, sf the lcm of
-        # f's scales, and of -g[i, k] * gsc[i] per row i of g
+        gaussian = self.gaussian
+        # nonzero (unknown, entry) of f[l, j] * sf per column j of f, sf the
+        # lcm of f's scales, on phi_t[i, l] for i = 0; and of -g[i, k] * gsc[i]
+        # per row i of g, on phi_s[k, j] for j = 0.  An entry is an int over Q
+        # and an (re, im) pair over Q(i).
         sf = lcm(*fsc)
         fcols = [[] for _ in range(ms)]
         for l, (row, x) in enumerate(zip(fre, fsc)):
             u = sf // x
-            irow = [0] * ms if fim is None else fim[l]
-            for j, (a, b) in enumerate(zip(row, irow)):
+            irow = None if fim is None else fim[l]
+            for j, a in enumerate(row):
+                b = 0 if irow is None else irow[j]
                 if a or b:
-                    fcols[j].append((l, a * u, b * u))
-        grows = [
-            [(k, -a, -b) for k, (a, b) in enumerate(zip(row, [0] * ns if gim is None else gim[i])) if a or b]
-            for i, row in enumerate(gre)
-        ]
-        for j in range(ms):
-            for i in range(nt):
+                    fcols[j].append((off_t + l * nt, (a * u, b * u) if gaussian else a * u))
+        grows = []
+        for i, row in enumerate(gre):
+            irow = None if gim is None else gim[i]
+            grows.append(
+                [
+                    (off_s + k, (-a, -(0 if irow is None else irow[k])) if gaussian else -a)
+                    for k, a in enumerate(row)
+                    if a or irow is not None and irow[k]
+                ]
+            )
+        primitive = _primitive_qi if gaussian else _primitive_q
+        for j, fj in enumerate(fcols):
+            for i, gi in enumerate(grows):
+                if not (fj or gi):
+                    continue
                 # phi_t[i, l] * f[l, j] - g[i, k] * phi_s[k, j] over lcm(sf, gsc[i]);
                 # on a loop both can hit one unknown
                 den = lcm(sf, gsc[i])
                 uf, ug = den // sf, den // gsc[i]
-                re = [0] * self.total
-                im = [0] * self.total if gaussian else None
-                for l, a, b in fcols[j]:
-                    re[off_t + l * nt + i] = a * uf
-                    if b:
-                        im[off_t + l * nt + i] = b * uf
-                for k, a, b in grows[i]:
-                    re[off_s + j * ns + k] += a * ug
-                    if b:
-                        im[off_s + j * ns + k] += b * ug
-                self.rows.append(_lowest(re, im, den))
+                if gaussian:
+                    row = {c + i: (a * uf, b * uf) for c, (a, b) in fj}
+                    for c, (a, b) in gi:
+                        c += j * ns
+                        x, y = row.get(c, (0, 0))
+                        x, y = x + a * ug, y + b * ug
+                        if x or y:
+                            row[c] = (x, y)
+                        else:
+                            del row[c]
+                else:
+                    row = {c + i: a * uf for c, a in fj}
+                    for c, a in gi:
+                        c += j * ns
+                        x = row.get(c, 0) + a * ug
+                        if x:
+                            row[c] = x
+                        else:
+                            del row[c]
+                if row:
+                    self.rows.append(primitive(row))
 
     def solve(self) -> List[Tuple[Mat, ...]]:
-        """Basis of the Hom space, each element a tuple of blocks phi_v."""
+        """Basis of the Hom space, each element a tuple of blocks phi_v,
+        built in integer form from the sparse kernel vectors; the zero rows
+        of a block share one list."""
+        shapes = list(zip(self.dims_m, self.dims_n))
+        # unknown -> (vertex, row i, column l) of its block
+        where = [(v, c % n, c // n) for v, (m, n) in enumerate(shapes) for c in range(m * n)]
+        zeros = [[0] * m for m, _ in shapes]
         out = []
-        for k in kernel_basis(_mat(len(self.rows), self.total, *_unzip(self.rows))):
-            # column l of phi_v is the slice of n unknowns from off + l*n
-            out.append(
-                tuple(
-                    Mat.from_cols([k.select_rows(range(off + l * n, off + l * n + n)) for l in range(m)], n)
-                    for off, m, n in zip(self.offsets, self.dims_m, self.dims_n)
-                )
-            )
+        for vec in sparse_kernel(list(self.rows), self.total, self.gaussian):
+            # (l, re, im, den) of the nonzero entries of each block row
+            by_row = {}
+            for c, entry in vec.items():
+                v, i, l = where[c]
+                by_row.setdefault((v, i), []).append((l, *entry))
+            re = [[z] * n for z, (_, n) in zip(zeros, shapes)]
+            im = [None] * len(shapes)
+            sc = [[1] * n for _, n in shapes]
+            for (v, i), entries in by_row.items():
+                # entries in lowest terms: the lcm of their dens is the row's scale
+                s = sc[v][i] = lcm(*(d for _, _, _, d in entries))
+                row = re[v][i] = [0] * self.dims_m[v]
+                for l, a, b, d in entries:
+                    row[l] = a * (s // d)
+                    if b:
+                        if im[v] is None:
+                            im[v] = [zeros[v]] * self.dims_n[v]
+                        if im[v][i] is zeros[v]:
+                            im[v][i] = [0] * self.dims_m[v]
+                        im[v][i][l] = b * (s // d)
+            out.append(tuple(_mat(n, m, re[v], im[v], sc[v]) for v, (m, n) in enumerate(shapes)))
         return out
 
 
@@ -904,13 +1132,24 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
         bounds.append(list(accumulate((p[v].cols for p in parts), initial=0)))
     arrows: List[list] = [[] for _ in parts]
     for s, t, f in R.arrows:
+        bs, bt = bounds[s], bounds[t]
+        if f.is_zero():
+            for k, out in enumerate(arrows):
+                out.append((s, t, _zeros(bt[k + 1] - bt[k], bs[k + 1] - bs[k])))
+            continue
         X = f if T[s] is None else f @ T[s]
         if Tinv[t] is not None:
             X = Tinv[t] @ X
         re, im, sc = X._int()
-        bs, bt = bounds[s], bounds[t]
         for k, out in enumerate(arrows):
             a, b = bs[k], bs[k + 1]
+            if bt[k] == bt[k + 1]:
+                out.append((s, t, _zeros(0, b - a)))
+                continue
+            if b - a == X.cols and bt[k + 1] - bt[k] == X.rows:
+                # this part holds both spaces, so its block is all of X
+                out.append((s, t, X))
+                continue
             rows = []
             for r in range(bt[k], bt[k + 1]):
                 row, irow = re[r], None if im is None else im[r]

@@ -39,7 +39,7 @@ from intdiffops.classify import (
     string_module,
     tame_local_ideal,
 )
-from intdiffops.linalg import Mat, QuiverRep, block_diag, in_span, invert, rank, rref
+from intdiffops.linalg import Mat, QuiverRep, block_diag, hom_space, in_span, invert, kernel_basis, rank, rref
 from intdiffops.local_ideals import LocalIdeal, MaxIdeal
 from intdiffops.modules import DomainError, DSet, Fiber, Orbit
 from intdiffops.poly import MultiPoly, UniPoly
@@ -245,6 +245,91 @@ def test_scrambled_sum_decomposition_with_iso():
     assert rank(P) == R.d2 and rank(Q) == R.d1
     assert (R.A @ Q) == (P @ can.A)
     assert (R.B @ Q) == (P @ can.B)
+
+
+def _reference_radical_basis(end):
+    """Radical of the algebra spanned by end via the trace form over
+    Scalars (char 0): the Gram matrix tr(E_i E_j), its kernel, and the
+    combinations of the E_j it gives.  `classify._radical_dim` is the
+    integer-form count of the same radical."""
+    k = len(end)
+    if k == 0:
+        return []
+    nonzero = [
+        [(a, b, x) for a, row in enumerate(e.data) for b, x in enumerate(row) if not x.is_zero()]
+        for e in end
+    ]
+    gram = Mat(k, k)
+    for i in range(k):
+        for j in range(i, k):
+            t = ZERO
+            Ej = end[j].data
+            for a, b, x in nonzero[i]:
+                y = Ej[b][a]
+                if not y.is_zero():
+                    t = t + x * y
+            gram.data[i][j] = gram.data[j][i] = t
+    out = []
+    for v in kernel_basis(gram):
+        m = Mat.zero(end[0].rows, end[0].cols)
+        for j in range(k):
+            c = v.data[j][0]
+            if not c.is_zero():
+                m = m + end[j].scale(c)
+        out.append(m)
+    return out
+
+
+def _radical_cases():
+    """(name, rep) pairs: strings, bands with real and non-real parameters,
+    Kronecker blocks, and scrambled direct sums of them, over Q and Q(i)."""
+    rng = random.Random(11)
+    i = Scalar.i()
+    one_space = [
+        ("string h1h2h2", string_module("h1h2h2").matrices),
+        ("string h2h1h1h2", string_module("h2h1h1h2").matrices),
+        ("band h1h2 n=2 lam=3", band_module("h1h2", 2, 3).matrices),
+        ("band h1h1h2 n=1 lam=1/2", band_module("h1h1h2", 1, Scalar(Fraction(1, 2))).matrices),
+        ("band h1h2 n=2 lam=1+i", band_module("h1h2", 2, 1 + i).matrices),
+        ("band h1h2h2 n=1 lam=-i", band_module("h1h2h2", 1, -i).matrices),
+    ]
+    cases = [(name, QuiverRep([h1.rows], [(0, 0, h1), (0, 0, h2)])) for name, (h1, h2) in one_space]
+    # scrambled sums: a string plus a real band over Q, a band over Q(i) twice
+    for name, parts, scramble in [
+        ("string + band, scrambled over Q", [one_space[0][1], one_space[2][1]], rand_invertible),
+        ("band(1+i) + band(1+i), scrambled over Q(i)", [one_space[4][1], one_space[4][1]], rand_invertible_qi),
+        ("string + band(-i), scrambled over Q(i)", [one_space[1][1], one_space[5][1]], rand_invertible_qi),
+    ]:
+        h1 = block_diag(*(p[0] for p in parts))
+        h2 = block_diag(*(p[1] for p in parts))
+        g = scramble(h1.rows, rng)
+        gi = invert(g)
+        cases.append((name, QuiverRep([h1.rows], [(0, 0, g @ h1 @ gi), (0, 0, g @ h2 @ gi)])))
+    labels = [
+        KroneckerBlockLabel("S2", 2),
+        KroneckerBlockLabel("S3", 1),
+        KroneckerBlockLabel("S4", 2, Scalar(2)),
+        KroneckerBlockLabel("S4", 2, 1 + i),
+        KroneckerBlockLabel("S5", 2),
+    ]
+    cases += [(repr(l), kronecker_block(l)) for l in labels]
+    for name, chosen, scramble in [
+        ("S2(2) + S4(2,2) + S5(2), scrambled over Q", [labels[0], labels[2], labels[4]], rand_invertible),
+        ("S3(1) + S4(2,1+i) + S4(2,1+i), scrambled over Q(i)", [labels[1], labels[3], labels[3]], rand_invertible_qi),
+    ]:
+        S = kronecker_sum([kronecker_block(l) for l in chosen])
+        V, U = scramble(S.d2, rng), scramble(S.d1, rng)
+        cases.append((name, KroneckerRep(V @ S.A @ U, V @ S.B @ U)))
+    return cases
+
+
+_RADICAL_CASES = _radical_cases()
+
+
+@pytest.mark.parametrize("name, rep", _RADICAL_CASES, ids=[name for name, _ in _RADICAL_CASES])
+def test_radical_dim_matches_scalar_reference(name, rep):
+    end = [block_diag(*h) for h in hom_space(rep, rep)]
+    assert classify._radical_dim(end) == len(_reference_radical_basis(end))
 
 
 def test_eigenvalue_outside_field():

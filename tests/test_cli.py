@@ -11,6 +11,7 @@ import pytest
 
 from intdiffops.cli import main
 from intdiffops.action import MAX_ACTION_CELLS
+from intdiffops.classify import MAX_GAMMA_DIM
 from intdiffops.modules import MAX_MS_LENGTH, MAX_WINDOW_POINTS
 from intdiffops.parser import MAX_EXPONENT, MAX_NESTING
 from golden_cases import GOLDEN_CASES
@@ -160,6 +161,40 @@ def test_ms_length_limit_is_a_domain_error():
     }
     code, out = run_cli([*argv, "1000000"])
     assert code == 1 and out == ""
+    assert time.perf_counter() - start < 1.0
+
+
+def test_gamma_dimension_limit_is_a_domain_error():
+    # a string of MAX_GAMMA_DIM - 1 letters and a band word of
+    # MAX_GAMMA_DIM letters are allowed; one letter more is not
+    word = "h1" * (MAX_GAMMA_DIM - 1)
+    code, out = run_cli(["--json", "string", word])
+    assert code == 0 and json.loads(out)["result"]["dim"] == MAX_GAMMA_DIM
+    code, out = run_cli(["--json", "band", word + "h2", "--n", "1", "--lambda", "2"])
+    assert code == 0 and json.loads(out)["result"]["dim"] == MAX_GAMMA_DIM
+    start = time.perf_counter()
+    code, out = run_cli(["--json", "string", word + "h2"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "domain",
+        "message": f"string module of dimension {MAX_GAMMA_DIM + 1} exceeds the limit MAX_GAMMA_DIM = {MAX_GAMMA_DIM}",
+    }
+    code, out = run_cli(["--json", "band", word + "h1h2", "--n", "1", "--lambda", "2"])
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "domain",
+        "message": f"band module of dimension {MAX_GAMMA_DIM + 1} exceeds the limit MAX_GAMMA_DIM = {MAX_GAMMA_DIM}",
+    }
+    # the band's dimension counts its copies: n = MAX_GAMMA_DIM / 2 + 1 of h1h2
+    code, out = run_cli(["--json", "band", "h1h2", "--n", str(MAX_GAMMA_DIM // 2 + 1), "--lambda", "2"])
+    assert code == 1 and f"band module of dimension {MAX_GAMMA_DIM + 2} exceeds" in json.loads(out)["error"]["message"]
+    # checked before any work, however long the word or large the multiplicity
+    code, out = run_cli(["--json", "band", "h1h2" * 30000 + "h1", "--n", "1", "--lambda", "2"])
+    assert code == 1 and "band module of dimension 60001" in json.loads(out)["error"]["message"]
+    code, out = run_cli(["--json", "band", "h1h2", "--n", str(10**30), "--lambda", "2"])
+    assert code == 1 and "MAX_GAMMA_DIM" in json.loads(out)["error"]["message"]
+    code, out = run_cli(["--json", "string", "h1" * 60000])
+    assert code == 1 and "string module of dimension 60001" in json.loads(out)["error"]["message"]
     assert time.perf_counter() - start < 1.0
 
 
