@@ -21,7 +21,7 @@ sympy on first use.
 from __future__ import annotations
 
 import random as _random
-import re
+import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -461,7 +461,7 @@ def kronecker_sum(reps: Sequence[KroneckerRep]) -> KroneckerRep:
 
 Letter = int  # 1 for h1, 2 for h2
 Word = Tuple[Letter, ...]
-_WORD = re.compile(r"(?:h[12])*")
+_WORD = _re.compile(r"(?:h[12])*")
 
 # largest string or band module the command line may build: word length + 1
 # for a string, n times the word length for a band.  Deciding
