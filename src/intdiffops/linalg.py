@@ -36,11 +36,11 @@ neither pivot rule ever shows in results.
   their nonzero entries (`_sparse_echelon`, `_sparse_rref`).  A Hom system
   has Sum_v m_v*n_v unknowns but at most d_s + d_t nonzeros per row, so
   this is what keeps large strings, bands and pencils affordable.
-Dense stays for the rest because nearly all of those matrices are tiny (at
-most 64 cells in a window decomposition), where the dicts and the column
-index cost more than they save: routing `rref` and `rank` through the
-sparse kernel made the 12,878 rrefs of 60 `weight_modules` bench jobs 1.6-1.7x
-slower, and the small rrefs of `classification_qi` 1.4x slower.
+Dense stays for the rest because those matrices are tiny (each of the
+12,878 rrefs of 60 seed-7 `weight_modules` bench jobs has at most 64
+cells), where the dicts and the column index cost more than they save:
+routing `rref` and `rank` through the sparse kernel made those rrefs
+1.6-1.7x slower, and the rrefs of `classification_qi` 1.4x slower.
 """
 
 from __future__ import annotations
