@@ -80,23 +80,30 @@ def act_term(term: TermN, alpha: Monomial) -> Optional[Tuple[Monomial, int]]:
     return tuple(out), coeff
 
 
-def act_monomial(a: Operator, alpha: Monomial) -> Dict[Monomial, Scalar]:
-    """Image of x^[alpha] under a, as a sparse monomial combination, summed
-    on integers over a's common denominator."""
-    if len(alpha) != a.n:
-        raise ValueError("monomial arity mismatch")
-    den, items = a.numerators()
+def _image(a: Operator, alpha: Monomial) -> Tuple[Dict[Monomial, int], Dict[Monomial, int]]:
+    """Integer numerators (re, im) of x^[alpha] under a, over a.den; the
+    sums may hold zeros."""
     re: Dict[Monomial, int] = {}
     im: Dict[Monomial, int] = {}
-    for term, cr, ci in items:
+    ims = a.im or {}
+    for term, cr in a.re.items():
         hit = act_term(term, alpha)
         if hit is None:
             continue
         beta, k = hit
         re[beta] = re.get(beta, 0) + cr * k
+        ci = ims.get(term)
         if ci:
             im[beta] = im.get(beta, 0) + ci * k
-    return over_denominator(den, re, im)
+    return re, im
+
+
+def act_monomial(a: Operator, alpha: Monomial) -> Dict[Monomial, Scalar]:
+    """Image of x^[alpha] under a, as a sparse monomial combination, summed
+    on a's integer numerators."""
+    if len(alpha) != a.n:
+        raise ValueError("monomial arity mismatch")
+    return over_denominator(a.den, *_image(a, alpha))
 
 
 class ActionMatrix:
@@ -178,7 +185,12 @@ def is_zero_by_action(a: Operator) -> bool:
     Beyond the largest d/int/e index every graded component acts as a shift
     composed with a polynomial in the slot degrees, so probing one more point
     per polynomial degree decides vanishing exactly.  Decided from the
-    images of the window's monomials, stopping at the first nonzero one."""
+    integer images of the window's monomials, stopping at the first nonzero
+    one."""
     B = a.index_bound() + a.max_poly_degree() + 1
     _check_action_cells(a, B)
-    return not any(act_monomial(a, alpha) for alpha in TruncatedSpace(a.n, B).basis)
+    for alpha in TruncatedSpace(a.n, B).basis:
+        re, im = _image(a, alpha)
+        if any(re.values()) or any(im.values()):
+            return False
+    return True

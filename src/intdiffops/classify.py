@@ -500,8 +500,8 @@ class BandOrbit:
             raise ValueError("empty band word")
         if _is_periodic(w):
             raise DomainError(f"band word {word_str(w)} is periodic")
-        rotations = [w[i:] + w[:i] for i in range(len(w))]
-        self.word = min(rotations)
+        r = least_rotation(w)
+        self.word = w[r:] + w[:r]
 
     @property
     def length(self) -> int:
@@ -515,6 +515,27 @@ class BandOrbit:
 
     def __repr__(self):
         return f"BandOrbit({word_str(self.word)})"
+
+
+def least_rotation(w: Word) -> int:
+    """The start r of the least rotation w[r:] + w[:r], in linear time and
+    constant extra memory: two candidate starts i, j and a matched length k
+    compared in place.  When the rotations at i and j first differ at k, the
+    larger one's start and the k starts after it are beaten by the matching
+    starts after the other, so it jumps past them."""
+    n = len(w)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = w[(i + k) % n], w[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j + 1, i + k + 1)
+        else:
+            j += k + 1
+        k = 0
+    return i
 
 
 def _is_periodic(w: Word) -> bool:

@@ -1130,12 +1130,21 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
             T.append(Tv)
             Tinv.append(inv)
         bounds.append(list(accumulate((p[v].cols for p in parts), initial=0)))
+    zeros = {}
+
+    def zero_block(rows: int, cols: int) -> Mat:
+        # one zero block per shape, shared: Mats born of ints are never written
+        z = zeros.get((rows, cols))
+        if z is None:
+            z = zeros[rows, cols] = _zeros(rows, cols)
+        return z
+
     arrows: List[list] = [[] for _ in parts]
     for s, t, f in R.arrows:
         bs, bt = bounds[s], bounds[t]
         if f.is_zero():
             for k, out in enumerate(arrows):
-                out.append((s, t, _zeros(bt[k + 1] - bt[k], bs[k + 1] - bs[k])))
+                out.append((s, t, zero_block(bt[k + 1] - bt[k], bs[k + 1] - bs[k])))
             continue
         X = f if T[s] is None else f @ T[s]
         if Tinv[t] is not None:
@@ -1143,8 +1152,12 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
         re, im, sc = X._int()
         for k, out in enumerate(arrows):
             a, b = bs[k], bs[k + 1]
-            if bt[k] == bt[k + 1]:
-                out.append((s, t, _zeros(0, b - a)))
+            if bt[k] == bt[k + 1] or a == b:
+                # no target, or no source: the part's rows of X must vanish
+                for r in range(bt[k], bt[k + 1]):
+                    if any(re[r]) or im is not None and any(im[r]):
+                        return None
+                out.append((s, t, zero_block(bt[k + 1] - bt[k], b - a)))
                 continue
             if b - a == X.cols and bt[k + 1] - bt[k] == X.rows:
                 # this part holds both spaces, so its block is all of X

@@ -14,16 +14,23 @@ Products are computed by rewriting the right factor as a word in the
 generators d, int, H and folding the word through the left factor one
 generator at a time; every rewrite step is an exact identity in the algebra.
 
-Coefficients are computed as integers.  The slot structure constants are
-ints, and a product runs on each operand's integer numerators over its
-common denominator; `Scalar`s are built at the boundary, once per output
-term.
+An Operator works in integer form: one denominator `den` > 0 and two dicts
+of numerators, `re` (every live term, its value 0 only when the term is
+purely imaginary) and `im` (the nonzero imaginary numerators, or None when
+every coefficient is rational).  The term t has coefficient
+(re[t] + im[t]*i)/den.  The form is canonical -- gcd(den, every numerator)
+= 1 and no term is zero -- so `==` and `hash` compare it.  Products,
+commutators, sums, negation and scaling run on these ints, with the slot
+structure constants ints too, and normalize once per result.  `Scalar`s are
+built only where a coefficient is read: `.terms` builds them on first read
+(for printing, JSON, graded components and the involution), and
+`action.act_monomial` for its images.
 """
 
 from __future__ import annotations
 
-from math import comb
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from math import comb, gcd
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .parser import left_spine
 from .poly import UniPoly
@@ -190,16 +197,7 @@ def mul_slot_terms(a: Slot, b: Slot) -> SlotCombo:
     return out
 
 
-def _spread(ta: TermN, tb: TermN, c: int) -> List[Tuple[TermN, int]]:
-    """c * ta * tb over the basis: the slot products' expansions, tensored."""
-    out: List[Tuple[TermN, int]] = [((), c)]
-    for a, b in zip(ta, tb):
-        combo = mul_slot_terms(a, b).items()
-        out = [(p + (s,), v * k) for p, v in out for s, k in combo]
-    return out
-
-
-def over_denominator(den: int, re: Dict, im: Dict) -> Dict:
+def over_denominator(den: int, re: Dict, im: Optional[Dict]) -> Dict:
     """The nonzero (re[key] + im[key]*i)/den as Scalars, im missing a key
     meaning 0: where integer sums become coefficients."""
     frac = Scalar.frac
@@ -213,18 +211,105 @@ def over_denominator(den: int, re: Dict, im: Dict) -> Dict:
     return out
 
 
+Numerators = Dict[TermN, int]
+
+
+def _mul_add(out: Numerators, xs: Numerators, ys: Numerators, sign: int):
+    """out += sign * xs * ys on one part of each operand's numerators: per
+    term pair, the slot products' expansions tensored.  The slots but the
+    last fold into prefixes; the last slot's entries go straight into out.
+    An empty slot product makes the pair's product zero."""
+    get = _MUL1_CACHE.get
+    add = out.get
+    ys = [(tb, cb) for tb, cb in ys.items() if cb]
+    for ta, ca in xs.items():
+        if not ca:
+            continue
+        ca *= sign
+        if len(ta) == 1:
+            a = ta[0]
+            for (b,), cb in ys:
+                combo = get((a, b))
+                if combo is None:
+                    combo = mul_slot_terms(a, b)
+                v = ca * cb
+                for s, k in combo.items():
+                    t = (s,)
+                    out[t] = add(t, 0) + v * k
+            continue
+        for tb, cb in ys:
+            combos = []
+            for key in zip(ta, tb):
+                combo = get(key)
+                if combo is None:
+                    combo = mul_slot_terms(*key)
+                if not combo:
+                    break
+                combos.append(combo.items())
+            else:
+                last = combos.pop()
+                prefixes = [((), ca * cb)]
+                for combo in combos:
+                    prefixes = [(p + (s,), v * k) for p, v in prefixes for s, k in combo]
+                for p, v in prefixes:
+                    for s, k in last:
+                        t = p + (s,)
+                        out[t] = add(t, 0) + v * k
+
+
+def _product_into(re: Numerators, im: Numerators, x: "Operator", y: "Operator", sign: int):
+    """(re, im) += sign * x * y on numerators, over x.den * y.den:
+    (a + bi)(c + ei) = (ac - be) + (ae + bc)i, one bilinear pass per part."""
+    _mul_add(re, x.re, y.re, sign)
+    if x.im and y.im:
+        _mul_add(re, x.im, y.im, -sign)
+    if y.im:
+        _mul_add(im, x.re, y.im, sign)
+    if x.im:
+        _mul_add(im, x.im, y.re, sign)
+
+
+def _canonical(n: int, den: int, re: Numerators, im: Optional[Numerators]) -> "Operator":
+    """The Operator of (re + im*i)/den, den > 0, from sums that may hold
+    zeros and a common factor: zero terms dropped, one gcd pass."""
+    if im:
+        im = {t: v for t, v in im.items() if v}
+    if im:
+        re = {t: v for t, v in re.items() if v or t in im}
+        for t in im:
+            if t not in re:
+                re[t] = 0
+    else:
+        im = None
+        re = {t: v for t, v in re.items() if v}
+    g = den
+    for v in re.values():
+        if g == 1:
+            break
+        g = gcd(g, v)
+    if im and g != 1:
+        for v in im.values():
+            g = gcd(g, v)
+    if g != 1:
+        den //= g
+        re = {t: v // g for t, v in re.items()}
+        if im:
+            im = {t: v // g for t, v in im.items()}
+    return Operator._trusted(n, den, re, im)
+
+
 # -- operators -------------------------------------------------------------
 
 
 class Operator:
-    """Element of the arity-n operator algebra in canonical form."""
+    """Element of the arity-n operator algebra in canonical integer form:
+    coefficient (re[t] + im[t]*i)/den on each live term t (module docstring)."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "den", "re", "im", "_terms")
 
     def __init__(self, n: int, terms: Dict[TermN, Scalar] | None = None):
         if n < 1:
             raise ValueError("arity must be >= 1")
-        self.n = n
         clean: Dict[TermN, Scalar] = {}
         if terms:
             for t, c in terms.items():
@@ -236,23 +321,35 @@ class Operator:
                 c = Scalar.of(c)
                 if not c.is_zero():
                     clean[t] = c
-        self.terms = clean
+        # the lcm of reduced denominators leaves no common factor
+        den = common_den(clean.values())
+        re: Numerators = {}
+        im: Numerators = {}
+        for t, c in clean.items():
+            f = den // c.den
+            re[t] = c.nre * f
+            if c.nim:
+                im[t] = c.nim * f
+        self.n, self.den, self.re, self.im, self._terms = n, den, re, im or None, clean
 
     @staticmethod
-    def _trusted(n: int, terms: Dict[TermN, Scalar]) -> "Operator":
-        """An Operator on canonical terms with nonzero Scalar coefficients,
-        taken as they are: the form every internal result is built in."""
+    def _trusted(n: int, den: int, re: Numerators, im: Optional[Numerators]) -> "Operator":
+        """An Operator on an integer form that is already canonical, taken
+        as it is: the form every internal result is built in."""
         op = object.__new__(Operator)
-        op.n, op.terms = n, terms
+        op.n, op.den, op.re, op.im, op._terms = n, den, re, im, None
         return op
 
-    def numerators(self) -> Tuple[int, List[Tuple[TermN, int, int]]]:
-        """(den, [(term, re, im), ...]): each coefficient is (re + im*i)/den,
-        den being the lcm of every real and imaginary denominator."""
-        den = common_den(self.terms.values())
-        if den == 1:
-            return 1, [(t, c.nre, c.nim) for t, c in self.terms.items()]
-        return den, [(t, c.nre * (f := den // c.den), c.nim * f) for t, c in self.terms.items()]
+    @property
+    def terms(self) -> Dict[TermN, Scalar]:
+        """{term: coefficient} as Scalars, built on first read; read-only."""
+        if self._terms is None:
+            self._terms = over_denominator(self.den, self.re, self.im)
+        return self._terms
+
+    def numerators(self) -> Tuple[int, Numerators, Optional[Numerators]]:
+        """The integer form (den, re, im), as it is held."""
+        return self.den, self.re, self.im
 
     # -- constructors --------------------------------------------------
 
@@ -272,8 +369,12 @@ class Operator:
     def _single(n: int, slot_index: int, slot: Slot) -> "Operator":
         if not 1 <= slot_index <= n:
             raise ValueError(f"slot index {slot_index} out of range 1..{n}")
+        _check_slot(slot)
         term = tuple(slot if j == slot_index else IDENT for j in range(1, n + 1))
-        return Operator(n, {term: ONE})
+        op = Operator._trusted(n, 1, {term: 1}, None)
+        # generators are read term by term often enough to carry their Scalar
+        op._terms = {term: ONE}
+        return op
 
     @staticmethod
     def gen_H(n: int, slot_index: int = 1) -> "Operator":
@@ -309,52 +410,49 @@ class Operator:
         return self._plus(other, True)
 
     def _plus(self, other: "Operator", negate: bool) -> "Operator":
-        """self + other, or self - other when negate: one pass over other's
-        terms, with no negated copy of it."""
+        """self + other, or self - other when negate, on numerators over the
+        lcm of the two denominators."""
         self._check(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            cur = out.get(t)
-            if cur is None:
-                out[t] = -c if negate else c
-                continue
-            cur = cur - c if negate else cur + c
-            if cur.is_zero():
-                del out[t]
-            else:
-                out[t] = cur
-        return Operator._trusted(self.n, out)
+        da, db = self.den, other.den
+        den = da // gcd(da, db) * db
+        fa, fb = den // da, den // db
+        if negate:
+            fb = -fb
+        parts = []
+        for x, y in ((self.re, other.re), (self.im, other.im)):
+            out = {t: v * fa for t, v in x.items()} if x else {}
+            for t, v in (y or {}).items():
+                out[t] = out.get(t, 0) + v * fb
+            parts.append(out)
+        return _canonical(self.n, den, *parts)
 
     def __neg__(self) -> "Operator":
-        return Operator._trusted(self.n, {t: -c for t, c in self.terms.items()})
+        im = self.im and {t: -v for t, v in self.im.items()}
+        return Operator._trusted(self.n, self.den, {t: -v for t, v in self.re.items()}, im)
 
     def scale(self, c) -> "Operator":
+        """c * self: (p + q*i)/r times (re + im*i)/den, normalized once."""
         c = Scalar.of(c)
-        if c.is_zero():
-            return Operator(self.n)
-        return Operator._trusted(self.n, {t: c * x for t, x in self.terms.items()})
+        p, q = c.nre, c.nim
+        re = {t: v * p for t, v in self.re.items()}
+        im = {}
+        if q:
+            im = {t: v * q for t, v in self.re.items()}
+        if self.im:
+            for t, v in self.im.items():
+                re[t] -= v * q
+                im[t] = im.get(t, 0) + v * p
+        return _canonical(self.n, self.den * c.den, re, im)
 
     def __mul__(self, other: "Operator") -> "Operator":
         """The product on integer numerators: each term pair's coefficient
-        times its integer structure constants, spread slot by slot, summed
-        per output term over the product of the two common denominators."""
+        times its integer structure constants, summed per output term over
+        the product of the two denominators."""
         self._check(other)
-        da, xs = self.numerators()
-        db, ys = other.numerators()
-        re: Dict[TermN, int] = {}
-        im: Dict[TermN, int] = {}
-        rational = not any(x[2] for x in xs) and not any(y[2] for y in ys)
-        for ta, ar, ai in xs:
-            for tb, br, bi in ys:
-                if rational:
-                    for t, k in _spread(ta, tb, ar * br):
-                        re[t] = re.get(t, 0) + k
-                else:
-                    cr, ci = ar * br - ai * bi, ar * bi + ai * br
-                    for t, k in _spread(ta, tb, 1):
-                        re[t] = re.get(t, 0) + cr * k
-                        im[t] = im.get(t, 0) + ci * k
-        return Operator._trusted(self.n, over_denominator(da * db, re, im))
+        re: Numerators = {}
+        im: Numerators = {}
+        _product_into(re, im, self, other, 1)
+        return _canonical(self.n, self.den * other.den, re, im)
 
     def __pow__(self, k: int) -> "Operator":
         """self**k as ((self*self)*self)*...: k - 1 products, each with the
@@ -369,18 +467,26 @@ class Operator:
         return out
 
     def commutator(self, other: "Operator") -> "Operator":
-        return self * other - other * self
+        """self*other - other*self in one pass: the first product's term
+        pairs added, the second's subtracted, over one denominator."""
+        self._check(other)
+        re: Numerators = {}
+        im: Numerators = {}
+        _product_into(re, im, self, other, 1)
+        _product_into(re, im, other, self, -1)
+        return _canonical(self.n, self.den * other.den, re, im)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.re
 
     def __eq__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        im = frozenset(self.im.items()) if self.im else None
+        return hash((self.n, self.den, frozenset(self.re.items()), im))
 
     # -- structure -----------------------------------------------------
 
@@ -416,7 +522,7 @@ class Operator:
     def index_bound(self) -> int:
         """Largest d/int power or e-index appearing in any slot."""
         b = 0
-        for t in self.terms:
+        for t in self.re:
             for s in t:
                 b = max(b, slot_index_bound(s))
         return b
@@ -424,7 +530,7 @@ class Operator:
     def max_poly_degree(self) -> int:
         """Largest power of H appearing in any slot term."""
         b = 0
-        for t in self.terms:
+        for t in self.re:
             for s in t:
                 if s[0] == "H":
                     b = max(b, s[1])
@@ -434,7 +540,7 @@ class Operator:
 
     def max_positive_degree(self) -> int:
         b = 0
-        for t in self.terms:
+        for t in self.re:
             for s in t:
                 b = max(b, slot_degree(s))
         return b
@@ -447,9 +553,7 @@ class Operator:
         for j in chosen:
             if not 1 <= j <= self.n:
                 raise ValueError(f"slot index {j} out of range 1..{self.n}")
-        if not self.terms:
-            return True
-        for t in self.terms:
+        for t in self.re:
             if not any(t[j - 1][0] == "E" for j in chosen):
                 return False
         return True

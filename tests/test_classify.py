@@ -29,6 +29,7 @@ from intdiffops.classify import (
     kronecker_decompose_with_iso,
     kronecker_sum,
     lambda_members,
+    least_rotation,
     min_poly,
     modules_isomorphic,
     realize_A_member,
@@ -374,6 +375,34 @@ def test_band_modules_and_rotation():
         BandOrbit("h1h2h1h2")
     with pytest.raises(DomainError):
         band_module("h1h2", 1, 0)
+
+
+@given(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+@example([2, 1, 2, 1, 1, 2, 1, 1])
+@example([1, 2] * 6)
+def test_least_rotation_matches_min_of_rotations(word):
+    w = tuple(word)
+    r = least_rotation(w)
+    assert 0 <= r < len(w)
+    assert w[r:] + w[:r] == min(w[i:] + w[:i] for i in range(len(w)))
+
+
+def test_band_word_rotation_in_linear_memory():
+    import tracemalloc
+
+    rng = random.Random(5)
+    w = tuple(rng.choice((1, 2)) for _ in range(100_000))
+    tracemalloc.start()
+    try:
+        orbit = BandOrbit(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    r = least_rotation(w)
+    assert orbit.word == w[r:] + w[:r]
+    # the parsed copy, one rotation and the periodicity test's slices
+    assert peak < 6 * sys.getsizeof(w)
 
 
 def test_strings_pairwise_noniso():

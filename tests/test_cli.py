@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from intdiffops.cli import main
+from intdiffops.cli import MAX_ARITY, main
 from intdiffops.action import MAX_ACTION_CELLS
 from intdiffops.classify import MAX_GAMMA_DIM
 from intdiffops.modules import MAX_MS_LENGTH, MAX_WINDOW_POINTS
@@ -146,6 +146,24 @@ def test_window_size_limit_holds_for_module_files(tmp_path):
     code, out = run_cli(["--json", "dims", "--in", str(path)])
     assert code == 1
     assert "window of 4000001 points" in json.loads(out)["error"]["message"]
+
+
+def test_arity_limit_is_a_domain_error():
+    argv = ["mul", "d_1 + int_1", "H_1 + x_1"]
+    code, out = run_cli(["--json", "--arity", str(MAX_ARITY), *argv])
+    result = json.loads(out)["result"]
+    assert code == 0 and result["n"] == MAX_ARITY and len(result["terms"]) == 5
+    start = time.perf_counter()
+    for extra in (1, 10**6):
+        code, out = run_cli(["--json", "--arity", str(MAX_ARITY + extra), *argv])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "domain",
+            "message": f"arity {MAX_ARITY + extra} exceeds the limit MAX_ARITY = {MAX_ARITY}",
+        }
+    code, out = run_cli(["--arity", str(MAX_ARITY + 1), "normalize", "d_1"])
+    assert code == 1 and out == ""
+    assert time.perf_counter() - start < 1.0
 
 
 def test_ms_length_limit_is_a_domain_error():

@@ -1,16 +1,19 @@
 """Differential tests of the integer arithmetic behind operator products and
-the action oracle, against term-by-term Scalar references kept here.  Scalar
+the action oracle, against term-by-term Scalar references kept here, and of
+the integer form against the Scalar-dict arithmetic it replaced.  Scalar
 itself is checked against Fraction pairs in test_scalar_reference.py."""
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intdiffops.action import act_monomial, act_slot_term
+from intdiffops import action
+from intdiffops.action import act_monomial, act_slot_term, is_zero_by_action
 from intdiffops.operators import Operator, mul_slot_terms
-from intdiffops.scalars import ZERO, Scalar
+from intdiffops.scalars import ZERO, Scalar, common_den
 
 
 def reference_mul(a: Operator, b: Operator) -> dict:
@@ -161,16 +164,15 @@ def test_structure_constants_are_ints_and_compose_the_action():
 
 def test_zero_operator_numerators():
     for n in (1, 2, 3):
-        assert Operator.zero(n).numerators() == (1, [])
+        assert Operator.zero(n).numerators() == (1, {}, None)
+        assert (Operator.one(n) - Operator.one(n)).numerators() == (1, {}, None)
 
 
 def test_mixed_denominators_and_gaussian_coefficients():
     h, d, e = (("H", 1),), (("D", 1, 0),), (("E", 0, 1),)
     a = Operator(1, {h: Fraction(1, 2), d: Scalar(Fraction(1, 3), Fraction(2, 5)), e: Scalar(0, Fraction(-1, 4))})
     b = Operator(1, {h: Scalar(Fraction(-1, 2), 1), d: Fraction(5, 6)})
-    den, items = a.numerators()
-    assert den == 60
-    assert sorted(items) == sorted([(h, 30, 0), (d, 20, 24), (e, 0, -15)])
+    assert a.numerators() == (60, {h: 30, d: 20, e: 0}, {d: 24, e: -15})
     assert (a * b).terms == reference_mul(a, b)
     assert (a + b).terms == {h: Scalar(0, 1), d: Scalar(Fraction(7, 6), Fraction(2, 5)), e: Scalar(0, Fraction(-1, 4))}
     assert (a - a).is_zero() and (a + (-a)).is_zero()
@@ -190,3 +192,198 @@ def test_difference_is_sum_with_the_negation(ab):
         if not c.is_zero():
             want[t] = c
     assert got.terms == want
+
+
+# -- the Scalar-dict arithmetic the integer form replaced -------------------
+# Operators as {term: Scalar} dicts, with the product spread slot by slot
+# into integer sums over the operands' common denominators.
+
+
+def _spread(ta, tb, c):
+    out = [((), c)]
+    for a, b in zip(ta, tb):
+        combo = mul_slot_terms(a, b).items()
+        out = [(p + (s,), v * k) for p, v in out for s, k in combo]
+    return out
+
+
+def _numerators(terms):
+    den = common_den(terms.values())
+    return den, [(t, c.nre * (den // c.den), c.nim * (den // c.den)) for t, c in terms.items()]
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    da, xs = _numerators(x)
+    db, ys = _numerators(y)
+    re, im = {}, {}
+    rational = not any(v[2] for v in xs) and not any(v[2] for v in ys)
+    for ta, ar, ai in xs:
+        for tb, br, bi in ys:
+            if rational:
+                for t, k in _spread(ta, tb, ar * br):
+                    re[t] = re.get(t, 0) + k
+            else:
+                cr, ci = ar * br - ai * bi, ar * bi + ai * br
+                for t, k in _spread(ta, tb, 1):
+                    re[t] = re.get(t, 0) + cr * k
+                    im[t] = im.get(t, 0) + ci * k
+    return {t: Scalar.frac(r, im.get(t, 0), da * db) for t, r in re.items() if r or im.get(t, 0)}
+
+
+def ref_plus(x: dict, y: dict, negate: bool = False) -> dict:
+    out = dict(x)
+    for t, c in y.items():
+        cur = out.get(t)
+        if cur is None:
+            out[t] = -c if negate else c
+            continue
+        cur = cur - c if negate else cur + c
+        if cur.is_zero():
+            del out[t]
+        else:
+            out[t] = cur
+    return out
+
+
+def ref_neg(x: dict) -> dict:
+    return {t: -c for t, c in x.items()}
+
+
+def ref_scale(x: dict, c) -> dict:
+    c = Scalar.of(c)
+    return {} if c.is_zero() else {t: c * v for t, v in x.items()}
+
+
+def ref_commutator(x: dict, y: dict) -> dict:
+    return ref_plus(ref_mul(x, y), ref_mul(y, x), True)
+
+
+def assert_canonical_form(op: Operator):
+    """den > 0; every live term in re, 0 there only for a pure imaginary
+    coefficient; im None or its nonzero imaginary numerators; no common
+    factor."""
+    den, re, im = op.numerators()
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and len(t) == op.n for t, v in re.items())
+    if im is None:
+        assert all(re.values())
+    else:
+        assert type(im) is dict and im, "im must be None when every coefficient is rational"
+        assert all(type(v) is int and v for v in im.values()) and set(im) <= set(re)
+        assert all(v or t in im for t, v in re.items())
+    assert gcd(den, *re.values(), *(im or {}).values()) == 1
+
+
+def assert_matches(got: Operator, want: dict):
+    """got is canonical, reads as `want`, and equals and hashes like the
+    Operator built from want's Scalars."""
+    assert_canonical_form(got)
+    assert got.terms == want
+    built = Operator(got.n, want)
+    assert_canonical_form(built)
+    assert got == built and hash(got) == hash(built)
+    assert str(got) == str(built)
+
+
+# numerators and denominators up to 10^30, next to small ones
+big = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+big_gaussian = st.builds(Scalar, big, big).filter(lambda c: not c.is_zero())
+coefficients = st.one_of(rational, gaussian, big.filter(bool).map(Scalar), big_gaussian)
+
+
+def wide_triples():
+    """(a, b, c) at arity 1-3 over Q or Q(i), c a scalar, zero allowed."""
+    def triple(n):
+        field = st.sampled_from([st.one_of(rational, big.filter(bool).map(Scalar)), coefficients])
+        return field.flatmap(lambda k: st.tuples(operators(n, k), operators(n, k), st.one_of(st.just(ZERO), k)))
+
+    return st.integers(1, 3).flatmap(triple)
+
+
+@given(wide_triples())
+@settings(max_examples=150, deadline=None)
+def test_integer_form_matches_scalar_dict_arithmetic(case):
+    a, b, c = case
+    x, y = a.terms, b.terms
+    assert_matches(a * b, ref_mul(x, y))
+    assert_matches(b * a, ref_mul(y, x))
+    assert_matches(a.commutator(b), ref_commutator(x, y))
+    assert_matches(a + b, ref_plus(x, y))
+    assert_matches(a - b, ref_plus(x, y, True))
+    assert_matches(-a, ref_neg(x))
+    assert_matches(a.scale(c), ref_scale(x, c))
+    # one pass or two, the commutator is the same value, form and text
+    two = a * b - b * a
+    assert a.commutator(b) == two and hash(a.commutator(b)) == hash(two)
+    assert str(a.commutator(b)) == str(two)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.integers(1, n), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+            operators(n, coefficients), operators(n, coefficients),
+        )
+    )
+)
+@settings(max_examples=80, deadline=None)
+@example((2, 1, 0, 1, 2, 0, Operator(2, {(("H", 0), ("H", 0)): 1}), Operator(2, {(("H", 0), ("H", 0)): 1})))
+def test_mismatched_e_indices_give_zero_products(case):
+    # e[s,t]_j * e[u,v]_j = 0 for t != u, whatever the other slots hold
+    n, j, s, t, u, v, x, y = case
+    if t == u:
+        u = t + 1
+    left = x * Operator.gen_e(n, s, t, j)
+    right = Operator.gen_e(n, u, v, j) * y
+    for got, want in ((left * right, ref_mul(left.terms, right.terms)), (left.commutator(right) + right * left, {})):
+        assert want == {}
+        assert got.numerators() == (1, {}, None)
+        assert got.is_zero() and got.terms == {} and str(got) == "0"
+        assert got == Operator.zero(n) and hash(got) == hash(Operator.zero(n))
+
+
+@given(wide_triples())
+@settings(max_examples=80, deadline=None)
+def test_sums_that_cancel(case):
+    a, b, c = case
+    zero = Operator.zero(a.n)
+    again = Operator(a.n, a.terms)
+    for got in (a - again, a + (-a), a.scale(c) - again.scale(c), (a * b).scale(c) - (again * b).scale(c)):
+        assert_canonical_form(got)
+        assert got == zero and hash(got) == hash(zero) and got.numerators() == (1, {}, None)
+    # partial cancellation leaves the other summand, however it was built
+    got = (a + b) - b
+    assert_matches(got, a.terms)
+    assert got == again and hash(got) == hash(again)
+
+
+def test_products_build_scalars_only_on_read(monkeypatch):
+    # integer-born operands: results of arithmetic, whose Scalars were never read
+    n = 2
+    d1, x2, e1 = Operator.gen_d(n, 1), Operator.gen_x(n, 2), Operator.gen_e(n, 0, 1, 1)
+    a = (d1 * x2 + e1 * x2 * x2).scale(Fraction(3, 4)) - Operator.gen_H(n, 2).scale(Scalar(Fraction(2, 3), 1))
+    b = (x2 * d1 + Operator.gen_int(n, 1) * e1).scale(Fraction(-5, 6))
+    calls = []
+    frac = Scalar.frac
+    monkeypatch.setattr(Scalar, "frac", staticmethod(lambda *args: calls.append(args) or frac(*args)))
+    ab = a * b
+    c = a.commutator(b)
+    assert calls == []
+    assert not is_zero_by_action(c) and is_zero_by_action(ab - b * a - c)
+    assert calls == []
+    terms = ab.terms
+    assert len(calls) == len(terms) > 0
+    assert ab.terms is terms and str(ab) and len(calls) == len(terms)
+
+
+def test_zero_test_stops_at_the_first_nonzero_image(monkeypatch):
+    images = []
+    image = action._image
+    monkeypatch.setattr(action, "_image", lambda a, alpha: images.append(alpha) or image(a, alpha))
+    # d x^[0] = 0 and d x^[1] = x^[0]: two of the window's three monomials
+    assert not is_zero_by_action(Operator.gen_d(1))
+    assert images == [(0,), (1,)]
+    # a zero operator is probed on the whole window
+    images.clear()
+    assert is_zero_by_action(Operator.gen_d(1) * Operator.gen_int(1) - Operator.one(1))
+    assert images == [(0,), (1,)]
