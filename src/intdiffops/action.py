@@ -126,13 +126,21 @@ class ActionMatrix:
 def _check_action_cells(a: Operator, N: int):
     """Refuse, before any work, an action window on exponents up to N whose
     matrix would exceed MAX_ACTION_CELLS."""
-    dom_dim = max(N + 1, 0) ** a.n
-    cod_dim = max(N + 1 + a.max_positive_degree(), 0) ** a.n
-    if dom_dim * cod_dim > MAX_ACTION_CELLS:
+    dom_base = max(N + 1, 0)
+    cod_base = max(N + 1 + a.max_positive_degree(), 0)
+    if (dom_base * cod_base) ** a.n > MAX_ACTION_CELLS:
         raise DomainError(
-            f"action matrix on {dom_dim} domain x {cod_dim} codomain monomials "
-            f"({dom_dim * cod_dim} cells) exceeds the limit MAX_ACTION_CELLS = {MAX_ACTION_CELLS}"
+            f"action matrix on {_power(dom_base, a.n)} domain x {_power(cod_base, a.n)} codomain "
+            f"monomials ({_power(dom_base * cod_base, a.n)} cells) exceeds the limit "
+            f"MAX_ACTION_CELLS = {MAX_ACTION_CELLS}"
         )
+
+
+def _power(base: int, n: int) -> str:
+    """base^n in decimal while short, else as written: Python refuses to
+    print an int of more than about 4,300 digits."""
+    v = base**n
+    return str(v) if v.bit_length() <= 256 else f"{base}^{n}"
 
 
 def to_matrix(a: Operator, N: int) -> ActionMatrix:

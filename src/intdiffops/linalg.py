@@ -297,7 +297,28 @@ class Mat:
         return im is None and not any(map(any, re))
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == Mat.scalar(self.rows, ONE)
+        if not (self.rows or self.cols):
+            return True
+        c = self.scalar_value()
+        return c is not None and c.is_one()
+
+    def scalar_value(self) -> Optional[Scalar]:
+        """c when the matrix is square with at least one row and equals c
+        times the identity, else None.  Read off the integer rows: those of
+        c*I all hold c's numerators on the diagonal over c's denominator."""
+        n = self.rows
+        if not n or n != self.cols:
+            return None
+        re, im, sc = self._int()
+        p, q = re[0][0], sc[0]
+        pi = 0 if im is None else im[0][0]
+        zeros, izeros = n - (p != 0), n - (pi != 0)
+        for i, row in enumerate(re):
+            if sc[i] != q or row[i] != p or row.count(0) != zeros:
+                return None
+            if im is not None and (im[i][i] != pi or im[i].count(0) != izeros):
+                return None
+        return Scalar.frac(p, pi, q)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -1114,6 +1135,12 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
     `restrict` solves for part by part, and its off-diagonal blocks vanish
     exactly when every part is stable.  Both are read from X's integer rows
     in one pass.
+
+    A loop (s == t) whose map is c*I needs no X: T^-1 (c I) T = c I in every
+    basis, so each part's block is c*I of its size and no off-diagonal block
+    can be nonzero.  An arrow between two vertices is always conjugated and
+    checked, since its two bases differ.  Zero blocks and c*I blocks are
+    shared, one per shape and scalar in a call.
     """
     T, Tinv, bounds = [], [], []
     for v, d in enumerate(R.dims):
@@ -1130,21 +1157,26 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
             T.append(Tv)
             Tinv.append(inv)
         bounds.append(list(accumulate((p[v].cols for p in parts), initial=0)))
-    zeros = {}
+    shared = {}
 
-    def zero_block(rows: int, cols: int) -> Mat:
-        # one zero block per shape, shared: Mats born of ints are never written
-        z = zeros.get((rows, cols))
-        if z is None:
-            z = zeros[rows, cols] = _zeros(rows, cols)
-        return z
+    def shared_block(rows: int, cols: int, c: Scalar = ZERO) -> Mat:
+        # c*I, or zero when c is: one per shape and scalar, shared, as Mats
+        # born of ints are never written
+        key = (rows, cols, c.nre, c.nim, c.den)
+        m = shared.get(key)
+        if m is None:
+            m = shared[key] = _zeros(rows, cols) if c.is_zero() else Mat.scalar(rows, c)
+        return m
 
     arrows: List[list] = [[] for _ in parts]
     for s, t, f in R.arrows:
         bs, bt = bounds[s], bounds[t]
-        if f.is_zero():
+        c = f.scalar_value() if s == t else None
+        if c is None and f.is_zero():
+            c = ZERO
+        if c is not None:
             for k, out in enumerate(arrows):
-                out.append((s, t, zero_block(bt[k + 1] - bt[k], bs[k + 1] - bs[k])))
+                out.append((s, t, shared_block(bt[k + 1] - bt[k], bs[k + 1] - bs[k], c)))
             continue
         X = f if T[s] is None else f @ T[s]
         if Tinv[t] is not None:
@@ -1157,7 +1189,7 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
                 for r in range(bt[k], bt[k + 1]):
                     if any(re[r]) or im is not None and any(im[r]):
                         return None
-                out.append((s, t, zero_block(bt[k + 1] - bt[k], b - a)))
+                out.append((s, t, shared_block(bt[k + 1] - bt[k], b - a)))
                 continue
             if b - a == X.cols and bt[k + 1] - bt[k] == X.rows:
                 # this part holds both spaces, so its block is all of X

@@ -18,6 +18,7 @@ from .linalg import (
     DomainError,
     Mat,
     QuiverRep,
+    _zeros,
     column_space_basis,
     complete_basis,
     hom_space,
@@ -283,12 +284,24 @@ class ModuleWindow:
         order, and the (kind, slot, p) key of each arrow."""
         pts = sorted(self.points())
         index = {p: v for v, p in enumerate(pts)}
+        dims = [self.spaces.get(p, 0) for p in pts]
+        up = -1 if self.side == "right" else 1
+        steps = (("d", -up), ("int", up), ("H", 0))
+        get = self.maps.get
         keys, arrows = [], []
-        for p in pts:
-            for kind, i, q in self.arrows(p):
-                keys.append((kind, i, p))
-                arrows.append((index[p], index[q], self.map(kind, i, p)))
-        return pts, keys, QuiverRep([self.dim(p) for p in pts], arrows)
+        for v, p in enumerate(pts):
+            for j in range(self.n):
+                for kind, step in steps:
+                    # a shifted point is in the window exactly when it is a vertex
+                    w = index.get(p[:j] + (p[j] + step,) + p[j + 1 :]) if step else v
+                    if w is None:
+                        continue
+                    key = (kind, j + 1, p)
+                    f = get(key)
+                    keys.append(key)
+                    # no caller writes a quiver's maps, so a missing one may be a shared-row zero
+                    arrows.append((v, w, _zeros(dims[w], dims[v]) if f is None else f))
+        return pts, keys, QuiverRep(dims, arrows)
 
     def map(self, kind: str, slot: int, p: Point) -> Mat:
         """Generator matrix at p; a shaped zero when nothing is stored."""
@@ -363,15 +376,9 @@ class ModuleWindow:
 
     def is_weight(self) -> Tuple[bool, Optional[Point]]:
         """True when every H_i acts as its weight scalar at every point."""
-        # the weight scalar matrices, by slot, layer and dimension
-        scalars: Dict[Tuple[int, int, int], Mat] = {}
         for p in self.support():
             for i in range(1, self.n + 1):
-                H = self.map("H", i, p)
-                key = (i, p[i - 1], H.rows)
-                if key not in scalars:
-                    scalars[key] = Mat.scalar(H.rows, self.orbit.weight(i, p[i - 1]))
-                if H != scalars[key]:
+                if self.map("H", i, p).scalar_value() != self.orbit.weight(i, p[i - 1]):
                     return False, p
         return True, None
 
@@ -645,8 +652,10 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
 
     Side by side in block order the B_D form one change of basis T_p per
     point, and `linalg.split` reads every block map of a generator f : p ->
-    q off T_q^-1 f T_p, whose off-diagonal blocks must vanish.  Blocks come
-    ordered by |D|, then as `combinations` lists them.
+    q off T_q^-1 f T_p, whose off-diagonal blocks must vanish.  An H_i of a
+    weight module is a loop c*I, which is c*I in every basis: `split` hands
+    each block c*I of its size with no product.  Blocks come ordered by |D|,
+    then as `combinations` lists them.
     """
     dd = M.orbit.integer_slots()
     proj = {i: _transported_projectors(M, i) for i in dd}
@@ -659,7 +668,7 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
             # a factor pair (0, I) or (I, 0) extends each prefix by its product alone
             if Pi.is_zero():
                 continue
-            if Pi == I:
+            if Pi.is_identity():
                 prefixes = [(D + (i,), Q) for D, Q in prefixes]
                 continue
             factors = (((i,), Pi), ((), I - Pi))

@@ -116,6 +116,20 @@ def test_action_size_limit_is_a_domain_error():
     assert "27 domain x 79507 codomain monomials (2146689 cells)" in message
 
 
+def test_action_size_limit_names_counts_past_the_int_print_limit():
+    # 100001^1000 has 5,001 digits, more than Python prints as a decimal
+    start = time.perf_counter()
+    code, out = run_cli(["--json", "--arity", str(MAX_ARITY), "--deg", "100000", "act", "x_1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["kind"] == "domain"
+    message = doc["error"]["message"]
+    assert f"MAX_ACTION_CELLS = {MAX_ACTION_CELLS}" in message
+    assert f"100001^{MAX_ARITY} domain x 100002^{MAX_ARITY} codomain monomials" in message
+    assert f"(10000300002^{MAX_ARITY} cells)" in message
+
+
 def test_window_size_limit_is_a_domain_error():
     start = time.perf_counter()
     code, out = run_cli(["--json", "--window=-100000..100000", "dims", "--module", "Ms", "--s", "3", "--lambda", "0"])

@@ -319,6 +319,7 @@ def restrictions(draw):
     (mostly unstable)."""
     elements = draw(st.sampled_from([entries, gaussian_entries]))
     sparse = st.one_of(st.just(ZERO), st.just(ONE), elements)
+    nonzero = sparse.map(lambda x: ONE if x.is_zero() else x)
     k = draw(st.integers(1, 3))
     halves = [draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)) for _ in range(2)]
     arrows = []
@@ -363,26 +364,49 @@ def planted_splits(draw):
     (loops allowed) over Q or Q(i), scrambled by a random basis change G_v at
     every vertex, and per part the columns of G_v over its coordinates
     (stable) or over the same coordinates of an unrelated H_v (mostly not
-    stable)."""
+    stable).
+
+    Some loops carry c*I (c = 0 included), which every basis keeps, so
+    `split` passes them through without conjugating.  Some cases give
+    vertices 0 and 1 the same dimensions, G_1 = 2 G_0, and an arrow c*I, c
+    nonzero, between them: its part maps are c/2 or 2c times the identity,
+    which `split` finds only by conjugating."""
     elements = draw(st.sampled_from([entries, gaussian_entries]))
     sparse = st.one_of(st.just(ZERO), st.just(ONE), elements)
+    nonzero = sparse.map(lambda x: ONE if x.is_zero() else x)
     k = draw(st.integers(1, 3))
     dims = [draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)) for _ in range(draw(st.integers(1, 3)))]
+    tied = k > 1 and draw(st.booleans())
+    if tied:
+        # vertices 0 and 1 alike, part by part
+        for d in dims:
+            d[1] = d[0]
     sizes = [sum(d[v] for d in dims) for v in range(k)]
 
     def invertible(n):
-        # a unitriangular lower times a unitriangular upper matrix: determinant 1
+        # unitriangular lower and upper factors around a diagonal of nonzeros
         L, U = draw(mats(n, n, sparse)), draw(mats(n, n, sparse))
-        lower = Mat(n, n, [[ONE if i == j else L[i, j] if i > j else ZERO for j in range(n)] for i in range(n)])
+        D = [draw(nonzero) for _ in range(n)]
+        lower = Mat(n, n, [[D[i] if i == j else L[i, j] if i > j else ZERO for j in range(n)] for i in range(n)])
         upper = Mat(n, n, [[ONE if i == j else U[i, j] if i < j else ZERO for j in range(n)] for i in range(n)])
         return lower @ upper
 
     G = [invertible(n) for n in sizes]
+    if tied:
+        # vertex 1 in twice vertex 0's basis: an arrow c*I between them is
+        # planted, as c/2*I or 2c*I in the parts' coordinates
+        G[1] = G[0].scale(2)
     arrows = []
     for _ in range(draw(st.integers(1, 4))):
         s, t = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        if s == t and draw(st.booleans()):
+            arrows.append((s, t, Mat.scalar(sizes[s], draw(st.one_of(st.just(ZERO), elements)))))
+            continue
         planted = block_diag(*(draw(mats(d[t], d[s], sparse)) for d in dims))
         arrows.append((s, t, G[t] @ planted @ invert(G[s])))
+    if tied and sizes[0]:
+        s, c = draw(st.integers(0, 1)), draw(nonzero)
+        arrows.insert(draw(st.integers(0, len(arrows))), (s, 1 - s, Mat.scalar(sizes[0], c)))
     stable = draw(st.booleans())
     H = G if stable else [invertible(n) for n in sizes]
     parts, offsets = [], [0] * k
@@ -737,3 +761,61 @@ def test_split_checks_the_parts_without_a_source():
     pieces = split(QuiverRep([1, 1], [(0, 1, Mat(1, 1)), (1, 1, Mat(1, 1, [[2]]))]), [a, b])
     assert [p.dims for p in pieces] == [(1, 0), (0, 1)]
     assert [[f for _, _, f in p.arrows] for p in pieces] == [[Mat(0, 1), Mat(0, 0)], [Mat(1, 0), Mat(1, 1, [[2]])]]
+
+
+def _reference_scalar_value(M):
+    """c when M is square with a row and equals c*I, by comparison with
+    `Mat.scalar`; None otherwise."""
+    if not M.rows or M.rows != M.cols:
+        return None
+    c = M[0, 0]
+    return c if M == Mat.scalar(M.rows, c) else None
+
+
+@st.composite
+def near_scalar_mats(draw, elements):
+    """c*I as it is or with one entry redrawn, or a random matrix; up to
+    4 x 4, empty and non-square shapes included."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.sampled_from([n, n, n + 1, max(n - 1, 0)]))
+    kind = draw(st.sampled_from(["scalar", "changed", "random"]))
+    if kind == "random":
+        return draw(mats(n, m, elements))
+    c = draw(elements)
+    rows = [[c if i == j else ZERO for j in range(m)] for i in range(n)]
+    if kind == "changed" and n and m:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, m - 1))] = draw(elements)
+    return Mat(n, m, rows)
+
+
+@pytest.mark.parametrize("elements", [entries, gaussian_entries], ids=["q", "qi"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_scalar_value_matches_comparison_with_scalar(elements, data):
+    M = data.draw(near_scalar_mats(elements))
+    want = _reference_scalar_value(M)
+    for A in _born_both_ways(M):
+        got = A.scalar_value()
+        assert got == want and (got is None) == (want is None)
+        assert A.is_identity() == (A.rows == A.cols and A == Mat.scalar(A.rows, ONE))
+
+
+def test_scalar_value_cases():
+    half, third = Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3))
+    g = Scalar(Fraction(2, 3), Fraction(-1, 3))
+    i = Scalar.i()
+    assert Mat(0, 0).scalar_value() is None and Mat(0, 0).is_identity()
+    for shape in ((2, 3), (0, 2), (2, 0)):
+        assert Mat(*shape).scalar_value() is None and not Mat(*shape).is_identity()
+    assert Mat(3, 3).scalar_value() == ZERO and not Mat(3, 3).is_identity()
+    assert Mat.identity(3).scalar_value() == ONE and Mat.identity(3).is_identity()
+    # one off-diagonal entry, real or imaginary
+    assert Mat(2, 2, [[1, 1], [0, 1]]).scalar_value() is None
+    assert Mat(2, 2, [[1, 0], [i, 1]]).scalar_value() is None
+    # equal numerators over unequal scales, and unequal numerators over one scale
+    assert Mat(2, 2, [[half, 0], [0, third]]).scalar_value() is None
+    assert Mat(2, 2, [[half, 0], [0, 3 * half]]).scalar_value() is None
+    # Gaussian c, and diagonals that differ only in the imaginary part
+    assert Mat.scalar(3, g).scalar_value() == g and Mat(2, 2, [[i, 0], [0, i]]).scalar_value() == i
+    assert Mat(2, 2, [[1 + i, 0], [0, 1 - i]]).scalar_value() is None
+    assert not Mat(2, 2, [[1, 0], [0, 1 + i]]).is_identity()

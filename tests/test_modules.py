@@ -221,6 +221,46 @@ def test_block_decompose_products_grow_linearly(monkeypatch):
     assert counts[2] < 2.2 * counts[1]
 
 
+def _reference_quiver(M):
+    """The window's quiver built arrow by arrow through `arrows` and `map`:
+    (points, keys, dims, arrows)."""
+    pts = sorted(M.points())
+    index = {p: v for v, p in enumerate(pts)}
+    keys, arrows = [], []
+    for p in pts:
+        for kind, i, q in M.arrows(p):
+            keys.append((kind, i, p))
+            arrows.append((index[p], index[q], M.map(kind, i, p)))
+    return pts, keys, [M.dim(p) for p in pts], arrows
+
+
+def _quiver_windows(n, rng):
+    """A scrambled sum of simples at arity n on a window that cuts the
+    support, the same window dualized, one with about a third of its maps
+    dropped, and at arity 1 an Ms window."""
+    orbit = Orbit.from_reps([0] * n)
+    window = [(-1, 2)] * n if n > 1 else [(-3, 2)]
+    slots = list(range(1, n + 1))
+    summands = [build_simple(DSet(orbit, rng.sample(slots, size)), window) for size in range(n + 1)]
+    M = scramble(reduce(direct_sum, summands), rng)
+    keys = sorted(M.maps)
+    kept = {k: M.maps[k] for k in keys if rng.random() < 2 / 3}
+    assert len(kept) < len(keys)
+    windows = [M, dualize(M), ModuleWindow(M.orbit, M.window, M.spaces, kept, M.side)]
+    return windows + [build_Ms(3, 0, window)] if n == 1 else windows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quiver_matches_arrow_by_arrow_reference(n):
+    for M in _quiver_windows(n, random.Random(n)):
+        pts, keys, rep = M.quiver()
+        want_pts, want_keys, want_dims, want_arrows = _reference_quiver(M)
+        assert pts == want_pts and keys == want_keys and list(rep.dims) == want_dims
+        assert [(s, t) for s, t, _ in rep.arrows] == [(s, t) for s, t, _ in want_arrows]
+        for (_, _, f), (_, _, g) in zip(rep.arrows, want_arrows):
+            assert f.shape == g.shape and f == g
+
+
 def test_decompose_scrambled_sum():
     rng = random.Random(11)
     orbit = Orbit.from_reps([0])
