@@ -6,16 +6,17 @@ four-dimensional local algebra K[h1,h2]/(h1^2,h2^2), Jordan data of
 one-variable fibers, and a factorizable-quadratic tameness test for local
 ideals in two variables.
 
-Pencils (two vertices, two arrows) and modules on one space (one vertex, a
-loop per action matrix) are `linalg.QuiverRep`s, so `linalg.hom_space`,
-`linalg.isomorphism` and one Krull-Schmidt splitter, `split_indecomposables`,
-serve both.  The splitter takes End from the intertwining equations, its
-radical from the trace form (characteristic zero), and splits along an
-element whose minimal polynomial factors into coprime parts; a pencil is
-reported outside the field only with a certificate that End/rad is a field
-bigger than K.  `factor_unipoly` factors polynomials of degree <= 2 in
-closed form and hands higher degrees to the `symbolic` adapter, which loads
-sympy on first use.
+Pencils (two vertices, two arrows), modules on one space (one vertex, a
+loop per action matrix) and module windows are `linalg.QuiverRep`s, so
+`linalg.hom_space`, one Krull-Schmidt splitter, `split_indecomposables`, and
+the isomorphism decision built on it, `isomorphism`, serve all of them.
+The splitter takes End from the intertwining equations, its radical from
+the trace form (characteristic zero), and splits along an element whose
+minimal polynomial factors into coprime parts; a rep whose End/rad is
+certified to be a field is returned whole, so a pencil is reported outside
+the field only by its label.  `factor_unipoly` factors polynomials of
+degree <= 2 in closed form and hands higher degrees to the `symbolic`
+adapter, which loads sympy on first use.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import random as _random
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,7 +37,6 @@ from .linalg import (
     column_space_basis,
     hom_space,
     invert,
-    isomorphism,
     kernel_basis,
     rank,
     retraction,
@@ -304,16 +305,17 @@ def _jordan_block(n: int, lam) -> Mat:
     return Mat(n, n, [[lam if c == r else ONE if c == r + 1 else ZERO for c in range(n)] for r in range(n)])
 
 
-def _splitting_element(end: List[Mat], field: Field, residue_dim: int) -> Tuple[Mat, UniPoly, UniPoly]:
-    """An endomorphism whose min poly splits into two coprime parts.
+def _splitting_element(end: List[Mat], field: Field, residue_dim: int) -> Optional[Tuple[Mat, UniPoly, UniPoly]]:
+    """An endomorphism whose min poly splits into two coprime parts, or None
+    when End is local.
 
     Candidates are the basis elements, sums and differences of two of them,
     then seeded pseudo-random combinations.  The search stops at the first
     candidate m whose min poly either has two distinct irreducible factors
     or is g^e with g irreducible of degree residue_dim = dim End/rad >= 2.
     Then K[m mod rad] fills End/rad, so End/rad is a field bigger than K
-    and FieldError is a proof, not a search failure (split or certify, as
-    in the MeatAxe).
+    and None is a proof, not a search failure (split or certify, as in the
+    MeatAxe).
     """
 
     def candidates():
@@ -341,11 +343,8 @@ def _splitting_element(end: List[Mat], field: Field, residue_dim: int) -> Tuple[
             for f, mult in factors[1:]:
                 f2 = f2 * f ** mult
             return m, f1, f2
-        g = factors[0][0]
-        if g.degree() == residue_dim:
-            raise FieldError(
-                f"pencil eigenvalue not in the field {field.name}: End/rad is the field K[H]/({g})"
-            )
+        if factors[0][0].degree() == residue_dim:
+            return None
     raise RuntimeError(
         f"splitting search exhausted: no split and no degree-{residue_dim} certificate "
         "among the basis, pair and 300 seeded candidates"
@@ -396,14 +395,16 @@ def _kron_indecomposable_label(R: QuiverRep, field: Field) -> KroneckerBlockLabe
 
 def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, Tuple[Mat, ...]]]:
     """Indecomposable summands of R, each with its embeddings into R, one
-    per vertex (Krull-Schmidt by splitting End(R))."""
+    per vertex (Krull-Schmidt by splitting End(R)).  R comes back whole,
+    with identity embeddings, exactly when End(R) is local."""
     if not any(R.dims):
         return []
     end = [block_diag(*h) for h in hom_space(R, R)]
     residue_dim = len(end) - _radical_dim(end)
-    if residue_dim == 1:
+    split_by = None if residue_dim == 1 else _splitting_element(end, field, residue_dim)
+    if split_by is None:
         return [(R, tuple(Mat.identity(d) for d in R.dims))]
-    m, f1, f2 = _splitting_element(end, field, residue_dim)
+    m, f1, f2 = split_by
     parts = []
     for f in (f1, f2):
         fm = _eval_poly_at_matrix(f, m)
@@ -421,6 +422,63 @@ def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, T
         for piece, emb in split_indecomposables(sub, field):
             out.append((piece, tuple(B @ E for B, E in zip(bases, emb))))
     return out
+
+
+def _invertible_hom(homs: List[Tuple[Mat, ...]]) -> Optional[Tuple[Mat, ...]]:
+    """The first hom whose blocks are all invertible, or None."""
+    return next((h for h in homs if all(rank(b) == b.rows for b in h)), None)
+
+
+def isomorphism(M: QuiverRep, N: QuiverRep) -> Optional[Tuple[Mat, ...]]:
+    """The blocks of an isomorphism M -> N, one per vertex, or None when
+    there is none.  An exact decision, over Q(i) if an entry of M or N is
+    not real and over Q otherwise; by Noether-Deuring the answer is the same.
+
+    A hom is an isomorphism when every block is invertible.  The first such
+    basis element of Hom(M, N) wins, and a vector that every hom's block at
+    one vertex kills, on either side, proves None.  Otherwise M is split.
+    If End(M) is local, None is proved too: for an isomorphism phi the
+    non-isomorphisms in Hom(M, N) = phi End(M) form the proper subspace
+    phi rad End(M), which holds no basis, so the first test would have
+    found one.  Else N is split as well and the summands are matched in
+    pairs by the first test, which decides for indecomposables; by
+    Krull-Schmidt greedy matching is complete.  The matched isomorphisms
+    phi_j, put side by side through the embeddings E_j of M and F_j of N,
+    give phi_v = [F_j phi_j ...] [E_j ...]^-1.
+    """
+    if M.dims != N.dims:
+        return None
+    if not any(M.dims):
+        return tuple(Mat(0, 0) for _ in M.dims)
+    homs = hom_space(M, N)
+    iso = _invertible_hom(homs)
+    if iso is not None or not homs:
+        return iso
+    for d, *blocks in zip(M.dims, *homs):
+        # a vector that every hom's block kills on the left or on the right
+        if d and (rank(blocks[0].hstack(*blocks[1:])) < d or rank(reduce(Mat.vstack, blocks)) < d):
+            return None
+    real = all(f._int()[1] is None for R in (M, N) for _, _, f in R.arrows)
+    field = QQ if real else QQI
+    pieces_m = split_indecomposables(M, field)
+    if len(pieces_m) == 1:
+        return None
+    unmatched = split_indecomposables(N, field)
+    # per summand of M, the blocks F_j phi_j of its image in N
+    images = []
+    for piece, _ in pieces_m:
+        for k, (other, F) in enumerate(unmatched):
+            phi = _invertible_hom(hom_space(piece, other)) if piece.dims == other.dims else None
+            if phi is not None:
+                break
+        else:
+            return None
+        images.append([Fv @ phi_v for Fv, phi_v in zip(F, phi)])
+        del unmatched[k]
+    return tuple(
+        Mat(d, 0).hstack(*(im[v] for im in images)) @ invert(Mat(d, 0).hstack(*(E[v] for _, E in pieces_m)))
+        for v, d in enumerate(M.dims)
+    )
 
 
 def _kron_labeled(R: KroneckerRep, field: Field):

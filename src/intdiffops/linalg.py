@@ -4,13 +4,13 @@ Matrices carry explicit (rows, cols) so zero-dimensional spaces (which occur
 as weight spaces outside a module's support) are handled uniformly.  This is
 the one place that assembles matrices from columns (`Mat.from_cols`) or
 blocks (`block_diag`) and solves for them: `solve_linear` takes any number
-of right-hand sides.  It is also the one place that writes and searches
+of right-hand sides.  It is also the one place that writes and solves
 Hom spaces.  Pencils, modules on one space and module windows are all
 `QuiverRep`s; `hom_space` turns the intertwining equations phi_t f = g phi_s
-of two of them into one `BlockSystem`, `isomorphism` looks for an invertible
-element with `invertible_combination`, `restrict` gives the
+of two of them into one `BlockSystem`, `restrict` gives the
 sub-representation on per-vertex bases, and `split` the summands of a
-direct sum given by bases that fill every vertex.
+direct sum given by bases that fill every vertex.  Deciding isomorphism
+needs the Krull-Schmidt splitter, so it lives in `classify`.
 
 A `Mat` works on integer rows.  Row i is a list of ints over one positive
 scale (and a second list for the imaginary parts over Q(i)), in lowest
@@ -45,19 +45,11 @@ routing `rref` and `rank` through the sparse kernel made those rrefs
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import accumulate, chain, islice, product
+from itertools import accumulate, chain
 from math import gcd, lcm, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar, common_den
-
-# most integer points `invertible_combination` tries before it falls back
-# to the generic determinant of `symbolic.invertible_point`.  A point costs
-# about 0.1 ms on the test suite's blocks (up to 7 blocks, 3 to 6 variables),
-# so a walk to the limit stays well below the 0.4 s that loading sympy takes.
-MAX_CERTIFICATE_POINTS = 256
-
 
 class DomainError(ValueError):
     """A well-formed request whose mathematical preconditions fail."""
@@ -852,57 +844,6 @@ def invert(matrix: Mat) -> Optional[Mat]:
     return R.select_cols(range(n, 2 * n))
 
 
-def invertible_combination(
-    homs: Sequence[Sequence[Mat]], sizes: Sequence[int]
-) -> Optional[Tuple[Mat, ...]]:
-    """The blocks of an invertible combination of the homs, or None when
-    none is invertible.
-
-    Each hom is a tuple of square blocks of the given sizes; a combination
-    is invertible when every block is, and 0x0 blocks are.  The first hom
-    with all blocks of full rank wins.  A vector that every hom's block
-    kills, on either side, proves None.
-
-    Otherwise the integer points of {0..D}^k, D the sum of the block sizes
-    and k the number of homs, are tried in lexicographic order, at most
-    MAX_CERTIFICATE_POINTS of them.  The product of the block determinants
-    of sum t_i homs[i] has degree at most D in each t_i, so if it is not the
-    zero polynomial it is nonzero somewhere on that grid: an exhausted grid
-    proves None, and the first point found is the lexicographically least
-    one, the point the greedy fixing of `symbolic.invertible_point` gives.
-    Past the limit, that generic determinant proves None or gives the point.
-    """
-    for h in homs:
-        if all(rank(b) == b.rows for b in h):
-            return tuple(h)
-    live = [b for b, n in enumerate(sizes) if n]
-    if not live:
-        return tuple(Mat(0, 0) for _ in sizes)
-    if not homs:
-        return None
-    for b in live:
-        blocks = [h[b] for h in homs]
-        # a vector that every hom's block kills on the left or on the right
-        if rank(blocks[0].hstack(*blocks[1:])) < sizes[b] or rank(reduce(Mat.vstack, blocks)) < sizes[b]:
-            return None
-    shapes = [(n, n) for n in sizes]
-    grid = product(range(sum(sizes) + 1), repeat=len(homs))
-    for point in islice(grid, MAX_CERTIFICATE_POINTS):
-        out = _combine(point, homs, shapes)
-        if all(rank(out[b]) == sizes[b] for b in live):
-            return out
-    if (sum(sizes) + 1) ** len(homs) <= MAX_CERTIFICATE_POINTS:
-        return None
-    from .symbolic import invertible_point
-
-    coeffs = invertible_point([[h[b] for h in homs] for b in live])
-    if coeffs is None:
-        return None
-    out = _combine(coeffs, homs, shapes)
-    assert all(rank(m) == m.rows for m in out)
-    return out
-
-
 def retraction(homs: Sequence[Sequence[Mat]], incl: Sequence[Mat]) -> Optional[Tuple[Mat, ...]]:
     """The blocks of a combination rho of the homs with rho_v incl_v = 1 at
     every vertex v, or None when there is none.
@@ -1090,13 +1031,6 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> List[Tuple[Mat, ...]]:
     order; the one place that builds a `BlockSystem`."""
     arrows = [(s, t, f, g) for (s, t, f), (_, _, g) in zip(M.arrows, N.arrows)]
     return BlockSystem(M.dims, N.dims, arrows).solve()
-
-
-def isomorphism(M: QuiverRep, N: QuiverRep) -> Optional[Tuple[Mat, ...]]:
-    """The blocks of an isomorphism M -> N, or None when there is none."""
-    if M.dims != N.dims:
-        return None
-    return invertible_combination(hom_space(M, N), M.dims)
 
 
 def restrict(R: QuiverRep, bases: Sequence[Mat]) -> Optional[QuiverRep]:

@@ -24,7 +24,6 @@ from .linalg import (
     hom_space,
     in_span,
     invert,
-    isomorphism,
     kernel_basis,
     restrict,
     retraction,
@@ -765,6 +764,9 @@ def hom_basis(M: ModuleWindow, N: ModuleWindow) -> List[Dict[Point, Mat]]:
 
 def window_isomorphism(M: ModuleWindow, N: ModuleWindow) -> Optional[Dict[Point, Mat]]:
     """An invertible window module map M -> N, or None."""
+    # classify imports this module, so the import waits for the call
+    from .classify import isomorphism
+
     if M.orbit != N.orbit or M.window != N.window or M.side != N.side:
         return None
     pts, _, rep_m = M.quiver()

@@ -22,6 +22,7 @@ from intdiffops.classify import (
     contains_regular_summand,
     factor_unipoly,
     ind_A_members,
+    isomorphism,
     is_indecomposable,
     jordan_fiber_decompose,
     kronecker_block,
@@ -163,9 +164,9 @@ def test_factor_up_to_degree_two_matches_sympy(case):
 
 _DEGREE_TWO_CLASSIFICATION = """
 import sys
-from intdiffops.classify import (BandOrbit, KroneckerBlockLabel, KroneckerRep, band_module,
-    is_indecomposable, kronecker_block, kronecker_decompose_with_iso, kronecker_sum, modules_isomorphic)
-from intdiffops.linalg import Mat
+from intdiffops.classify import (BandOrbit, KroneckerBlockLabel, KroneckerRep, band_module, is_indecomposable,
+    isomorphism, kronecker_block, kronecker_decompose_with_iso, kronecker_sum, modules_isomorphic)
+from intdiffops.linalg import Mat, hom_space, rank
 from intdiffops.scalars import QQI, Scalar
 
 i = Scalar(0, 1)
@@ -176,12 +177,19 @@ V = Mat(4, 4, [[1, 0, 0, 0], [-i, 1, 0, 0], [1, i, 1, 0], [0, 0, -1, 1]])
 got, _, _ = kronecker_decompose_with_iso(KroneckerRep(V @ S.A @ U, V @ S.B @ U), QQI)
 band = band_module(BandOrbit((1, 2, 2)), 1, 1 + i).matrices
 other = band_module(BandOrbit((1, 2, 2)), 1, 2 + i).matrices
-print(got, is_indecomposable(band), modules_isomorphic(band, other), "sympy" in sys.modules)
+# S4(1,0) + S4(1,1), scrambled: no basis hom is invertible, so both sides are split
+T = kronecker_sum([kronecker_block(KroneckerBlockLabel("S4", 1, c)) for c in (0, 1)])
+X, Y = Mat(2, 2, [[1, 1], [0, 1]]), Mat(2, 2, [[1, 0], [2, 1]])
+P = KroneckerRep(X @ T.A @ Y, X @ T.B @ Y)
+single = any(all(rank(b) == b.rows for b in h) for h in hom_space(P, T))
+print(got, is_indecomposable(band), modules_isomorphic(band, other), single, isomorphism(P, T) is not None,
+      "sympy" in sys.modules)
 """
 
 
 def test_small_classification_leaves_sympy_unloaded():
-    # min polys of degree <= 2 and certificates on small grids need no sympy
+    # min polys of degree <= 2 need no sympy, and neither does isomorphism
+    # when it splits both sides and matches the summands
     proc = subprocess.run(
         [sys.executable, "-c", _DEGREE_TWO_CLASSIFICATION],
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
@@ -190,7 +198,7 @@ def test_small_classification_leaves_sympy_unloaded():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[S2(1), S4(1,i), S4(1,1+i)] True None False"
+    assert proc.stdout.strip() == "[S2(1), S4(1,i), S4(1,1+i)] True None False True False"
 
 
 def test_residue_field_certificate_stops_the_search(monkeypatch):
@@ -207,6 +215,26 @@ def test_residue_field_certificate_stops_the_search(monkeypatch):
     with pytest.raises(FieldError):
         kronecker_decompose(R, QQ)
     assert 1 <= len(calls) <= 4
+
+
+def test_isomorphism_through_a_summand_outside_the_field():
+    # P has End Q(sqrt 2) and P' has End Q(sqrt 3): the splitter returns
+    # each whole, and the summands of P + S1 are matched in pairs
+    P = KroneckerRep(Mat.identity(2), Mat(2, 2, [[0, 2], [1, 0]]))
+    P_ = KroneckerRep(Mat.identity(2), Mat(2, 2, [[0, 3], [1, 0]]))
+    S1 = kronecker_block(KroneckerBlockLabel("S1"))
+    rng = random.Random(5)
+
+    def scrambled(R):
+        U, V = rand_invertible(R.d1, rng), rand_invertible(R.d2, rng)
+        return KroneckerRep(V @ R.A @ U, V @ R.B @ U)
+
+    M, N, other = (scrambled(kronecker_sum([X, S1])) for X in (P, P, P_))
+    assert [p.dims for p, _ in split_indecomposables(M, QQ)] == [(2, 2), (1, 0)]
+    Q, P2 = isomorphism(M, N)
+    assert rank(Q) == 3 and rank(P2) == 2
+    assert N.A @ Q == P2 @ M.A and N.B @ Q == P2 @ M.B
+    assert isomorphism(M, other) is None
 
 
 @pytest.mark.parametrize(

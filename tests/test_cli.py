@@ -276,6 +276,15 @@ def test_scalars_outside_field_rejected():
     assert code == 0
 
 
+def test_pencil_outside_field_is_a_domain_error():
+    # B has min poly H^2 - 2, so the one summand's eigenvalue is not in Q
+    code, out = run_cli(["--json", "kronecker", "--a", '[["1","0"],["0","1"]]', "--b", '[["0","2"],["1","0"]]'])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "domain"
+    assert error["message"] == "pencil eigenvalue not in the field q: min poly H^2 + -2"
+
+
 def test_deterministic_output():
     argv = ["--json", "--window=-2..2", "module-build", "--module", "Ms", "--s", "2", "--lambda", "0"]
     _, out1 = run_cli(argv)

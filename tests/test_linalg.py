@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -5,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intdiffops import symbolic
+from intdiffops import classify
+from intdiffops.classify import KroneckerBlockLabel, KroneckerRep, band_module, isomorphism, kronecker_block, string_module
 from intdiffops.linalg import (
-    MAX_CERTIFICATE_POINTS,
     BlockSystem,
     DomainError,
     Mat,
     QuiverRep,
-    _combine,
     _int_rows,
     block_diag,
     column_space_basis,
@@ -21,7 +21,6 @@ from intdiffops.linalg import (
     hom_space,
     in_span,
     invert,
-    invertible_combination,
     kernel_basis,
     rank,
     restrict,
@@ -30,7 +29,6 @@ from intdiffops.linalg import (
     split,
 )
 from intdiffops.scalars import ONE, ZERO, Scalar
-from intdiffops.symbolic import invertible_point
 
 entries = st.fractions(min_value=-20, max_value=20, max_denominator=6).map(Scalar)
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -492,107 +490,156 @@ def test_block_system_sylvester():
         BlockSystem([2], [3], [(0, 0, A, A)])
 
 
+_I = Scalar.i()
+# planted indecomposables by name, each a pencil or a module on one space with
+# two loops; P2 and P3 have End/rad the fields Q(sqrt 2) and Q(sqrt 3)
+_PENCILS = {
+    "S1": kronecker_block(KroneckerBlockLabel("S1")),
+    "S2(1)": kronecker_block(KroneckerBlockLabel("S2", 1)),
+    "S3(1)": kronecker_block(KroneckerBlockLabel("S3", 1)),
+    "S4(1,0)": kronecker_block(KroneckerBlockLabel("S4", 1, ZERO)),
+    "S4(1,1)": kronecker_block(KroneckerBlockLabel("S4", 1, ONE)),
+    "S4(2,1)": kronecker_block(KroneckerBlockLabel("S4", 2, ONE)),
+    "S5(1)": kronecker_block(KroneckerBlockLabel("S5", 1)),
+    "S5(2)": kronecker_block(KroneckerBlockLabel("S5", 2)),
+    "P2": KroneckerRep(Mat.identity(2), Mat(2, 2, [[0, 2], [1, 0]])),
+    "P3": KroneckerRep(Mat.identity(2), Mat(2, 2, [[0, 3], [1, 0]])),
+}
+_PENCILS_QI = {
+    "S4(1,i)": kronecker_block(KroneckerBlockLabel("S4", 1, _I)),
+    "S4(1,1+i)": kronecker_block(KroneckerBlockLabel("S4", 1, 1 + _I)),
+}
+
+
+def _loops(module):
+    """A module on one space as a one-vertex rep, a loop per generator."""
+    return QuiverRep([module.dim], [(0, 0, module.h1), (0, 0, module.h2)])
+
+
+_ONE_SPACE = {
+    "string": _loops(string_module("")),
+    "string h1": _loops(string_module("h1")),
+    "string h2": _loops(string_module("h2")),
+    "string h1h2": _loops(string_module("h1h2")),
+    "string h2h1": _loops(string_module("h2h1")),
+    "band h1h2 1": _loops(band_module("h1h2", 1, 1)),
+    "band h1h2 2": _loops(band_module("h1h2", 1, 2)),
+}
+_ONE_SPACE_QI = {"band h1h2 i": _loops(band_module("h1h2", 1, _I))}
+
+
+def _direct_sum(reps):
+    """The direct sum of reps of one quiver, block-diagonal arrow by arrow."""
+    arrows = [(s, t, block_diag(*(R.arrows[k][2] for R in reps))) for k, (s, t, _) in enumerate(reps[0].arrows)]
+    return QuiverRep([sum(d) for d in zip(*(R.dims for R in reps))], arrows)
+
+
+def _rand_invertible(d, rng, gaussian):
+    while True:
+        rows = [[Scalar(rng.randint(-2, 2), rng.randint(-1, 1) if gaussian else 0) for _ in range(d)] for _ in range(d)]
+        m = Mat(d, d, rows)
+        if rank(m) == d:
+            return m
+
+
+def _scrambled(R, rng, gaussian):
+    """R in random bases T_v: every arrow f : s -> t becomes T_t f T_s^-1."""
+    T = [_rand_invertible(d, rng, gaussian) for d in R.dims]
+    return QuiverRep(R.dims, [(s, t, T[t] @ f @ invert(T[s])) for s, t, f in R.arrows])
+
+
 @st.composite
-def hom_spans(draw):
-    """k homs of one or two square blocks over Q or Q(i), with sparse entries;
-    sometimes a column shared by every hom is zero, and sometimes the homs
-    of a block are the diagonal idempotents, whose sum alone is invertible."""
-    elements = draw(st.sampled_from([entries, gaussian_entries]))
-    sparse = st.one_of(st.just(ZERO), elements)
-    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
-    k = draw(st.integers(0, 3))
-    homs = [[draw(mats(n, n, sparse)) for n in sizes] for _ in range(k)]
-    b = draw(st.integers(0, len(sizes) - 1))
-    n = sizes[b]
-    plant = draw(st.sampled_from(["none", "zero column", "idempotents"]))
-    if plant == "zero column" and n and k:
-        z = draw(st.integers(0, n - 1))
-        for h in homs:
-            h[b] = Mat(n, n, [[ZERO if c == z else x for c, x in enumerate(row)] for row in h[b].data])
-    elif plant == "idempotents" and n > 1 and k >= n:
-        for j in range(n):
-            homs[j][b] = Mat(n, n, [[ONE if r == c == j else ZERO for c in range(n)] for r in range(n)])
-    return [tuple(h) for h in homs], sizes
+def planted_pairs(draw):
+    """Scrambled sums M, N of one to three planted indecomposables, over Q or
+    Q(i), with at most 4 dimensions at a vertex; in half of the pairs one
+    summand of N is swapped for another of the same dimensions.  Returns
+    (M, N, whether the planted multisets agree)."""
+    gaussian = draw(st.booleans())
+    pool, extra = draw(st.sampled_from([(_PENCILS, _PENCILS_QI), (_ONE_SPACE, _ONE_SPACE_QI)]))
+    if gaussian:
+        pool = {**pool, **extra}
+    names = []
+    for name in draw(st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=3)):
+        if all(sum(d) <= 4 for d in zip(pool[name].dims, *(pool[n].dims for n in names))):
+            names.append(name)
+    others = list(names)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(names) - 1))
+        others[k] = draw(st.sampled_from(sorted(n for n in pool if pool[n].dims == pool[names[k]].dims)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    M, N = (_scrambled(_direct_sum([pool[n] for n in ns]), rng, gaussian) for ns in (names, others))
+    return M, N, sorted(names) == sorted(others)
 
 
 def _generic_det_vanishes(homs, sizes):
-    """Oracle: some block's det(sum t_i h_i) is the zero polynomial."""
-    import sympy
+    """Oracle: some block's det(sum t_i h_i) is the zero polynomial, computed
+    by sympy over Q[t] or Q(i)[t]."""
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.rings import ring
 
-    ts = sympy.symbols(f"t:{len(homs)}")
+    gaussian = any(x.im for h in homs for m in h for row in m.data for x in row)
+    dom = QQ_I if gaussian else QQ
+    R, *ts = ring([f"t{i}" for i in range(max(len(homs), 1))], dom)
     for b, n in enumerate(sizes):
-        gen = sympy.zeros(n, n)
+        gen = [[R.zero] * n for _ in range(n)]
         for t, h in zip(ts, homs):
             for r in range(n):
                 for c in range(n):
                     x = h[b].data[r][c]
-                    gen[r, c] += t * (sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im))
-        if n and sympy.expand(gen.det()) == 0:
+                    gen[r][c] += t * (QQ_I(x.re, x.im) if gaussian else QQ.convert(x.re))
+        if n and not DomainMatrix(gen, (n, n), R.to_domain()).det():
             return True
     return False
 
 
-def _flat(blocks):
-    return Mat.col_vector([x for m in blocks for row in m.data for x in row])
+def _check_isomorphism(phi, M, N):
+    assert [b.shape for b in phi] == [(d, d) for d in M.dims]
+    assert all(rank(b) == b.rows for b in phi)
+    for (s, t, f), (_, _, g) in zip(M.arrows, N.arrows):
+        assert phi[t] @ f == g @ phi[s]
 
 
-@given(hom_spans())
-@settings(max_examples=80, deadline=None)
-def test_invertible_combination_matches_generic_det(span):
-    homs, sizes = span
-    got = invertible_combination(homs, sizes)
-    assert (got is None) == _generic_det_vanishes(homs, sizes)
+@given(planted_pairs())
+@settings(max_examples=60, deadline=None)
+def test_isomorphism_matches_generic_det_and_planted_summands(pair):
+    M, N, same = pair
+    got = isomorphism(M, N)
+    assert (got is not None) == same
+    # Hom(M, N) holds an isomorphism iff the generic determinant is nonzero
+    assert (got is None) == _generic_det_vanishes(hom_space(M, N), M.dims)
     if got is not None:
-        assert [m.shape for m in got] == [(n, n) for n in sizes]
-        assert all(rank(m) == n for m, n in zip(got, sizes))
-        assert in_span(_flat(got), [_flat(h) for h in homs])
-    # past the single homs, the grid gives the point of the generic determinants
-    live = [b for b, n in enumerate(sizes) if n]
-    if got is not None and live and not any(all(rank(b) == b.rows for b in h) for h in homs):
-        point = invertible_point([[h[b] for h in homs] for b in live])
-        assert got == _combine(point, homs, [(n, n) for n in sizes])
+        _check_isomorphism(got, M, N)
 
 
-def test_invertible_combination_grid_limit(monkeypatch):
-    calls = []
-    monkeypatch.setattr(symbolic, "invertible_point", lambda blocks: calls.append(1) or invertible_point(blocks))
-    # 3x3 skew-symmetric matrices are all singular, with no kernel vector in
-    # common: the whole 4^3-point grid proves None without sympy
-    skew = [
-        Mat(3, 3, [[1 if (r, c) == (i, j) else -1 if (c, r) == (i, j) else 0 for c in range(3)] for r in range(3)])
-        for i, j in [(0, 1), (0, 2), (1, 2)]
-    ]
-    assert invertible_combination([(m,) for m in skew], [3]) is None
-    assert calls == []
-    e1 = Mat(2, 2, [[1, 0], [0, 0]])
-    e2 = Mat(2, 2, [[0, 0], [0, 1]])
-    # a row or a column zero in every hom proves None on a grid of any size
-    for other in (Mat(2, 2, [[1, 1], [0, 0]]), Mat(2, 2, [[1, 0], [1, 0]])):
-        assert invertible_combination([(e1,)] + [(other,)] * 6, [2]) is None
-    assert calls == []
-    # the least invertible point (1, 0, ..., 0, 1) lies past 3^6 = 729 grid points
-    assert 3**6 > MAX_CERTIFICATE_POINTS
-    assert invertible_combination([(e2,)] + [(e1,)] * 6, [2]) == (Mat.identity(2),)
-    assert calls == [1]
+def test_isomorphism_witness_and_certificate(monkeypatch):
+    # no basis hom of End(S4(1,0) + S4(1,1)) is invertible, and the second
+    # vertex needs both summands: the split summands are matched in pairs
+    S = _direct_sum([_PENCILS["S4(1,0)"], _PENCILS["S4(1,1)"]])
+    M = _scrambled(S, random.Random(1), False)
+    assert not any(all(rank(b) == b.rows for b in h) for h in hom_space(M, S))
+    _check_isomorphism(isomorphism(M, S), M, S)
+    # no vector is killed by every hom from string h2h1 to string h1h2, but
+    # End of the first is local: one split proves None
+    splits = []
+    real = classify.split_indecomposables
+    monkeypatch.setattr(classify, "split_indecomposables", lambda R, field: splits.append(R) or real(R, field))
+    assert isomorphism(_ONE_SPACE["string h2h1"], _ONE_SPACE["string h1h2"]) is None
+    assert splits == [_ONE_SPACE["string h2h1"]]
 
+    # a vector that every hom kills proves None before any split
+    def no_split(R, field):
+        raise AssertionError("split_indecomposables called")
 
-def test_invertible_combination_witness_and_certificate():
-    e1 = Mat(2, 2, [[1, 0], [0, 0]])
-    e2 = Mat(2, 2, [[0, 0], [0, 1]])
-    # no basis element is invertible, their sum is
-    (m,) = invertible_combination([(e1,), (e2,)], [2])
-    assert rank(m) == 2 and in_span(_flat([m]), [_flat([e1]), _flat([e2])])
-    # every block invertible at once: the second block needs both homs
-    u, v = Mat(1, 1, [[1]]), Mat(1, 1, [[-1]])
-    got = invertible_combination([(e1, u), (e2, v)], [2, 1])
-    assert got is not None and rank(got[0]) == 2 and rank(got[1]) == 1
-    # a column zero in every hom: the generic determinant vanishes
-    n1 = Mat(2, 2, [[1, 0], [1, 0]])
-    n2 = Mat(2, 2, [[0, 0], [3, 0]])
-    assert invertible_combination([(n1,), (n2,)], [2]) is None
+    monkeypatch.setattr(classify, "split_indecomposables", no_split)
+    J = QuiverRep([2], [(0, 0, Mat(2, 2, [[0, 1], [0, 0]]))])
+    assert isomorphism(J, QuiverRep([2], [(0, 0, Mat(2, 2))])) is None
+    assert isomorphism(QuiverRep([2], [(0, 0, Mat(2, 2))]), J) is None
     # 0x0 blocks are invertible, even with no homs at all
-    assert invertible_combination([], [0, 0]) == (Mat(0, 0), Mat(0, 0))
-    assert invertible_combination([], [0, 1]) is None
+    assert isomorphism(QuiverRep([0, 0], []), QuiverRep([0, 0], [])) == (Mat(0, 0), Mat(0, 0))
+    one, two = (QuiverRep([1], [(0, 0, Mat(1, 1, [[c]]))]) for c in (1, 2))
+    assert hom_space(one, two) == [] and isomorphism(one, two) is None
+    assert isomorphism(QuiverRep([0, 1], []), QuiverRep([1, 0], [])) is None
 
 
 def naive_product(A, B):

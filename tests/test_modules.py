@@ -315,7 +315,8 @@ def test_window_isomorphism_none_by_certificate():
     window = [(-3, 3)]
     S = build_simple(DSet(Orbit.from_reps([0]), set()), window)
     M = build_Ms(3, 0, window)
-    # equal dimension vectors, not isomorphic: every generic determinant vanishes
+    # equal dimension vectors, not isomorphic: at some point a vector is
+    # killed by every hom, which proves None without a split
     assert window_isomorphism(M, direct_sum(direct_sum(S, S), S)) is None
 
 
