@@ -8,9 +8,10 @@ holding this script).  Each pair runs `perfbench/run.py --trace 0` once in
 each checkout, one process at a time; odd pairs run BASE first and even
 pairs HEAD first, so drift in machine speed falls on both sides alike.  The
 script prints, per metric, the median and quartiles on each side, the ratio
-of the medians, and in how many pairs HEAD was better.  A metric's better
-direction is read from HEAD's BENCHMARK.json; `--json FILE` also writes every
-run's metrics.  Only the standard library is used, and nothing under
+of the medians, in how many pairs HEAD was better, and for each end-to-end
+metric a verdict (see `verdict`).  A metric's better direction and bound are
+read from HEAD's BENCHMARK.json; `--json FILE` also writes every run's
+metrics.  Only the standard library is used, and nothing under
 `perfbench/` is written except its bytecode caches.
 """
 
@@ -52,13 +53,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return metrics
 
 
-def directions(checkout: Path) -> dict:
-    """Metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
+def metric_specs(checkout: Path) -> dict:
+    """Metric name -> (better, bound) from the checkout's BENCHMARK.json:
+    better is "higher" or "lower", bound a relative one or None for a
+    per-layer metric."""
     path = checkout / "BENCHMARK.json"
     if not path.exists():
         return {}
     spec = json.loads(path.read_text())
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    return {m["name"]: (m["better"], m.get("bound")) for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
 def quartiles(xs):
@@ -66,6 +69,30 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def verdict(base, head, better: str, bound: float) -> str:
+    """The verdict on one end-to-end metric from paired runs (base[k] and
+    head[k] ran in pair k), with bound relative to the base median:
+    "worse" when the head median is worse by more than the bound;
+    "unresolved" when the base IQR is wider than the bound, unless every
+    head run beats every base run; "better" when the head wins at least 9
+    in 10 pairs and its median is better by more than the base IQR; "flat"
+    otherwise."""
+    sign = 1 if better == "higher" else -1
+    bq, hq = quartiles(base), quartiles(head)
+    gain = sign * (hq[1] - bq[1])
+    scale = abs(bq[1])
+    if gain < -bound * scale:
+        return "worse"
+    iqr = bq[2] - bq[0]
+    beats_all = min(head) > max(base) if sign > 0 else max(head) < min(base)
+    if iqr > bound * scale and not beats_all:
+        return "unresolved"
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    if wins >= 0.9 * len(base) and gain > iqr:
+        return "better"
+    return "flat"
 
 
 def main(argv=None) -> int:
@@ -92,22 +119,23 @@ def main(argv=None) -> int:
             flush=True,
         )
 
-    better = directions(sides["head"])
+    specs = metric_specs(sides["head"])
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
-    print(f"{'metric':<14} {'base q1/med/q3':>28} {'head q1/med/q3':>28} {'ratio':>7} {'wins':>6}")
+    print(f"{'metric':<14} {'base q1/med/q3':>28} {'head q1/med/q3':>28} {'ratio':>7} {'wins':>6}  verdict")
     for name in runs["base"][0]:
         bs = [r[name] for r in runs["base"]]
         hs = [r[name] for r in runs["head"]]
         bq, hq = quartiles(bs), quartiles(hs)
         ratio = hq[1] / bq[1] if bq[1] else float("nan")
-        way = better.get(name)
-        if way is None:
-            wins = "n/a"
-        else:
+        way, bound = specs.get(name, (None, None))
+        wins, judged = "n/a", ""
+        if way is not None:
             won = sum((h > b) if way == "higher" else (h < b) for b, h in zip(bs, hs))
             wins = f"{won}/{len(bs)}"
+        if bound is not None:
+            judged = verdict(bs, hs, way, bound)
         fmt = lambda q: "/".join(f"{x:.4g}" for x in q)
-        print(f"{name:<14} {fmt(bq):>28} {fmt(hq):>28} {ratio:>7.3f} {wins:>6}")
+        print(f"{name:<14} {fmt(bq):>28} {fmt(hq):>28} {ratio:>7.3f} {wins:>6}  {judged}")
     if args.json:
         args.json.write_text(json.dumps({"args": {k: str(v) for k, v in vars(args).items()}, "runs": runs}, indent=1))
     return 0

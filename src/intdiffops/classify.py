@@ -111,11 +111,11 @@ def min_poly(M: Mat) -> UniPoly:
             ],
         )
         target = Mat.col_vector([nxt.data[r // d][r % d] for r in range(d * d)])
-        sol = solve_linear(cols, target)
-        if sol is not None:
+        X = solve_linear(cols, target)
+        if X is not None:
             coeffs = {k: ONE}
             for j in range(k):
-                coeffs[j] = coeffs.get(j, ZERO) - sol.particular.data[j][0]
+                coeffs[j] = coeffs.get(j, ZERO) - X.data[j][0]
             return UniPoly(coeffs)
         powers.append(nxt)
 

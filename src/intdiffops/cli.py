@@ -108,13 +108,15 @@ def _parse_orbit(text: str) -> Orbit:
     return Orbit.from_reps(reps)
 
 
-def _parse_dset(text: str) -> List[int]:
+def _parse_ints(text: str, what: str) -> List[int]:
+    """A comma-separated list of integers, [] when blank; a UsageError
+    "bad <what> '<text>'" otherwise."""
     if not text.strip():
         return []
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
-        raise UsageError(f"bad slot list {text!r}")
+        raise UsageError(f"bad {what} {text!r}") from None
 
 
 def _parse_window_arg(text: str, n: int):
@@ -182,7 +184,7 @@ def _load_module(args, cfg: SessionConfig) -> ModuleWindow:
         if args.orbit is None:
             raise UsageError("module simple needs --orbit")
         orbit = _parse_orbit(args.orbit)
-        dset = DSet(orbit, _parse_dset(args.dset or ""))
+        dset = DSet(orbit, _parse_ints(args.dset or "", "slot list"))
         window = _parse_window_arg(args.window or cfg.window, orbit.n)
         return build_simple(dset, window)
     raise UsageError(f"unknown module kind {kind!r}")
@@ -200,6 +202,14 @@ def _expressions(args) -> List[str]:
     if getattr(args, "expr", None):
         return list(args.expr)
     return [line.rstrip("\n") for line in sys.stdin if line.strip()]
+
+
+def _one_expression(args) -> str:
+    """The first expression, from the arguments or else from stdin."""
+    exprs = _expressions(args)
+    if not exprs:
+        raise UsageError("no expression: give one as an argument or on stdin")
+    return exprs[0]
 
 
 # -- command handlers -------------------------------------------------------
@@ -226,7 +236,7 @@ def cmd_commutator(args, cfg):
 
 
 def cmd_act(args, cfg):
-    a = _read_operator(args.expr[0] if args.expr else next(iter(_expressions(args))), cfg)
+    a = _read_operator(_one_expression(args), cfg)
     am = to_matrix(a, cfg.deg)
     rows = mat_to_json(am.matrix)
     text = "\n".join("[" + ", ".join(r) + "]" for r in rows)
@@ -234,7 +244,7 @@ def cmd_act(args, cfg):
 
 
 def cmd_grade(args, cfg):
-    a = _read_operator(args.expr[0] if args.expr else next(iter(_expressions(args))), cfg)
+    a = _read_operator(_one_expression(args), cfg)
     comps = a.graded_components()
     lines = []
     jout = []
@@ -337,7 +347,7 @@ def cmd_rep_type(args, cfg):
     if args.dset is None:
         verdict = rep_type_orbit(orbit)
     else:
-        verdict = rep_type(DSet(orbit, _parse_dset(args.dset)))
+        verdict = rep_type(DSet(orbit, _parse_ints(args.dset, "slot list")))
     _emit(cfg, verdict.kind, {"kind": verdict.kind, "witness": verdict.witness})
 
 
@@ -408,7 +418,9 @@ def cmd_band(args, cfg):
 
 def cmd_fiber(args, cfg):
     M = _load_module(args, cfg)
-    point = tuple(int(x) for x in args.point.split(","))
+    point = tuple(_parse_ints(args.point, "--point"))
+    if len(point) != M.n:
+        raise UsageError(f"--point has {len(point)} coordinates for a module of arity {M.n}")
     fib = module_fiber(M, point)
     lines = [f"dim {fib.dim}; slots {list(fib.slots)}"]
     _emit(
@@ -425,7 +437,7 @@ def cmd_fiber(args, cfg):
 
 def cmd_induce(args, cfg):
     orbit = _parse_orbit(args.orbit)
-    dset = DSet(orbit, _parse_dset(args.dset or ""))
+    dset = DSet(orbit, _parse_ints(args.dset or "", "slot list"))
     window = _parse_window_arg(args.window or cfg.window, orbit.n)
     slots = sorted(dset.complement())
     mats = [mat_from_json(m) for m in json.loads(args.matrices)] if args.matrices else []

@@ -23,30 +23,33 @@ Mat holds them, so Mats may share rows.
 
 Elimination has two kernels, and the reduced echelon form is unique, so
 neither pivot rule ever shows in results.
-- Dense, for `rref`, `rank`, `kernel_basis`, `solve_linear`, `invert` and
-  `det`: the small matrices of windows, projectors and changes of basis.
-  Rational matrices go to a content-reduced forward pass over Z (each new
+- Dense, for the rational matrices of `rref`, `rank`, `kernel_basis`,
+  `solve_linear` and `invert`: the small matrices of windows, projectors
+  and changes of basis.  A content-reduced forward pass over Z (each new
   row divided by the gcd of its entries, pivot rows chosen sparsest-first)
-  with integer back-substitution.  Matrices with a non-real entry go to
-  fraction-free Gauss-Jordan over Z[i] (`_ffgj`), whose rows are pairs of
-  int lists and whose only division is an exact one by the previous pivot;
-  `det` runs its forward half on every matrix.
-- Sparse, for every Hom system (`BlockSystem`) and for the trace form of
-  `classify`: `sparse_kernel` and `sparse_rank` on rows that are dicts of
-  their nonzero entries (`_sparse_echelon`, `_sparse_rref`).  A Hom system
-  has Sum_v m_v*n_v unknowns but at most d_s + d_t nonzeros per row, so
-  this is what keeps large strings, bands and pencils affordable.
-Dense stays for the rest because those matrices are tiny (each of the
-12,878 rrefs of 60 seed-7 `weight_modules` bench jobs has at most 64
-cells), where the dicts and the column index cost more than they save:
-routing `rref` and `rank` through the sparse kernel made those rrefs
-1.6-1.7x slower, and the rrefs of `classification_qi` 1.4x slower.
+  with integer back-substitution.
+- Sparse, for every matrix with a non-real entry, every Hom system
+  (`BlockSystem`) and the trace form of `classify`: `sparse_kernel` and
+  `sparse_rank` on rows that are dicts of their nonzero entries
+  (`_sparse_echelon`, `_sparse_rref`).  A Hom system has Sum_v m_v*n_v
+  unknowns but at most d_s + d_t nonzeros per row, so this is what keeps
+  large strings, bands and pencils affordable.  On dense Q(i) matrices it
+  keeps pace with the fraction-free Gauss-Jordan over Z[i] it replaced:
+  `rref` of 35x40 in 0.051 s against 0.057 s and of 50x50 in 0.110 s
+  against 0.150 s, and the 972 `rref`s of 400 seed-7 `classification_qi`
+  bench jobs in 0.027 s either way; `rank` of 35x40 takes 0.036 s against
+  0.026 s (medians of three best-of-5 timings, CPython 3.11, 2 vCPUs).
+Rational matrices stay dense because they are tiny (each of the 12,878
+rrefs of 60 seed-7 `weight_modules` bench jobs has at most 50 cells),
+where the dicts and the column index cost more than they save: the sparse
+kernel took 1.8x as long on those rrefs (0.147 s against 0.081 s), and
+1.7x as long on the rational rrefs of `classification_qi`.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar, common_den
@@ -500,99 +503,43 @@ def _rref_int(rows: List[List[int]], ncols: int):
     return out, scales, pivots
 
 
-def _ffgj(re: List[List[int]], im: List[List[int]], ncols: int, full: bool = True):
-    """Fraction-free Gauss-Jordan elimination over Z[i], in place.
-
-    Row k holds the Gaussian integers re[k][j] + im[k][j]*i.  The pivot is
-    the first nonzero entry of the leftmost column left to reduce.  Each
-    step replaces every other row by (p*row - h*pivot_row) / d, where p is
-    the pivot, h the row's entry in the pivot column and d the previous
-    pivot; the division is exact (Bareiss; Nakos, Turner & Williams 1997).
-    Afterwards every pivot entry equals the last pivot D, and the reduced
-    echelon form is rows / D.  With full=False only the rows below each
-    pivot are reduced, which is Bareiss' forward pass: D is then still
-    +-det for a nonsingular square input.
-
-    Returns (D as an (re, im) pair, pivot columns, number of row swaps).
-    """
-    m = len(re)
-    pivots = []
-    swaps = 0
-    dr, di = 1, 0
-    i = 0
-    for j in range(ncols):
-        if i == m:
-            break
-        k = i
-        while k < m and not (re[k][j] or im[k][j]):
-            k += 1
-        if k == m:
-            continue
-        if k != i:
-            re[i], re[k] = re[k], re[i]
-            im[i], im[k] = im[k], im[i]
-            swaps += 1
-        yr, yi = re[i], im[i]
-        pr, pi = yr[j], yi[j]
-        n = dr * dr + di * di
-        for k in range(m) if full else range(i + 1, m):
-            if k == i:
-                continue
-            xr, xi = re[k], im[k]
-            hr, hi = xr[j], xi[j]
-            if not (hr or hi) and pr == dr and pi == di:
-                continue
-            if pi or hi:
-                ar = [pr * a - pi * b - hr * c + hi * e for a, b, c, e in zip(xr, xi, yr, yi)]
-                ai = [pr * b + pi * a - hr * e - hi * c for a, b, c, e in zip(xr, xi, yr, yi)]
-            else:
-                ar = [pr * a - hr * c for a, c in zip(xr, yr)]
-                ai = [pr * b - hr * e for b, e in zip(xi, yi)]
-            if di:
-                re[k] = [(a * dr + b * di) // n for a, b in zip(ar, ai)]
-                im[k] = [(b * dr - a * di) // n for a, b in zip(ar, ai)]
-            elif dr != 1:
-                re[k] = [a // dr for a in ar]
-                im[k] = [b // dr for b in ai]
-            else:
-                re[k], im[k] = ar, ai
-        pivots.append(j)
-        i += 1
-        dr, di = pr, pi
-    return (dr, di), pivots, swaps
-
-
 def rref(matrix: Mat):
-    """Reduced row echelon form; returns (Mat, pivot_columns)."""
+    """Reduced row echelon form; returns (Mat, pivot_columns).  A matrix
+    with a non-real entry goes to the sparse kernel: the reduced form
+    depends only on the row space, so its integer rows enter without their
+    scales, and each pivot row comes back over its real pivot."""
     re, im, _ = matrix._int()
     rows, cols = matrix.rows, matrix.cols
     if im is None:
         out, scales, pivots = _rref_int([*re], cols)
         return _mat(rows, cols, out, None, scales), [c for _, c in pivots]
-    re, im = [*re], [*im]
-    (dr, di), pivots, _ = _ffgj(re, im, cols)
-    # every pivot entry is D = dr + di*i: a pivot row over D, times conj(D) / |D|^2
-    n = dr * dr + di * di
+    pivots = _sparse_rref(_sparse_rows(re, im), cols, True)
     out = [([0] * cols, None, 1)] * rows
-    for r in range(len(pivots)):
-        nre = [a * dr + b * di for a, b in zip(re[r], im[r])]
-        nim = [b * dr - a * di for a, b in zip(re[r], im[r])]
-        out[r] = _lowest(nre, nim, n)
-    return _mat(rows, cols, *_unzip(out)), pivots
+    for r, (c, row) in enumerate(pivots):
+        P = row[c][0]
+        g = gcd(P, *chain.from_iterable(row.values()))
+        g = g if P > 0 else -g
+        nre, nim = [0] * cols, [0] * cols
+        for k, (a, b) in row.items():
+            nre[k], nim[k] = a // g, b // g
+        out[r] = (nre, nim, P // g)
+    return _mat(rows, cols, *_unzip(out)), [c for c, _ in pivots]
 
 
 def rank(matrix: Mat) -> int:
     re, im, _ = matrix._int()
     if im is None:
         return len(_echelon_int([*re], matrix.cols)[1])
-    return len(_ffgj([*re], [*im], matrix.cols, full=False)[1])
+    return sparse_rank(_sparse_rows(re, im), matrix.cols, True)
 
 
-def _kernel_from_rref(R: Mat, piv_cols: List[int], ncols: int) -> List[Mat]:
-    """Kernel basis read off the first ncols columns of a reduced echelon
-    form: one column vector per free column fc, with 1 at fc and -R[r, fc]
-    at the pivot column of row r.  A rational vector is scaled to coprime
+def kernel_basis(matrix: Mat) -> List[Mat]:
+    """Basis of {x : A x = 0} as column vectors, deterministic order: one
+    vector per free column fc of rref(A), with 1 at fc and -R[r, fc] at the
+    pivot column of row r.  A rational vector is scaled to coprime
     integers."""
+    ncols = matrix.cols
+    R, piv_cols = rref(matrix)
     re, im, sc = R._int()
     piv_set = set(piv_cols)
     basis = []
@@ -617,18 +564,28 @@ def _kernel_from_rref(R: Mat, piv_cols: List[int], ncols: int) -> List[Mat]:
     return basis
 
 
-def kernel_basis(matrix: Mat) -> List[Mat]:
-    """Basis of {x : A x = 0} as column vectors, deterministic order."""
-    R, piv_cols = rref(matrix)
-    return _kernel_from_rref(R, piv_cols, matrix.cols)
-
-
 # -- sparse elimination ------------------------------------------------------
 #
 # A sparse row is a dict of its nonzero entries, column -> int over Q and
 # column -> (re, im) over Q(i), with no scale: these rows are homogeneous
-# equations, so only the row space matters and every row is kept primitive
-# (divided by the gcd of all its integer parts).
+# equations, so only the row space matters and every row elimination writes
+# is made primitive (divided by the gcd of all its integer parts).  Rows may
+# enter with a common factor; making them primitive first costs more than
+# it saves on the small matrices of `rref`.
+
+
+def _sparse_rows(re: List[List[int]], im: List[List[int]]) -> List[dict]:
+    """The sparse rows over Q(i) of integer rows, scales dropped.  A plain
+    loop: a comprehension over enumerate(zip(...)) took 1.8x as long."""
+    out = []
+    for r, i in zip(re, im):
+        row = {}
+        for k, a in enumerate(r):
+            b = i[k]
+            if a or b:
+                row[k] = (a, b)
+        out.append(row)
+    return out
 
 
 def _primitive_q(row: dict) -> dict:
@@ -692,7 +649,8 @@ def _sparse_echelon(rows: List[dict], ncols: int, gaussian: bool) -> List[Tuple[
     found through a column -> live rows index, and only the live rows that
     hold the column are eliminated.  Over Q(i) the pivot row is first made
     to have a real pivot (`_real_pivot`).  A pivot row holds no earlier pivot
-    column."""
+    column.  It serves `sparse_rank` and `_sparse_rref`, so every Hom
+    system and every `rref` or `rank` of a matrix with a non-real entry."""
     holders = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
         for k in row:
@@ -725,7 +683,8 @@ def _sparse_echelon(rows: List[dict], ncols: int, gaussian: bool) -> List[Tuple[
 def _sparse_rref(rows: List[dict], ncols: int, gaussian: bool) -> List[Tuple[int, dict]]:
     """The pivot rows of the reduced echelon form of sparse rows, as
     (pivot column, row) in column order; row / row[c] is the reduced row,
-    and its pivot is a positive or negative rational integer."""
+    and its pivot is a positive or negative rational integer.  It serves
+    `sparse_kernel` and the `rref` of a matrix with a non-real entry."""
     pivots = _sparse_echelon(rows, ncols, gaussian)
     eliminate = _eliminate_qi if gaussian else _eliminate_q
     # the earlier pivot rows holding each pivot column; back-substituting a
@@ -744,7 +703,8 @@ def _sparse_rref(rows: List[dict], ncols: int, gaussian: bool) -> List[Tuple[int
 
 def sparse_rank(rows: List[dict], ncols: int, gaussian: bool) -> int:
     """Rank of sparse rows; the list is rewritten in place, the row dicts
-    are never written."""
+    are never written.  `rank` calls it on every matrix with a non-real
+    entry, and `classify` on its trace forms."""
     return len(_sparse_echelon(rows, ncols, gaussian))
 
 
@@ -787,26 +747,14 @@ def sparse_kernel(rows: List[dict], ncols: int, gaussian: bool) -> List[dict]:
     return basis
 
 
-class LinearSolution:
-    """Solution set of A X = B: a particular X (A.cols x B.cols, zero on the
-    free variables) plus a basis of the kernel of A as column vectors."""
+def solve_linear(A: Mat, B: Mat) -> Optional[Mat]:
+    """A solution X of A X = B (A.cols x B.cols, zero on the free
+    variables), for B with A.rows rows and any number of columns; None when
+    some column of B lies outside the column space of A.
 
-    def __init__(self, particular: Mat, kernel: List[Mat]):
-        self.particular = particular
-        self.kernel = kernel
-
-    @property
-    def unique(self) -> bool:
-        return not self.kernel
-
-
-def solve_linear(A: Mat, B: Mat) -> Optional[LinearSolution]:
-    """Solve A X = B exactly, for B with A.rows rows and any number of
-    columns; None when some column of B lies outside the column space of A.
-
-    One rref of [A | B].  The reduced form is unique, so each column of the
-    particular solution is the one a single-column solve gives.  Zero-column
-    A or B is allowed.
+    One rref of [A | B].  The reduced form is unique, so each column of X
+    is the one a single-column solve gives.  Zero-column A or B is
+    allowed.
     """
     if B.rows != A.rows:
         raise ValueError(f"dimension mismatch: A is {A.shape}, B is {B.shape}")
@@ -817,9 +765,7 @@ def solve_linear(A: Mat, B: Mat) -> Optional[LinearSolution]:
     # row c of X is the B-part of the row of R with pivot c, zero off the pivots
     T = R.select_cols(range(n, R.cols)).vstack(_zeros(1, B.cols))
     row_of = dict(zip(piv_cols, range(len(piv_cols))))
-    X = T.select_rows(row_of.get(c, R.rows) for c in range(n))
-    # consistent, so the A-columns of R are rref(A)
-    return LinearSolution(X, _kernel_from_rref(R, piv_cols, n))
+    return T.select_rows(row_of.get(c, R.rows) for c in range(n))
 
 
 def column_space_basis(columns: Iterable[Mat], dim: int) -> List[Mat]:
@@ -855,10 +801,10 @@ def retraction(homs: Sequence[Sequence[Mat]], incl: Sequence[Mat]) -> Optional[T
     prods = [[b @ e for b, e in zip(h, incl)] for h in homs]
     entries = [(v, r, c) for v, e in enumerate(incl) for r in range(e.cols) for c in range(e.cols)]
     A = Mat(len(entries), len(homs), [[P[v].data[r][c] for P in prods] for v, r, c in entries])
-    sol = solve_linear(A, Mat(len(entries), 1, [[ONE if r == c else ZERO] for _, r, c in entries]))
-    if sol is None:
+    X = solve_linear(A, Mat(len(entries), 1, [[ONE if r == c else ZERO] for _, r, c in entries]))
+    if X is None:
         return None
-    return _combine(sol.particular.col(0), homs, [(e.cols, e.rows) for e in incl])
+    return _combine(X.col(0), homs, [(e.cols, e.rows) for e in incl])
 
 
 def _combine(coeffs: Sequence[Scalar], homs: Sequence[Sequence[Mat]], shapes) -> Tuple[Mat, ...]:
@@ -1044,10 +990,10 @@ def restrict(R: QuiverRep, bases: Sequence[Mat]) -> Optional[QuiverRep]:
     maps = {}
     for t, ks in into.items():
         imgs = [R.arrows[k][2] @ bases[R.arrows[k][0]] for k in ks]
-        sol = solve_linear(bases[t], imgs[0].hstack(*imgs[1:]))
-        if sol is None:
+        X = solve_linear(bases[t], imgs[0].hstack(*imgs[1:]))
+        if X is None:
             return None
-        X, c = sol.particular, 0
+        c = 0
         for k, img in zip(ks, imgs):
             maps[k] = X.select_cols(range(c, c + img.cols))
             c += img.cols
@@ -1150,17 +1096,3 @@ def complete_basis(B: Mat) -> Mat:
     extra = [c - B.cols for c in piv[B.cols :]]
     return Mat(n, len(extra), [[ONE if r == i else ZERO for r in extra] for i in range(n)])
 
-
-def det(matrix: Mat) -> Scalar:
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    if n == 0:
-        return ONE
-    re, im, scales = matrix._int()
-    im = [[0] * n for _ in range(n)] if im is None else [*im]
-    (dr, di), pivots, swaps = _ffgj([*re], im, n, full=False)
-    if len(pivots) < n:
-        return ZERO
-    den = (-1) ** swaps * prod(scales)
-    return Scalar.frac(dr, di, den)

@@ -34,7 +34,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .parser import left_spine
 from .poly import UniPoly
-from .scalars import Scalar, common_den
+from .scalars import Scalar, common_den, signed_sum
 
 Slot = Tuple
 TermN = Tuple[Slot, ...]
@@ -563,19 +563,7 @@ class Operator:
         return f"Operator(n={self.n}, {self})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for term in sorted(self.terms, key=term_sort_key):
-            c = self.terms[term]
-            body = _term_str(term)
-            sign, text = _coeff_term_str(c, body)
-            pieces.append((sign, text))
-        first_sign, first_text = pieces[0]
-        s = ("-" if first_sign == "-" else "") + first_text
-        for sign, text in pieces[1:]:
-            s += f" {sign} {text}"
-        return s
+        return signed_sum((self.terms[t], _term_str(t)) for t in sorted(self.terms, key=term_sort_key))
 
 
 def _slot_str(slot: Slot, j: int) -> str:
@@ -605,19 +593,6 @@ def _slot_str(slot: Slot, j: int) -> str:
 def _term_str(term: TermN) -> str:
     parts = [p for p in (_slot_str(s, j) for j, s in enumerate(term, start=1)) if p]
     return "*".join(parts) if parts else "1"
-
-
-def _coeff_term_str(c: Scalar, body: str) -> Tuple[str, str]:
-    """Render coeff*body as (sign, text) with sign in {'+','-'}."""
-    sign = "+"
-    if not c.nim and c.nre < 0 or not c.nre and c.nim < 0:
-        sign, c = "-", -c
-    cs = f"({c})" if c.nre and c.nim else str(c)
-    if body == "1":
-        return sign, cs
-    if c.is_one():
-        return sign, body
-    return sign, f"{cs}*{body}"
 
 
 # -- expression trees ------------------------------------------------------

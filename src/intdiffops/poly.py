@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Scalar, power
+from .scalars import ONE, ZERO, Scalar, power, signed_sum
 
 
 class UniPoly:
@@ -138,18 +138,8 @@ class UniPoly:
         return f"UniPoly({self})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[d]
-            if d == 0:
-                parts.append(str(c))
-            elif d == 1:
-                parts.append(f"{c}*H" if not c.is_one() else "H")
-            else:
-                parts.append(f"{c}*H^{d}" if not c.is_one() else f"H^{d}")
-        return " + ".join(parts)
+        body = lambda d: "1" if d == 0 else "H" if d == 1 else f"H^{d}"
+        return signed_sum((self.coeffs[d], body(d)) for d in sorted(self.coeffs, reverse=True))
 
 
 Expo = Tuple[int, ...]
@@ -290,23 +280,11 @@ class MultiPoly:
         return f"MultiPoly(n={self.n}, {self})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e, c in reversed(self.terms_sorted()):
-            factors = []
-            for j, k in enumerate(e, start=1):
-                if k == 1:
-                    factors.append(f"H_{j}")
-                elif k > 1:
-                    factors.append(f"H_{j}^{k}")
-            if not factors:
-                parts.append(str(c))
-            elif c.is_one():
-                parts.append("*".join(factors))
-            else:
-                parts.append(f"{c}*" + "*".join(factors))
-        return " + ".join(parts)
+        def body(e):
+            factors = [f"H_{j}" if k == 1 else f"H_{j}^{k}" for j, k in enumerate(e, start=1) if k]
+            return "*".join(factors) or "1"
+
+        return signed_sum((c, body(e)) for e, c in reversed(self.terms_sorted()))
 
     def _check(self, other: "MultiPoly"):
         if self.n != other.n:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Union
+from typing import Iterable, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -246,6 +246,34 @@ def power(base, k: int, one):
         if k:
             base = base * base
     return out
+
+
+def _coeff_term_str(c: Scalar, body: str) -> Tuple[str, str]:
+    """Render coeff*body as (sign, text) with sign in {'+','-'}; body "1"
+    is a constant term."""
+    sign = "+"
+    if not c.nim and c.nre < 0 or not c.nre and c.nim < 0:
+        sign, c = "-", -c
+    cs = f"({c})" if c.nre and c.nim else str(c)
+    if body == "1":
+        return sign, cs
+    if c.is_one():
+        return sign, body
+    return sign, f"{cs}*{body}"
+
+
+def signed_sum(terms: Iterable[Tuple[Scalar, str]]) -> str:
+    """The sum of nonzero terms coeff*body, in order, a negative coefficient
+    joined with a minus: "H^2 - 2", "(1+i)*H"; "0" when there are none.  The
+    one printer of operators and polynomials."""
+    pieces = [_coeff_term_str(c, body) for c, body in terms]
+    if not pieces:
+        return "0"
+    first_sign, s = pieces[0]
+    s = ("-" if first_sign == "-" else "") + s
+    for sign, text in pieces[1:]:
+        s += f" {sign} {text}"
+    return s
 
 
 def scalar_from_str(text: str) -> Scalar:

@@ -282,7 +282,42 @@ def test_pencil_outside_field_is_a_domain_error():
     assert code == 1
     error = json.loads(out)["error"]
     assert error["kind"] == "domain"
-    assert error["message"] == "pencil eigenvalue not in the field q: min poly H^2 + -2"
+    assert error["message"] == "pencil eigenvalue not in the field q: min poly H^2 - 2"
+
+
+@pytest.mark.parametrize("command", ["act", "grade"])
+def test_act_and_grade_without_an_expression_are_usage_errors(command):
+    for stdin_text in ("", "\n  \n"):
+        code, out = run_cli(["--json", command], stdin_text=stdin_text)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "usage" and "no expression" in error["message"]
+    # the first nonblank line of stdin is the expression
+    assert run_cli(["--json", command], stdin_text="\nd_1\n") == run_cli(["--json", command, "d_1"])
+
+
+@pytest.mark.parametrize(
+    "argv, point",
+    [([], "x"), ([], "1,y"), ([], "1,2"), ([], ""), (["--arity", "2"], "1")],
+)
+def test_fiber_point_is_parsed_and_counted(argv, point):
+    window = "--window=-2..2" if not argv else "--window=-2..2,-2..2"
+    orbit = "1/2" if not argv else "1/2,1/3"
+    code, out = run_cli(["--json", *argv, window, "fiber", "--module", "simple", "--orbit", orbit, "--point", point])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "usage" and "--point" in error["message"]
+
+
+def test_fiber_point_of_the_module_arity():
+    code, out = run_cli(["--json", "--window=-2..2", "fiber", "--module", "simple", "--orbit", "1/2", "--point", "0"])
+    assert code == 0
+    assert json.loads(out)["result"]["dim"] == 1
+    code, out = run_cli(
+        ["--json", "--window=-2..2,-2..2", "fiber", "--module", "simple", "--orbit", "1/2,1/3", "--point", "1,-1"]
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["slots"] == [1, 2]
 
 
 def test_deterministic_output():

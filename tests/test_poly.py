@@ -67,3 +67,20 @@ def test_monomials_below_graded_lex():
     assert ms == sorted(ms, key=graded_lex_key)
     assert all(sum(e) < 3 for e in ms)
     assert len(ms) == 6
+
+
+def test_printing_joins_negative_terms_with_a_minus():
+    two, i = Scalar(2), Scalar(0, 1)
+    # negative constant
+    assert str(UniPoly({2: Scalar(1), 0: -two})) == "H^2 - 2"
+    # negative leading coefficient
+    assert str(UniPoly({3: -two, 1: Scalar(1), 0: Scalar(5)})) == "-2*H^3 + H + 5"
+    assert str(UniPoly({1: Scalar(-1)})) == "-H"
+    # non-real coefficients, parenthesized when both parts are nonzero
+    assert str(UniPoly({1: Scalar(1, 1), 0: -i})) == "(1+i)*H - i"
+    assert str(UniPoly({0: Scalar(1, -1)})) == "(1-i)"
+    assert str(UniPoly()) == "0"
+    H1, H2 = MultiPoly.var(2, 1), MultiPoly.var(2, 2)
+    assert str(H1 * H2 - MultiPoly.const(2, 3)) == "H_1*H_2 - 3"
+    assert str((H1 * H1).scale(-1) + H2.scale(Scalar(1, 1))) == "-H_1^2 + (1+i)*H_2"
+    assert str(MultiPoly(2, {})) == "0"
