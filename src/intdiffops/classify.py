@@ -10,9 +10,10 @@ Pencils (two vertices, two arrows), modules on one space (one vertex, a
 loop per action matrix) and module windows are `linalg.QuiverRep`s, so
 `linalg.hom_space`, one Krull-Schmidt splitter, `split_indecomposables`, and
 the isomorphism decision built on it, `isomorphism`, serve all of them.
-The splitter takes End from the intertwining equations, its radical from
-the trace form (characteristic zero), and splits along an element whose
-minimal polynomial factors into coprime parts; a rep whose End/rad is
+The splitter takes End from the intertwining equations, as tuples of
+vertex blocks, its radical from the trace form (characteristic zero), and
+splits along an element whose minimal polynomial factors into coprime
+parts, all block by block on the integer form; a rep whose End/rad is
 certified to be a field is returned whole, so a pencil is reported outside
 the field only by its label.  `factor_unipoly` factors polynomials of
 degree <= 2 in closed form and hands higher degrees to the `symbolic`
@@ -33,6 +34,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .linalg import (
     Mat,
     QuiverRep,
+    _eliminate_q,
+    _eliminate_qi,
+    _real_pivot,
     block_diag,
     column_space_basis,
     hom_space,
@@ -41,7 +45,6 @@ from .linalg import (
     rank,
     retraction,
     rref,
-    solve_linear,
     sparse_rank,
     split,
 )
@@ -93,31 +96,86 @@ def _one_space(mats: Sequence[Mat]) -> QuiverRep:
     return QuiverRep([mats[0].rows if mats else 0], [(0, 0, A) for A in mats])
 
 
-def min_poly(M: Mat) -> UniPoly:
-    """Minimal polynomial by first linear dependence among powers."""
-    d = M.rows
-    if d == 0:
-        return UniPoly.const(1)
-    powers = [Mat.identity(d)]
-    while True:
-        k = len(powers)
-        nxt = powers[-1] @ M
-        cols = Mat(
-            d * d,
-            k,
-            [
-                [powers[j].data[r // d][r % d] for j in range(k)]
-                for r in range(d * d)
-            ],
-        )
-        target = Mat.col_vector([nxt.data[r // d][r % d] for r in range(d * d)])
-        X = solve_linear(cols, target)
-        if X is not None:
-            coeffs = {k: ONE}
-            for j in range(k):
-                coeffs[j] = coeffs.get(j, ZERO) - X.data[j][0]
-            return UniPoly(coeffs)
-        powers.append(nxt)
+def min_poly(M) -> UniPoly:
+    """Minimal polynomial of a square Mat, or of the block-diagonal matrix a
+    tuple of square blocks stands for (an End element per vertex): the first
+    linear dependence among the powers.
+
+    Power k enters as the integer row s*[vec(M^k) | e_k], the entries of
+    every block flattened over one common scale s and a tag column for k,
+    and is reduced against the pivot rows of the earlier powers in one
+    incremental sparse elimination (`_eliminate_q`, or `_eliminate_qi` with
+    `_real_pivot` over Q(i)).  Reduced to tags t_j alone, it says
+    Sum t_j M^j = 0 with t_k != 0, so the polynomial is Sum (t_j/t_k) x^j.
+    The blocks' off-diagonal zeros never enter, and no Scalar is built
+    before the coefficients."""
+    blocks = (M,) if isinstance(M, Mat) else tuple(M)
+    gaussian = any(X._int()[1] is not None for X in blocks)
+    eliminate = _eliminate_qi if gaussian else _eliminate_q
+    n = sum(X.rows * X.rows for X in blocks)
+    pivots: List[Tuple[int, dict]] = []
+    powers = tuple(Mat.scalar(X.rows, ONE) for X in blocks)
+    # n + 1 vectors in n entries: the loop always ends at a dependence
+    for k in range(n + 1):
+        if k:
+            powers = blocks if k == 1 else tuple(P @ X for P, X in zip(powers, blocks))
+        row = _power_row(powers, n + k, gaussian)
+        for c, prow in pivots:
+            if c in row:
+                row = eliminate(row, c, prow)
+        c = min((j for j in row if j < n), default=None)
+        if c is None:
+            break
+        pivots.append((c, _real_pivot(row, c) if gaussian else row))
+    tk = row[n + k]
+    coeffs = {k: ONE}
+    for j in range(k):
+        t = row.get(n + j)
+        if t is None:
+            continue
+        if gaussian:
+            (a, b), (c, e) = t, tk
+            coeffs[j] = Scalar.frac(a * c + b * e, b * c - a * e, c * c + e * e)
+        else:
+            coeffs[j] = Scalar.frac(t, 0, tk)
+    return UniPoly(coeffs)
+
+
+def _power_row(powers: Tuple[Mat, ...], tag: int, gaussian: bool) -> dict:
+    """The sparse integer row s*[vec(P) | e_tag] of one power P given by its
+    square blocks, flattened in order."""
+    s, entries = _block_entries(powers, gaussian)
+    row = {}
+    off = 0
+    for P, here in zip(powers, entries):
+        for pos, v in here.items():
+            row[off + pos] = v
+        off += P.rows * P.rows
+    row[tag] = (s, 0) if gaussian else s
+    return row
+
+
+def _block_entries(blocks: Sequence[Mat], gaussian: bool) -> Tuple[int, List[Dict[int, object]]]:
+    """(s, entries): s the lcm of the row scales of all the square blocks,
+    and per block the nonzero entries of s times it by position a*d + b, an
+    int, or an (re, im) pair when gaussian."""
+    forms = [X._int() for X in blocks]
+    s = lcm(*chain.from_iterable(sc for _, _, sc in forms))
+    out = []
+    for (re, im, sc), X in zip(forms, blocks):
+        d = X.cols
+        here = {}
+        for a, (row, x) in enumerate(zip(re, sc)):
+            irow = None if im is None else im[a]
+            if not (any(row) or irow is not None and any(irow)):
+                continue
+            u = s // x
+            for b, v in enumerate(row):
+                w = 0 if irow is None else irow[b]
+                if v or w:
+                    here[a * d + b] = (v * u, w * u) if gaussian else v * u
+        out.append(here)
+    return s, out
 
 
 def factor_unipoly(p: UniPoly, field: Field) -> List[Tuple[UniPoly, int]]:
@@ -155,54 +213,50 @@ def factor_unipoly(p: UniPoly, field: Field) -> List[Tuple[UniPoly, int]]:
     return [(UniPoly({1: ONE, 0: k}), 1) for k in consts]
 
 
-def _eval_poly_at_matrix(p: UniPoly, M: Mat) -> Mat:
-    d = M.rows
-    out = Mat.zero(d, d)
-    power = Mat.identity(d)
-    for k in range(0, (p.degree() or 0) + 1):
-        c = p.coeffs.get(k)
+def _eval_poly(p: UniPoly, X: Mat) -> Mat:
+    """p(X) for a square X, by Horner's rule on the integer form."""
+    d, k = X.rows, p.degree() or 0
+    out = X.scale(p.coeffs[k]) if k else Mat.scalar(d, p.coeffs.get(0, ZERO))
+    for j in range(k - 1, -1, -1):
+        c = p.coeffs.get(j)
         if c is not None:
-            out = out + power.scale(c)
-        power = power @ M
+            out = out + Mat.scalar(d, c)
+        if j:
+            out = out @ X
     return out
 
 
-def _radical_dim(end: List[Mat]) -> int:
-    """dim rad of the algebra spanned by end: k - rank T, T the Gram matrix
-    tr(N_i N_j) of the trace form on the integer forms N_j = s_j E_j, s_j
-    the lcm of E_j's row scales.  In characteristic 0 the radical is the
-    kernel of the trace form, and scaling a basis element leaves the rank."""
+def _radical_dim(end: List[Tuple[Mat, ...]]) -> int:
+    """dim rad of the algebra spanned by end, whose elements are tuples of
+    square blocks (one per vertex, as `hom_space` gives them): k - rank T,
+    T the Gram matrix tr(N_i N_j) = Sum_v tr(N_i,v N_j,v) of the trace form
+    on the integer forms N_j = s_j E_j, s_j the lcm of the row scales of all
+    of E_j's blocks.  In characteristic 0 the radical is the kernel of the
+    trace form, and scaling a basis element leaves the rank."""
     k = len(end)
-    gaussian = any(e._int()[1] is not None for e in end)
-    # the nonzero entries of the N_j by position a*d + b, as (j, entry)
-    d = end[0].cols if k else 0
-    at: Dict[int, list] = {}
+    gaussian = any(X._int()[1] is not None for e in end for X in e)
+    dims = [X.cols for X in end[0]] if k else []
+    # per vertex, the nonzero entries of the N_j by position a*d + b, as (j, entry)
+    at: List[Dict[int, list]] = [{} for _ in dims]
     for j, e in enumerate(end):
-        re, im, sc = e._int()
-        s = lcm(*sc)
-        for a, (row, x) in enumerate(zip(re, sc)):
-            irow = None if im is None else im[a]
-            if not (any(row) or irow is not None and any(irow)):
-                continue
-            u = s // x
-            for b, v in enumerate(row):
-                w = 0 if irow is None else irow[b]
-                if v or w:
-                    at.setdefault(a * d + b, []).append((j, (v * u, w * u) if gaussian else v * u))
-    # tr(N_i N_j) = sum over a, b of N_i[a, b] * N_j[b, a]
+        for here, entries in zip(at, _block_entries(e, gaussian)[1]):
+            for pos, v in entries.items():
+                here.setdefault(pos, []).append((j, v))
+    # tr(N_i N_j) = sum over v, a, b of N_i,v[a, b] * N_j,v[b, a]
     gram = [{} for _ in range(k)]
-    for pos, left in at.items():
-        right = at.get(pos % d * d + pos // d)
-        if right is None:
-            continue
-        for i, x in left:
-            row = gram[i]
-            for j, y in right:
-                if gaussian:
-                    p, q = row.get(j, (0, 0))
-                    row[j] = (p + x[0] * y[0] - x[1] * y[1], q + x[0] * y[1] + x[1] * y[0])
-                else:
-                    row[j] = row.get(j, 0) + x * y
+    for d, here in zip(dims, at):
+        for pos, left in here.items():
+            right = here.get(pos % d * d + pos // d)
+            if right is None:
+                continue
+            for i, x in left:
+                row = gram[i]
+                for j, y in right:
+                    if gaussian:
+                        p, q = row.get(j, (0, 0))
+                        row[j] = (p + x[0] * y[0] - x[1] * y[1], q + x[0] * y[1] + x[1] * y[0])
+                    else:
+                        row[j] = row.get(j, 0) + x * y
     if gaussian:
         gram = [{j: t for j, t in row.items() if t[0] or t[1]} for row in gram]
     else:
@@ -216,7 +270,7 @@ def is_indecomposable(module) -> bool:
     R = module if isinstance(module, QuiverRep) else _one_space(list(module))
     if not any(R.dims):
         return False
-    end = [block_diag(*h) for h in hom_space(R, R)]
+    end = hom_space(R, R)
     return len(end) - _radical_dim(end) == 1
 
 
@@ -305,31 +359,34 @@ def _jordan_block(n: int, lam) -> Mat:
     return Mat(n, n, [[lam if c == r else ONE if c == r + 1 else ZERO for c in range(n)] for r in range(n)])
 
 
-def _splitting_element(end: List[Mat], field: Field, residue_dim: int) -> Optional[Tuple[Mat, UniPoly, UniPoly]]:
-    """An endomorphism whose min poly splits into two coprime parts, or None
-    when End is local.
+def _splitting_element(
+    end: List[Tuple[Mat, ...]], field: Field, residue_dim: int
+) -> Optional[Tuple[Tuple[Mat, ...], UniPoly, UniPoly]]:
+    """An endomorphism (a tuple of blocks, one per vertex) whose min poly
+    splits into two coprime parts, or None when End is local.
 
     Candidates are the basis elements, sums and differences of two of them,
-    then seeded pseudo-random combinations.  The search stops at the first
-    candidate m whose min poly either has two distinct irreducible factors
-    or is g^e with g irreducible of degree residue_dim = dim End/rad >= 2.
-    Then K[m mod rad] fills End/rad, so End/rad is a field bigger than K
-    and None is a proof, not a search failure (split or certify, as in the
-    MeatAxe).
+    then seeded pseudo-random combinations, all taken block by block.  The
+    search stops at the first candidate m whose min poly either has two
+    distinct irreducible factors or is g^e with g irreducible of degree
+    residue_dim = dim End/rad >= 2.  Then K[m mod rad] fills End/rad, so
+    End/rad is a field bigger than K and None is a proof, not a search
+    failure (split or certify, as in the MeatAxe).
     """
 
     def candidates():
         yield from end
         for i, j in combinations(range(len(end)), 2):
-            for s in (1, -1):
-                yield end[i] + end[j].scale(s)
+            yield tuple(x + y for x, y in zip(end[i], end[j]))
+            yield tuple(x - y for x, y in zip(end[i], end[j]))
         rng = _random.Random(0x5EED)
+        zero = tuple(Mat.scalar(X.rows, ZERO) for X in end[0])
         for _ in range(300):
-            m = Mat.zero(end[0].rows, end[0].cols)
+            m = zero
             for e in end:
                 c = rng.randint(-4, 4)
                 if c:
-                    m = m + e.scale(c)
+                    m = tuple(x + X.scale(c) for x, X in zip(m, e))
             yield m
 
     for m in candidates():
@@ -396,24 +453,23 @@ def _kron_indecomposable_label(R: QuiverRep, field: Field) -> KroneckerBlockLabe
 def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, Tuple[Mat, ...]]]:
     """Indecomposable summands of R, each with its embeddings into R, one
     per vertex (Krull-Schmidt by splitting End(R)).  R comes back whole,
-    with identity embeddings, exactly when End(R) is local."""
+    with identity embeddings, exactly when End(R) is local.
+
+    End(R) stays the per-vertex block tuples of `hom_space`: a splitting
+    element m = (m_v) with min poly f1*f2 gives the parts ker f_i(m_v) at
+    each vertex v."""
     if not any(R.dims):
         return []
-    end = [block_diag(*h) for h in hom_space(R, R)]
+    end = hom_space(R, R)
     residue_dim = len(end) - _radical_dim(end)
     split_by = None if residue_dim == 1 else _splitting_element(end, field, residue_dim)
     if split_by is None:
-        return [(R, tuple(Mat.identity(d) for d in R.dims))]
+        return [(R, tuple(Mat.scalar(d, ONE) for d in R.dims))]
     m, f1, f2 = split_by
-    parts = []
-    for f in (f1, f2):
-        fm = _eval_poly_at_matrix(f, m)
-        bases, o = [], 0
-        for d in R.dims:
-            block = fm.select_rows(range(o, o + d)).select_cols(range(o, o + d))
-            bases.append(Mat.from_cols(kernel_basis(block) if d else [], d))
-            o += d
-        parts.append(bases)
+    parts = [
+        [Mat.from_cols(kernel_basis(_eval_poly(f, X)) if d else [], d) for X, d in zip(m, R.dims)]
+        for f in (f1, f2)
+    ]
     subs = split(R, parts)
     if subs is None:
         raise DomainError("subspace is not invariant")

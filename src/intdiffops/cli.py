@@ -90,6 +90,23 @@ class UsageError(Exception):
     pass
 
 
+class _ArgumentError(Exception):
+    """An error argparse found in the arguments, raised instead of exiting
+    so that `main` can report it as a JSON error object under --json."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and, through `add_subparsers`, subparsers) whose
+    errors raise `_ArgumentError`; help still prints and exits."""
+
+    def error(self, message):
+        raise _ArgumentError(self, message)
+
+
 def _parse_scalar_arg(text: str) -> Scalar:
     try:
         return scalar_from_str(text)
@@ -119,7 +136,9 @@ def _parse_ints(text: str, what: str) -> List[int]:
         raise UsageError(f"bad {what} {text!r}") from None
 
 
-def _parse_window_arg(text: str, n: int):
+def _parse_window_arg(text: Optional[str], n: int):
+    if text is None:
+        raise UsageError("need --window")
     out = []
     for part in text.split(","):
         if ".." not in part:
@@ -199,17 +218,15 @@ def _emit(cfg: SessionConfig, text_value: str, json_value) -> None:
 
 
 def _expressions(args) -> List[str]:
+    """The expressions of the arguments, or else the nonblank lines of
+    stdin; a UsageError when there are none, so --json always prints one
+    object."""
     if getattr(args, "expr", None):
         return list(args.expr)
-    return [line.rstrip("\n") for line in sys.stdin if line.strip()]
-
-
-def _one_expression(args) -> str:
-    """The first expression, from the arguments or else from stdin."""
-    exprs = _expressions(args)
+    exprs = [line.rstrip("\n") for line in sys.stdin if line.strip()]
     if not exprs:
         raise UsageError("no expression: give one as an argument or on stdin")
-    return exprs[0]
+    return exprs
 
 
 # -- command handlers -------------------------------------------------------
@@ -236,7 +253,7 @@ def cmd_commutator(args, cfg):
 
 
 def cmd_act(args, cfg):
-    a = _read_operator(_one_expression(args), cfg)
+    a = _read_operator(_expressions(args)[0], cfg)
     am = to_matrix(a, cfg.deg)
     rows = mat_to_json(am.matrix)
     text = "\n".join("[" + ", ".join(r) + "]" for r in rows)
@@ -244,7 +261,7 @@ def cmd_act(args, cfg):
 
 
 def cmd_grade(args, cfg):
-    a = _read_operator(_one_expression(args), cfg)
+    a = _read_operator(_expressions(args)[0], cfg)
     comps = a.graded_components()
     lines = []
     jout = []
@@ -471,7 +488,7 @@ def cmd_report(args, cfg):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="intdiff",
         description="Exact calculus of polynomial integro-differential operators.",
     )
@@ -549,11 +566,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
-    field_name = args.field or os.environ.get("INTDIFF_FIELD", "q")
-    if field_name not in ("q", "qi"):
-        parser.error(f"bad field {field_name!r}")
+    try:
+        args = parser.parse_args(argv)
+        field_name = args.field or os.environ.get("INTDIFF_FIELD", "q")
+        if field_name not in ("q", "qi"):
+            parser.error(f"bad field {field_name!r}")
+    except _ArgumentError as exc:
+        if not _wants_json(argv):
+            # argparse's own report: usage and "intdiff: error: ..." on stderr
+            argparse.ArgumentParser.error(exc.parser, str(exc))
+        _fail(SessionConfig(field=QQ, arity=1, window=None, json_out=True, deg=6), "usage", str(exc))
+        return 2
     cfg = SessionConfig(
         field=QQI if field_name == "qi" else QQ,
         arity=args.arity,
@@ -574,7 +599,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def _wants_json(argv: List[str]) -> bool:
+    """Whether argv asks for --json (or an abbreviation argparse accepts),
+    read by a parser that knows only that flag, for arguments that the full
+    parser refused."""
+    p = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    p.add_argument("--json", action="store_true")
+    try:
+        return p.parse_known_args(argv)[0].json
+    except argparse.ArgumentError:
+        return False
+
+
 def _fail(cfg: SessionConfig, kind: str, message: str) -> None:
+    """The error object under --json, else "error: message" on stderr.  An
+    error in the arguments themselves reports the default config, as the
+    session never started."""
     if cfg.json_out:
         doc = {
             "config": cfg.header(),

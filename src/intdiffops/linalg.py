@@ -29,7 +29,9 @@ neither pivot rule ever shows in results.
   row divided by the gcd of its entries, pivot rows chosen sparsest-first)
   with integer back-substitution.
 - Sparse, for every matrix with a non-real entry, every Hom system
-  (`BlockSystem`) and the trace form of `classify`: `sparse_kernel` and
+  (`BlockSystem`), and the trace form and the power rows of `min_poly` in
+  `classify` (the latter through `_eliminate_q`, `_eliminate_qi` and
+  `_real_pivot` directly): `sparse_kernel` and
   `sparse_rank` on rows that are dicts of their nonzero entries
   (`_sparse_echelon`, `_sparse_rref`).  A Hom system has Sum_v m_v*n_v
   unknowns but at most d_s + d_t nonzeros per row, so this is what keeps

@@ -85,6 +85,8 @@ def tokenize(text: str) -> List[Token]:
                     k += 1
                 den = int(text[j + 1 : k])
                 j = k
+                if not den:
+                    err(f"zero denominator in {text[i:j]!r}")
             tokens.append(Token("NUM", text[i:j], line, start_col, Fraction(num, den)))
             col += j - i
             i = j

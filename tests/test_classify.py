@@ -357,8 +357,9 @@ _RADICAL_CASES = _radical_cases()
 
 @pytest.mark.parametrize("name, rep", _RADICAL_CASES, ids=[name for name, _ in _RADICAL_CASES])
 def test_radical_dim_matches_scalar_reference(name, rep):
-    end = [block_diag(*h) for h in hom_space(rep, rep)]
-    assert classify._radical_dim(end) == len(_reference_radical_basis(end))
+    # _radical_dim reads the per-vertex tuples; the reference their block_diag
+    end = hom_space(rep, rep)
+    assert classify._radical_dim(end) == len(_reference_radical_basis([block_diag(*h) for h in end]))
 
 
 def test_eigenvalue_outside_field():

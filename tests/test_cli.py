@@ -93,6 +93,19 @@ def test_deep_input_keeps_the_contract(expr, code):
         assert "result" in doc
 
 
+def test_zero_denominator_is_a_parse_error():
+    # the tokenizer built Fraction(1, 0), and the ZeroDivisionError escaped main
+    code, out = run_cli(["--json", "normalize", "x_1 + 1/0"])
+    assert code == 1
+    assert json.loads(out)["error"] == {"kind": "domain", "message": "zero denominator in '1/0' at line 1, column 7"}
+
+
+def test_induce_without_a_window_is_a_usage_error():
+    code, out = run_cli(["--json", "induce", "--orbit", "Z"])
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "usage", "message": "need --window"}
+
+
 def test_exponent_limit_is_a_parse_error():
     start = time.perf_counter()
     code, out = run_cli(["--json", "normalize", "d_1^100000000"])
@@ -236,6 +249,53 @@ def test_json_error_object():
     doc = json.loads(out)
     assert doc["error"]["kind"] == "domain"
     assert "schema" in doc
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["--json", "dims", "--module", "Xs"], "argument --module: invalid choice: 'Xs'"),
+        # a window with a leading minus needs the = form; this one is read as a flag
+        (["--json", "--window", "-2..2", "dims", "--module", "Ms", "--s", "2", "--lambda", "0"],
+         "argument --window: expected one argument"),
+        (["--json", "--arity", "x", "normalize", "d_1"], "argument --arity: invalid int value: 'x'"),
+        (["--json"], "the following arguments are required: command"),
+        (["--json", "normalize", "d_1", "--deg", "2"], "unrecognized arguments: --deg 2"),
+    ],
+)
+def test_argparse_errors_keep_the_json_contract(argv, needle, capsys):
+    code, out = run_cli(argv)
+    assert code == 2 and capsys.readouterr().err == ""
+    doc = json.loads(out)
+    assert doc["error"] == {"kind": "usage", "message": doc["error"]["message"]}
+    assert needle in doc["error"]["message"] and "result" not in doc
+
+
+def test_bad_field_variable_keeps_the_json_contract(monkeypatch, capsys):
+    monkeypatch.setenv("INTDIFF_FIELD", "r")
+    code, out = run_cli(["--json", "normalize", "d_1"])
+    assert code == 2 and capsys.readouterr().err == ""
+    assert json.loads(out)["error"] == {"kind": "usage", "message": "bad field 'r'"}
+    # text mode: argparse's usage and message on stderr, exit 2 as before
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["normalize", "d_1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: intdiff") and err.endswith("intdiff: error: bad field 'r'\n")
+
+
+def test_argparse_errors_in_text_mode_and_help_are_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["dims", "--module", "Xs"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: intdiff dims")
+    assert "intdiff dims: error: argument --module: invalid choice: 'Xs'" in captured.err
+    for argv in (["-h"], ["--json", "-h"], ["--json", "dims", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: intdiff")
 
 
 def test_field_env_default(monkeypatch):
