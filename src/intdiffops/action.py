@@ -126,12 +126,26 @@ class ActionMatrix:
 def _check_action_cells(a: Operator, N: int):
     """Refuse, before any work, an action window on exponents up to N whose
     matrix would exceed MAX_ACTION_CELLS."""
-    dom_base = max(N + 1, 0)
-    cod_base = max(N + 1 + a.max_positive_degree(), 0)
-    if (dom_base * cod_base) ** a.n > MAX_ACTION_CELLS:
+    _check_cells(a.n, max(N + 1, 0), max(N + 1 + a.max_positive_degree(), 0))
+
+
+def check_action_window(n: int, N: int):
+    """Refuse an action window of arity n on exponents up to N from its
+    sizes alone.  No operator lowers the codomain bound below N, so every
+    action matrix there has at least (N + 1)^(2n) cells; a caller that
+    refuses here need not build the operator at all.  `to_matrix` still
+    makes the exact check once the operator is known."""
+    base = max(N + 1, 0)
+    _check_cells(n, base, base, "at least ")
+
+
+def _check_cells(n: int, dom_base: int, cod_base: int, bound: str = ""):
+    """DomainError when (dom_base * cod_base)^n cells exceed the limit;
+    `bound` prefixes the codomain and cell counts when they are bounds."""
+    if (dom_base * cod_base) ** n > MAX_ACTION_CELLS:
         raise DomainError(
-            f"action matrix on {_power(dom_base, a.n)} domain x {_power(cod_base, a.n)} codomain "
-            f"monomials ({_power(dom_base * cod_base, a.n)} cells) exceeds the limit "
+            f"action matrix on {_power(dom_base, n)} domain x {bound}{_power(cod_base, n)} codomain "
+            f"monomials ({bound}{_power(dom_base * cod_base, n)} cells) exceeds the limit "
             f"MAX_ACTION_CELLS = {MAX_ACTION_CELLS}"
         )
 

@@ -47,7 +47,7 @@ from .modules import (
     is_equidimensional,
     support,
 )
-from .action import to_matrix
+from .action import check_action_window, to_matrix
 from .operators import Operator, from_expression, principal_left_ideal_membership
 from .parser import ParseError, check_slots, parse_expression
 from .scalars import QQ, QQI, Field, Scalar, scalar_from_str
@@ -253,7 +253,10 @@ def cmd_commutator(args, cfg):
 
 
 def cmd_act(args, cfg):
-    a = _read_operator(_expressions(args)[0], cfg)
+    expr = _expressions(args)[0]
+    # the sizes alone may refuse the window; building the operator can take longer
+    check_action_window(cfg.arity, cfg.deg)
+    a = _read_operator(expr, cfg)
     am = to_matrix(a, cfg.deg)
     rows = mat_to_json(am.matrix)
     text = "\n".join("[" + ", ".join(r) + "]" for r in rows)

@@ -130,7 +130,8 @@ def test_action_size_limit_is_a_domain_error():
 
 
 def test_action_size_limit_names_counts_past_the_int_print_limit():
-    # 100001^1000 has 5,001 digits, more than Python prints as a decimal
+    # 100001^1000 has 5,001 digits, more than Python prints as a decimal;
+    # the sizes alone refuse this window, so the codomain count is a bound
     start = time.perf_counter()
     code, out = run_cli(["--json", "--arity", str(MAX_ARITY), "--deg", "100000", "act", "x_1"])
     assert time.perf_counter() - start < 1.0
@@ -139,8 +140,36 @@ def test_action_size_limit_names_counts_past_the_int_print_limit():
     assert doc["error"]["kind"] == "domain"
     message = doc["error"]["message"]
     assert f"MAX_ACTION_CELLS = {MAX_ACTION_CELLS}" in message
-    assert f"100001^{MAX_ARITY} domain x 100002^{MAX_ARITY} codomain monomials" in message
-    assert f"(10000300002^{MAX_ARITY} cells)" in message
+    assert f"100001^{MAX_ARITY} domain x at least 100001^{MAX_ARITY} codomain monomials" in message
+    assert f"(at least 10000200001^{MAX_ARITY} cells)" in message
+    # one domain monomial passes the bound; the exact check counts x_1's codomain
+    code, out = run_cli(["--json", "--arity", str(MAX_ARITY), "--deg", "0", "act", "x_1"])
+    assert code == 1
+    message = json.loads(out)["error"]["message"]
+    assert f"1 domain x 2^{MAX_ARITY} codomain monomials (2^{MAX_ARITY} cells)" in message
+
+
+def test_act_refuses_by_size_before_building_the_operator(monkeypatch):
+    import intdiffops.cli as cli
+
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    monkeypatch.setattr(cli, "from_expression", build)
+    code, out = run_cli(["--json", "--arity", "1000", "act", "int_1^10000"])
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "domain"
+    assert error["message"] == (
+        f"action matrix on 7^1000 domain x at least 7^1000 codomain monomials "
+        f"(at least 49^1000 cells) exceeds the limit MAX_ACTION_CELLS = {MAX_ACTION_CELLS}"
+    )
+    # (deg + 1)^(2 arity) = 7^6 cells pass the bound, so the operator is built
+    with pytest.raises(Built):
+        run_cli(["--json", "--arity", "3", "act", "x_1"])
 
 
 def test_window_size_limit_is_a_domain_error():

@@ -25,6 +25,7 @@ from intdiffops.modules import (
     split_extension,
     support,
     window_isomorphism,
+    _block_parts,
     _cyclic_closure,
     _restrict_to_bases,
     _socle_projector,
@@ -194,11 +195,19 @@ def test_block_decompose_matches_projector_reference(n, sizes, seed):
             if piv:
                 bases[D][p] = Mat(d, len(piv), [[E.data[r][c] for c in piv] for r in range(d)])
         assert total == I
-    expected = [(D, _restrict_to_bases(M, b)) for D, b in bases.items() if b]
+    expected = [D for D, b in bases.items() if b]
+    pts, _, order, parts, _ = _block_parts(M)
     got = block_decompose(M)
-    assert [tuple(sorted(ds.D)) for ds, _ in got] == [D for D, _ in expected]
-    for (_, sub), (_, ref) in zip(got, expected):
-        assert sub == ref
+    assert [tuple(sorted(ds.D)) for ds, _ in got] == expected == order
+    for (_, sub), D, part in zip(got, order, parts):
+        # per point the same subspace as the projector image, which may come
+        # in another basis (carried from the tree's root)
+        returned = {p: B for p, B in zip(pts, part) if B.cols}
+        assert returned.keys() == bases[D].keys()
+        for p, B in returned.items():
+            assert rank(B) == rank(bases[D][p]) == rank(B.hstack(bases[D][p])) == B.cols
+        # the maps are exactly the restriction of M to the returned bases
+        assert sub == _restrict_to_bases(M, returned)
         sub._validate_shapes()
 
 
