@@ -1162,7 +1162,6 @@ def split(
         if Tinv[t] is not None:
             X = Tinv[t] @ X
         re, im, sc = X._int()
-        zeros = diagonal(bs, bt, ZERO)
         for k, out in enumerate(arrows):
             a, b = bs[k], bs[k + 1]
             if bt[k] == bt[k + 1] or a == b:
@@ -1170,7 +1169,7 @@ def split(
                 for r in range(bt[k], bt[k + 1]):
                     if any(re[r]) or im is not None and any(im[r]):
                         return None
-                out.append((s, t, zeros[k]))
+                out.append((s, t, diagonal(bs, bt, ZERO)[k]))
                 continue
             if b - a == X.cols and bt[k + 1] - bt[k] == X.rows:
                 # this part holds both spaces, so its block is all of X
