@@ -136,7 +136,8 @@ def test_a_broken_non_tree_arrow_is_not_stable(case, data):
     # sent partly into part b, and every other map keeps its blocks
     Ts = reduce(Mat.hstack, [part[s] for part in parts])
     offset = sum(part[s].cols for part in parts[:a])
-    unit = Mat(parts[b][t].cols, Ts.cols, [[1 if (r, c) == (0, offset) else 0 for c in range(Ts.cols)] for r in range(parts[b][t].cols)])
+    rows = parts[b][t].cols
+    unit = Mat(rows, Ts.cols, [[1 if (r, c) == (0, offset) else 0 for c in range(Ts.cols)] for r in range(rows)])
     maps = dict(M.maps)
     maps[(kind, slot, p)] = M.map(kind, slot, p) + parts[b][t] @ unit @ invert(Ts)
     broken = ModuleWindow(M.orbit, M.window, M.spaces, maps, M.side)
