@@ -99,12 +99,20 @@ class _ArgumentError(Exception):
         self.parser = parser
 
 
+class _HelpRequested(Exception):
+    """-h or --help: argparse's help text, raised instead of printed so that
+    `main` can report it as a JSON object under --json."""
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser (and, through `add_subparsers`, subparsers) whose
-    errors raise `_ArgumentError`; help still prints and exits."""
+    errors raise `_ArgumentError` and whose help raises `_HelpRequested`."""
 
     def error(self, message):
         raise _ArgumentError(self, message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _parse_scalar_arg(text: str) -> Scalar:
@@ -571,16 +579,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    # arguments that never start a session report the default config
+    unparsed = SessionConfig(field=QQ, arity=1, window=None, json_out=True, deg=6)
     try:
         args = parser.parse_args(argv)
         field_name = args.field or os.environ.get("INTDIFF_FIELD", "q")
         if field_name not in ("q", "qi"):
             parser.error(f"bad field {field_name!r}")
+    except _HelpRequested as exc:
+        (text,) = exc.args
+        if not _wants_json(argv):
+            # argparse's own help: the text on stdout and exit 0
+            sys.stdout.write(text)
+            sys.exit(0)
+        _emit(unparsed, text, {"help": text})
+        return 0
     except _ArgumentError as exc:
         if not _wants_json(argv):
             # argparse's own report: usage and "intdiff: error: ..." on stderr
             argparse.ArgumentParser.error(exc.parser, str(exc))
-        _fail(SessionConfig(field=QQ, arity=1, window=None, json_out=True, deg=6), "usage", str(exc))
+        _fail(unparsed, "usage", str(exc))
         return 2
     cfg = SessionConfig(
         field=QQI if field_name == "qi" else QQ,

@@ -785,10 +785,6 @@ def column_space_basis(columns: Iterable[Mat], dim: int) -> List[Mat]:
     return [cols[j] for j in piv]
 
 
-def in_span(vec: Mat, basis: List[Mat]) -> bool:
-    return solve_linear(Mat.from_cols(basis, vec.rows), vec) is not None
-
-
 def invert(matrix: Mat) -> Optional[Mat]:
     """Exact inverse, or None if singular."""
     if matrix.rows != matrix.cols:
@@ -1183,16 +1179,3 @@ def split(
                 rows.append(_lowest(row[a:b], None if irow is None else irow[a:b], sc[r]))
             out.append((s, t, _mat(len(rows), b - a, *_unzip(rows))))
     return [QuiverRep([p[v].cols for v in range(n)], out) for p, out in zip(parts, arrows)]
-
-
-def complete_basis(B: Mat) -> Mat:
-    """Standard basis columns extending the independent columns of B to a
-    basis: the e_r outside the span of B and of the e's before them, which
-    are the pivots of rref([B | I]) past B's columns."""
-    n = B.rows
-    _, piv = rref(B.hstack(Mat.scalar(n, ONE)))
-    if piv[: B.cols] != list(range(B.cols)):
-        raise ValueError("input columns were dependent")
-    extra = [c - B.cols for c in piv[B.cols :]]
-    return Mat(n, len(extra), [[ONE if r == i else ZERO for r in extra] for i in range(n)])
-

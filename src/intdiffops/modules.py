@@ -19,11 +19,7 @@ from .linalg import (
     Mat,
     QuiverRep,
     _zeros,
-    column_space_basis,
-    complete_basis,
     hom_space,
-    in_span,
-    invert,
     kernel_basis,
     opposite_forest,
     restrict,
@@ -546,48 +542,21 @@ def _socle_projector(M: ModuleWindow, slot: int, p: Point) -> Optional[Mat]:
 
 
 def annihilator_dset(M: ModuleWindow, strict: bool = True) -> Tuple[FrozenSet[int], AnnihilatorLabel]:
-    """Slots where the socle ideal acts nonzero, plus the annihilator label.
+    """The degenerate slots of M, plus the annihilator label of the rest.
 
-    With strict=True the per-slot behaviour must be block-consistent
-    (projector equal to the identity exactly on first-layer points)."""
-    active = set()
-    for i in range(1, M.n + 1):
-        seen = False
-        nonzero = False
-        for p in M.support():
-            P = _socle_projector(M, i, p)
-            if P is None:
-                continue
-            seen = True
-            if not P.is_zero():
-                nonzero = True
-                if strict:
-                    if not M.orbit.integer[i - 1]:
-                        raise DomainError(
-                            f"socle action on non-integer slot {i} at {p}"
-                        )
-                    if p[i - 1] != 1 or not P.is_identity():
-                        raise DomainError(
-                            f"inconsistent socle action in slot {i} at {p}: "
-                            "module is not a single block"
-                        )
-        if not seen and M.support():
-            lo = min(p[i - 1] for p in M.support())
-            raise DomainError(
-                f"window too small to probe slot {i}: extend slot interval "
-                f"below {lo}"
-            )
-        if nonzero:
-            active.add(i)
-    if strict:
-        for i in active:
-            for p in M.support():
-                if p[i - 1] < 1:
-                    raise DomainError(
-                        f"slot {i} has socle action but support below 1 at {p}"
-                    )
-    comp = tuple(j for j in range(1, M.n + 1) if j not in active)
-    return frozenset(active), AnnihilatorLabel(comp)
+    The slots are the union of the D of the nonempty blocks of
+    `block_decompose`, so the window must reach down to layer 0 in each
+    integer slot; a zero module has none.  With strict=True, M must be a
+    single block: more than one nonempty block is a DomainError naming
+    their labels."""
+    labels = [dset.D for dset, sub in block_decompose(M) if sub.spaces]
+    if strict and len(labels) > 1:
+        raise DomainError(
+            "module is not a single block: it has the blocks "
+            + ", ".join(f"D={sorted(D)}" for D in labels)
+        )
+    active = frozenset().union(*labels)
+    return active, AnnihilatorLabel(tuple(j for j in range(1, M.n + 1) if j not in active))
 
 
 def _unstable_target(pts: List[Point], rep: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Point:
@@ -766,7 +735,9 @@ def decompose_weight(M: ModuleWindow) -> Dict[DSet, int]:
 def fiber(M: ModuleWindow, p: Point) -> Fiber:
     """The finite-dimensional fiber datum at a support point.
 
-    p must sit on the first layer (offset 1) of every degenerate slot."""
+    M must be a single block, read by `annihilator_dset`, so the window
+    must reach down to layer 0 in each integer slot; p must sit on the
+    first layer (offset 1) of every degenerate slot."""
     p = tuple(p)
     if M.dim(p) == 0:
         raise DomainError(f"{p} is not a support point")
@@ -843,86 +814,12 @@ def split_extension(
 # -- absolute primeness ------------------------------------------------------
 
 
-def _cyclic_closure(M: ModuleWindow, p: Point, v: Mat) -> Dict[Point, Mat]:
-    """Pointwise bases of the submodule generated by one vector."""
-    spans: Dict[Point, List[Mat]] = {q: [] for q in M.support()}
-    spans[p].append(v)
-    changed = True
-    while changed:
-        changed = False
-        for q in M.support():
-            for kind, i, t in M.arrows(q):
-                if M.dim(t) == 0:
-                    continue
-                f = M.map(kind, i, q)
-                for vec_ in list(spans[q]):
-                    img = f @ vec_
-                    if img.is_zero():
-                        continue
-                    if not in_span(img, spans[t]):
-                        spans[t].append(img)
-                        changed = True
-    out = {}
-    for q, vs in spans.items():
-        basis = column_space_basis(vs, M.dim(q))
-        if basis:
-            out[q] = Mat.from_cols(basis, M.dim(q))
-    return out
-
-
-def _quotient_module(M: ModuleWindow, S: Dict[Point, Mat]) -> ModuleWindow:
-    """Quotient of M by the stable pointwise subspaces S."""
-    proj = {}
-    spaces = {}
-    for p in M.support():
-        B = S.get(p, Mat(M.dim(p), 0))
-        T = complete_basis(B)
-        full = B.hstack(T)
-        inv = invert(full)
-        if inv is None:
-            raise DomainError("submodule basis is degenerate")
-        proj[p] = (T, inv.select_rows(range(B.cols, inv.rows)))
-        if T.cols:
-            spaces[p] = T.cols
-    maps = {}
-    for p in M.support():
-        Tp, _ = proj[p]
-        if Tp.cols == 0:
-            continue
-        for kind, i, q in M.arrows(p):
-            if M.dim(q) == 0:
-                maps[(kind, i, p)] = Mat.zero(0, Tp.cols)
-                continue
-            _, piq = proj[q]
-            maps[(kind, i, p)] = piq @ (M.map(kind, i, p) @ Tp)
-    return ModuleWindow(M.orbit, M.window, spaces, maps, M.side)
-
-
 def is_absolutely_prime_window(M: ModuleWindow) -> bool:
-    """All window subfactors share the annihilator of M itself."""
-    try:
-        _, base = annihilator_dset(M)
-    except DomainError:
-        return False
-    for p in M.support():
-        for j in range(M.dim(p)):
-            v = Mat.col_vector(
-                [ONE if r == j else ZERO for r in range(M.dim(p))]
-            )
-            sub = _cyclic_closure(M, p, v)
-            try:
-                subw = _restrict_to_bases(M, sub)
-                _, asub = annihilator_dset(subw)
-            except DomainError:
-                return False
-            if asub != base:
-                return False
-            try:
-                qw = _quotient_module(M, sub)
-                if qw.spaces:
-                    _, aq = annihilator_dset(qw)
-                    if aq != base:
-                        return False
-            except DomainError:
-                return False
-    return True
+    """Whether M is nonzero and all its window subfactors share one
+    annihilator: exactly when M is a single nonempty block.  The projector
+    P_D of a block is a product of transported 1 - int_i d_i, so it acts on
+    every subfactor of the block as the identity, and D is read off each
+    subfactor as off the block.  The window must reach down to layer 0 in
+    each integer slot, as for `block_decompose`; a window that does not
+    raises DomainError rather than answering False."""
+    return sum(1 for _, sub in block_decompose(M) if sub.spaces) == 1

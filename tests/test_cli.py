@@ -12,8 +12,9 @@ import pytest
 from intdiffops.cli import MAX_ARITY, main
 from intdiffops.action import MAX_ACTION_CELLS
 from intdiffops.classify import MAX_GAMMA_DIM
-from intdiffops.modules import MAX_MS_LENGTH, MAX_WINDOW_POINTS
+from intdiffops.modules import MAX_MS_LENGTH, MAX_WINDOW_POINTS, dualize
 from intdiffops.parser import MAX_EXPONENT, MAX_NESTING
+from intdiffops.serialize import module_from_json, module_to_json
 from golden_cases import GOLDEN_CASES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -320,11 +321,25 @@ def test_argparse_errors_in_text_mode_and_help_are_unchanged(capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("usage: intdiff dims")
     assert "intdiff dims: error: argument --module: invalid choice: 'Xs'" in captured.err
-    for argv in (["-h"], ["--json", "-h"], ["--json", "dims", "-h"]):
+    for argv in (["-h"], ["--help"], ["dims", "-h"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: intdiff")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["dims", "-h"], ["fiber", "--help"], ["--arity", "2", "mul", "-h"]])
+def test_help_under_json_is_one_object(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    code, out = run_cli(["--json", *argv])
+    assert code == 0 and capsys.readouterr().err == ""
+    doc = json.loads(out)
+    assert list(doc) == ["config", "result", "schema"]
+    assert doc["result"] == {"help": text}
+    assert doc["config"] == {"arity": 1, "field": "q", "version": doc["config"]["version"]}
 
 
 def test_field_env_default(monkeypatch):
@@ -488,3 +503,27 @@ def test_cli_import_leaves_sympy_unloaded():
         )
     ]
     assert importers == ["symbolic.py"]
+
+
+def test_windows_without_layer_0_are_refused():
+    simple = ["--module", "simple", "--orbit", "Z", "--dset", "1"]
+    for command in (["report"], ["fiber", "--point", "2"]):
+        code, out = run_cli(["--json", "--window=1..5", *command, *simple])
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == "domain" and "slot 1" in error["message"] and "down to 0" in error["message"]
+    code, out = run_cli(["--json", "--window=0..5", "report", *simple])
+    assert code == 0 and json.loads(out)["result"]["annihilator_height"] == 0
+
+
+def test_report_of_a_right_window_file(tmp_path):
+    _, out = run_cli(["--json", "--window=-2..2", "module-build", "--module", "simple", "--orbit", "Z", "--dset", "1"])
+    doc = json.loads(out)["result"]
+    left = tmp_path / "left.json"
+    left.write_text(json.dumps(doc))
+    right = tmp_path / "right.json"
+    right.write_text(json.dumps(module_to_json(dualize(module_from_json(doc)))))
+    reports = [json.loads(run_cli(["--json", "report", "--in", str(f)])[1])["result"] for f in (left, right)]
+    assert reports[0] == reports[1] and reports[1]["annihilator_slots"] == []
+    fibers = [run_cli(["--json", "fiber", "--point", "1", "--in", str(f)]) for f in (left, right)]
+    assert fibers[0] == fibers[1] and fibers[1][0] == 0
