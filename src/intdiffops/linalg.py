@@ -29,31 +29,26 @@ common scale.  Scalars are built only when `.data` is read: for printing,
 JSON, and the callers that walk entries.  Rows are never written once a
 Mat holds them, so Mats may share rows.
 
-Elimination has two kernels, and the reduced echelon form is unique, so
-neither pivot rule ever shows in results.
-- Dense, for the rational matrices of `rref`, `rank`, `kernel_basis`,
-  `solve_linear` and `invert`: the small matrices of windows, projectors
-  and changes of basis.  A content-reduced forward pass over Z (each new
-  row divided by the gcd of its entries, pivot rows chosen sparsest-first)
-  with integer back-substitution.
-- Sparse, for every matrix with a non-real entry, every Hom system
-  (`BlockSystem`), and the trace form and the power rows of `min_poly` in
-  `classify` (the latter through `_eliminate_q`, `_eliminate_qi` and
-  `_real_pivot` directly): `sparse_kernel` and
-  `sparse_rank` on rows that are dicts of their nonzero entries
-  (`_sparse_echelon`, `_sparse_rref`).  A Hom system has Sum_v m_v*n_v
-  unknowns but at most d_s + d_t nonzeros per row, so this is what keeps
-  large strings, bands and pencils affordable.  On dense Q(i) matrices it
-  keeps pace with the fraction-free Gauss-Jordan over Z[i] it replaced:
-  `rref` of 35x40 in 0.051 s against 0.057 s and of 50x50 in 0.110 s
-  against 0.150 s, and the 972 `rref`s of 400 seed-7 `classification_qi`
-  bench jobs in 0.027 s either way; `rank` of 35x40 takes 0.036 s against
-  0.026 s (medians of three best-of-5 timings, CPython 3.11, 2 vCPUs).
-Rational matrices stay dense because they are tiny (each of the 12,878
-rrefs of 60 seed-7 `weight_modules` bench jobs has at most 50 cells),
-where the dicts and the column index cost more than they save: the sparse
-kernel took 1.8x as long on those rrefs (0.147 s against 0.081 s), and
-1.7x as long on the rational rrefs of `classification_qi`.
+Elimination has one kernel, `_sparse_echelon` and `_sparse_rref`, on rows
+that are dicts of their nonzero integer entries (`_sparse_rows`), with the
+row operations `_eliminate_q`, `_eliminate_qi` and `_real_pivot`.  `rref`,
+`rank` and `kernel_basis` (the column Mats of `sparse_kernel`) run every
+matrix through it, over Q and Q(i) alike, and so do `solve_linear`,
+`invert` and `column_space_basis` through `rref`, every Hom system
+(`BlockSystem`), and the trace form and the power rows of `min_poly` in
+`classify`.  The reduced echelon form is unique, so the pivot rule never
+shows in results.  A Hom system has Sum_v m_v*n_v unknowns but at most
+d_s + d_t nonzeros per row, so sparsity is what keeps large strings, bands
+and pencils affordable.  On dense matrices it keeps pace with the
+kernels it replaced, the fraction-free Gauss-Jordan over Z[i] for Q(i)
+(`rref` of 35x40 in 0.051 s against 0.057 s) and the content-reduced one
+over Z for Q (`rref` of 35x40 in 0.015 s against 0.020 s, of 60x120 in
+0.19 s against 0.42 s, `invert` of 30x30 in 0.015 s against 0.024 s, but
+`rank` of 35x40 in 0.010 s against 0.008 s; best CPU times, CPython 3.11,
+2 vCPUs).  The dense Z kernel won only on the tiniest matrices, by about
+4 us a call on the 2x2 and 3x3 of the bench, and those are few: with
+projectors only at forest roots a seed-7 `weight_modules` bench job makes
+about 7 rational `rref`s and 1.7 `rank`s, each of at most 50 cells.
 """
 
 from __future__ import annotations
@@ -443,134 +438,51 @@ def _int_rows(data: Sequence[Sequence[Scalar]]):
     return re_rows, im_rows, scales
 
 
-def _primitive(row: List[int]) -> List[int]:
-    """The row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
-def _echelon_int(rows: List[List[int]], ncols: int):
-    """Integer forward elimination with content reduction.
-
-    Row scales are irrelevant to the row space, so each eliminated row is
-    divided by the gcd of its entries; that gcd always contains the usual
-    fraction-free divisor, and untouched rows keep their sparsity.  Pivot
-    rows are chosen sparsest-first, which does not change the (unique)
-    reduced echelon form computed from the output.
-    """
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        best = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                nz = sum(1 for v in rows[i] if v)
-                if best is None or nz < best:
-                    best, pr = nz, i
-                    if nz == 1:
-                        break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        for i in range(r + 1, nrows):
-            head = rows[i][c]
-            if not head:
-                continue
-            row = rows[i]
-            rows[i] = _primitive([piv * row[j] - head * prow[j] for j in range(ncols)])
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def _rref_int(rows: List[List[int]], ncols: int):
-    """Reduced echelon form over the integers (rows scaled, pivots last),
-    returned as (rows, scales, pivots) in a Mat's integer form."""
-    rows, pivots = _echelon_int(rows, ncols)
-    for r, c in reversed(pivots):
-        prow = rows[r]
-        piv = prow[c]
-        for i in range(r):
-            f = rows[i][c]
-            if not f:
-                continue
-            row = rows[i]
-            rows[i] = _primitive([piv * row[j] - f * prow[j] for j in range(ncols)])
-    # rows past the last pivot are zero; a pivot row over its pivot, in lowest terms
-    out = [[0] * ncols for _ in rows]
-    scales = [1] * len(rows)
-    for r, c in pivots:
-        row = rows[r]
-        g = gcd(*row) if row[c] > 0 else -gcd(*row)
-        out[r] = row if g == 1 else [v // g for v in row]
-        scales[r] = row[c] // g
-    return out, scales, pivots
-
-
 def rref(matrix: Mat):
-    """Reduced row echelon form; returns (Mat, pivot_columns).  A matrix
-    with a non-real entry goes to the sparse kernel: the reduced form
-    depends only on the row space, so its integer rows enter without their
-    scales, and each pivot row comes back over its real pivot."""
+    """Reduced row echelon form; returns (Mat, pivot_columns).  The reduced
+    form depends only on the row space, so the integer rows enter the sparse
+    kernel without their scales, and each pivot row comes back over its
+    (real) pivot in lowest terms."""
     re, im, _ = matrix._int()
     rows, cols = matrix.rows, matrix.cols
-    if im is None:
-        out, scales, pivots = _rref_int([*re], cols)
-        return _mat(rows, cols, out, None, scales), [c for _, c in pivots]
-    pivots = _sparse_rref(_sparse_rows(re, im), cols, True)
+    gaussian = im is not None
+    pivots = _sparse_rref(_sparse_rows(re, im), cols, gaussian)
     out = [([0] * cols, None, 1)] * rows
     for r, (c, row) in enumerate(pivots):
-        P = row[c][0]
-        g = gcd(P, *chain.from_iterable(row.values()))
+        if gaussian:
+            P = row[c][0]
+            g = gcd(*chain.from_iterable(row.values()))
+        else:
+            P = row[c]
+            g = gcd(*row.values())
         g = g if P > 0 else -g
-        nre, nim = [0] * cols, [0] * cols
-        for k, (a, b) in row.items():
-            nre[k], nim[k] = a // g, b // g
+        nre, nim = [0] * cols, [0] * cols if gaussian else None
+        for k, v in row.items():
+            if gaussian:
+                nre[k], nim[k] = v[0] // g, v[1] // g
+            else:
+                nre[k] = v // g
         out[r] = (nre, nim, P // g)
     return _mat(rows, cols, *_unzip(out)), [c for c, _ in pivots]
 
 
 def rank(matrix: Mat) -> int:
     re, im, _ = matrix._int()
-    if im is None:
-        return len(_echelon_int([*re], matrix.cols)[1])
-    return sparse_rank(_sparse_rows(re, im), matrix.cols, True)
+    return sparse_rank(_sparse_rows(re, im), matrix.cols, im is not None)
 
 
 def kernel_basis(matrix: Mat) -> List[Mat]:
-    """Basis of {x : A x = 0} as column vectors, deterministic order: one
-    vector per free column fc of rref(A), with 1 at fc and -R[r, fc] at the
-    pivot column of row r.  A rational vector is scaled to coprime
-    integers."""
-    ncols = matrix.cols
-    R, piv_cols = rref(matrix)
-    re, im, sc = R._int()
-    piv_set = set(piv_cols)
+    """Basis of {x : A x = 0} as column vectors: the vectors of
+    `sparse_kernel`, one per free column of rref(A) in order.  A rational
+    vector is scaled to coprime integers."""
+    re, im, _ = matrix._int()
+    n = matrix.cols
     basis = []
-    for fc in range(ncols):
-        if fc in piv_set:
-            continue
-        # (re, im, den) of each entry, in lowest terms
-        v = [(0, 0, 1)] * ncols
-        v[fc] = (1, 0, 1)
-        for r, c in enumerate(piv_cols):
-            a, b = re[r][fc], 0 if im is None else im[r][fc]
-            if a or b:
-                g = gcd(sc[r], a, b)
-                v[c] = (-a // g, -b // g, sc[r] // g)
-        if any(b for _, b, _ in v):
-            basis.append(_mat(ncols, 1, [[a] for a, _, _ in v], [[b] for _, b, _ in v], [d for _, _, d in v]))
-            continue
-        den = lcm(*(d for _, _, d in v))
-        ints = [a * (den // d) for a, _, d in v]
-        g = gcd(*ints)
-        basis.append(_mat(ncols, 1, [[u // g] for u in ints], None, [1] * ncols))
+    for vec in sparse_kernel(_sparse_rows(re, im), n, im is not None):
+        entries = [vec.get(k, (0, 0, 1)) for k in range(n)]
+        vre = [[a] for a, _, _ in entries]
+        vim = [[b] for _, b, _ in entries] if any(b for _, b, _ in entries) else None
+        basis.append(_mat(n, 1, vre, vim, [d for _, _, d in entries]))
     return basis
 
 
@@ -584,10 +496,19 @@ def kernel_basis(matrix: Mat) -> List[Mat]:
 # it saves on the small matrices of `rref`.
 
 
-def _sparse_rows(re: List[List[int]], im: List[List[int]]) -> List[dict]:
-    """The sparse rows over Q(i) of integer rows, scales dropped.  A plain
-    loop: a comprehension over enumerate(zip(...)) took 1.8x as long."""
+def _sparse_rows(re: List[List[int]], im: Optional[List[List[int]]]) -> List[dict]:
+    """The sparse rows of integer rows, scales dropped: ints over Q (im is
+    None), (re, im) pairs over Q(i).  Plain loops: a comprehension over
+    enumerate(zip(...)) took 1.8x as long."""
     out = []
+    if im is None:
+        for r in re:
+            row = {}
+            for k, a in enumerate(r):
+                if a:
+                    row[k] = a
+            out.append(row)
+        return out
     for r, i in zip(re, im):
         row = {}
         for k, a in enumerate(r):
@@ -659,8 +580,8 @@ def _sparse_echelon(rows: List[dict], ncols: int, gaussian: bool) -> List[Tuple[
     found through a column -> live rows index, and only the live rows that
     hold the column are eliminated.  Over Q(i) the pivot row is first made
     to have a real pivot (`_real_pivot`).  A pivot row holds no earlier pivot
-    column.  It serves `sparse_rank` and `_sparse_rref`, so every Hom
-    system and every `rref` or `rank` of a matrix with a non-real entry."""
+    column.  It serves `sparse_rank` and `_sparse_rref`, so every
+    elimination in the package."""
     holders = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
         for k in row:
@@ -694,7 +615,7 @@ def _sparse_rref(rows: List[dict], ncols: int, gaussian: bool) -> List[Tuple[int
     """The pivot rows of the reduced echelon form of sparse rows, as
     (pivot column, row) in column order; row / row[c] is the reduced row,
     and its pivot is a positive or negative rational integer.  It serves
-    `sparse_kernel` and the `rref` of a matrix with a non-real entry."""
+    `sparse_kernel` and `rref`."""
     pivots = _sparse_echelon(rows, ncols, gaussian)
     eliminate = _eliminate_qi if gaussian else _eliminate_q
     # the earlier pivot rows holding each pivot column; back-substituting a
@@ -713,19 +634,19 @@ def _sparse_rref(rows: List[dict], ncols: int, gaussian: bool) -> List[Tuple[int
 
 def sparse_rank(rows: List[dict], ncols: int, gaussian: bool) -> int:
     """Rank of sparse rows; the list is rewritten in place, the row dicts
-    are never written.  `rank` calls it on every matrix with a non-real
-    entry, and `classify` on its trace forms."""
+    are never written.  `rank` calls it on every matrix, and `classify` on
+    its trace forms."""
     return len(_sparse_echelon(rows, ncols, gaussian))
 
 
 def sparse_kernel(rows: List[dict], ncols: int, gaussian: bool) -> List[dict]:
     """Kernel basis of sparse rows (the list is rewritten in place), one
     vector per free column in order, as a dict of its nonzero entries column -> (re,
-    im, den), each in lowest terms with den > 0.  These are the vectors
-    `kernel_basis` gives for the same matrix: 1 at the free column and
+    im, den), each in lowest terms with den > 0: 1 at the free column and
     minus the reduced row's entry at each pivot column, scaled to coprime
     integers (den 1) when every entry is rational.  Read off the pivot rows
-    in time linear in their entries."""
+    in time linear in their entries; `kernel_basis` gives the same vectors
+    as column Mats."""
     pivots = _sparse_rref(rows, ncols, gaussian)
     # per free column, its (pivot column, entry, pivot) in the pivot rows
     hits = {}
@@ -849,8 +770,8 @@ class BlockSystem:
     sparse row (see `sparse_kernel`) with at most dims_m[t] + dims_n[s]
     entries; zero rows are not stored, and `gaussian` says whether entries
     are (re, im) pairs.  solve() returns a basis of the solutions as tuples
-    of blocks, one per vertex: the dense `kernel_basis` of the same
-    equations, cut into blocks.
+    of blocks, one per vertex: the `kernel_basis` of the same equations,
+    cut into blocks.
     """
 
     def __init__(self, dims_m: Sequence[int], dims_n: Sequence[int], arrows):

@@ -326,10 +326,13 @@ class ModuleWindow:
     # -- structural checks --------------------------------------------
 
     def relation_violations(self) -> List[str]:
-        """Defining relations as matrix identities on interior points."""
-        out = []
+        """Defining relations as matrix identities on interior points.  A
+        right window is checked as the left window `dualize` makes of it,
+        as the involution maps the defining relations onto one another; the
+        messages then name that left window's generators."""
         if self.side != "left":
-            return out
+            return dualize(self).relation_violations()
+        out = []
         for p in self.support():
             d = self.dim(p)
             idm = Mat.identity(d)

@@ -160,20 +160,23 @@ def test_invert_det_qi(A):
     check_invert_det(A)
 
 
-@st.composite
-def degenerate_qi(draw):
-    """Gaussian matrices with forced rank defects and zero columns."""
+rational_entries = st.one_of(st.just(ZERO), st.sampled_from([ONE, -ONE]), small_fractions.map(Scalar))
+
+
+def _degenerate(draw, elements, scalings):
+    """A matrix of the elements with forced rank defects (a row that is a
+    multiple of another) and zero columns."""
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     data = draw(
         st.lists(
-            st.lists(gaussian_entries, min_size=cols, max_size=cols),
+            st.lists(elements, min_size=cols, max_size=cols),
             min_size=rows,
             max_size=rows,
         )
     )
     if rows > 1 and draw(st.booleans()):
         k, src = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
-        u = draw(units)
+        u = draw(scalings)
         data[k] = [u * x for x in data[src]]
     if draw(st.booleans()):
         z = draw(st.integers(0, cols - 1))
@@ -182,9 +185,26 @@ def degenerate_qi(draw):
     return Mat(rows, cols, data)
 
 
+@st.composite
+def degenerate_q(draw):
+    """Rational matrices with forced rank defects and zero columns."""
+    return _degenerate(draw, rational_entries, st.sampled_from([ONE, -ONE, Scalar(2), Scalar(Fraction(-1, 3))]))
+
+
+@st.composite
+def degenerate_qi(draw):
+    """Gaussian matrices with forced rank defects and zero columns."""
+    return _degenerate(draw, gaussian_entries, units)
+
+
 def _to_sympy(A):
+    """A as a DomainMatrix over QQ when every entry is rational, else over
+    QQ_I."""
     from sympy import QQ, QQ_I
     from sympy.polys.matrices import DomainMatrix
+
+    if A._int()[1] is None:
+        return DomainMatrix([[QQ(x.re.numerator, x.re.denominator) for x in row] for row in A.data], A.shape, QQ)
 
     def conv(x):
         return QQ_I(
@@ -195,6 +215,8 @@ def _to_sympy(A):
 
 
 def _from_sympy(e):
+    if not hasattr(e, "x"):
+        return Scalar(Fraction(int(e.numerator), int(e.denominator)))
     return Scalar(
         Fraction(int(e.x.numerator), int(e.x.denominator)),
         Fraction(int(e.y.numerator), int(e.y.denominator)),
@@ -202,6 +224,8 @@ def _from_sympy(e):
 
 
 def check_against_sympy(A):
+    """rref, pivots, rank and invertibility against sympy's DomainMatrix
+    over QQ or QQ_I, an elimination independent of ours."""
     dm = _to_sympy(A)
     R, piv = rref(A)
     want, want_piv = dm.rref()
@@ -210,6 +234,12 @@ def check_against_sympy(A):
     assert rank(A) == len(want_piv)
     if A.rows == A.cols:
         assert (invert(A) is None) == (not dm.det())
+
+
+@given(degenerate_q())
+@settings(max_examples=150, deadline=None)
+def test_rref_det_match_sympy_q(A):
+    check_against_sympy(A)
 
 
 @given(degenerate_qi())
@@ -244,6 +274,12 @@ def test_dense_35x40_matches_sympy_qi():
         40,
         [[Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-9, 9)) for _ in range(40)] for _ in range(35)],
     )
+    check_against_sympy(A)
+
+
+def test_dense_35x40_matches_sympy_q():
+    rng = random.Random("rref-dense-q")
+    A = Mat(35, 40, [[Scalar(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(40)] for _ in range(35)])
     check_against_sympy(A)
 
 

@@ -397,6 +397,18 @@ def test_dualize_right_action():
             assert D.maps[("d", 1, p)] == M.maps[("int", 1, p)]
 
 
+def test_right_windows_are_checked_against_the_relations():
+    # a simple window with d_1 at (1,) bent to zero breaks d_1 int_1 = 1 at
+    # (0,); its right window is checked through the dual, not waved through
+    M = build_simple(DSet(Orbit.from_reps(["1/2"]), set()), [(-1, 1)])
+    assert M.relation_violations() == dualize(M).relation_violations() == []
+    maps = dict(M.maps)
+    maps[("d", 1, (1,))] = Mat.zero(1, 1)
+    bent = ModuleWindow(M.orbit, M.window, M.spaces, maps)
+    assert "d_1 int_1 != id at (0,)" in bent.relation_violations()
+    assert dualize(bent).relation_violations() == bent.relation_violations()
+
+
 def test_domain_errors():
     orbit = Orbit.from_reps([0])
     M = build_Ms(1, Scalar(0), [(1, 3)])  # window misses offset 0

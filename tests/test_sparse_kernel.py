@@ -1,12 +1,12 @@
-"""The sparse kernel of `linalg` against the dense `kernel_basis` and against
-sympy's sparse `DomainMatrix` nullspace, over Q and Q(i), and the Hom
-systems that use it."""
+"""The sparse kernel of `linalg`, the package's one elimination kernel,
+against sympy's sparse `DomainMatrix` nullspace over Q and Q(i) as an
+independent reference; `kernel_basis` and `rref` as its column and
+reduced-row views; and the Hom systems that use it."""
 
 import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -82,7 +82,8 @@ def planted(draw):
     return Mat(rows, cols, data)
 
 
-def _sympy_nullspace(A: Mat, is_gaussian: bool):
+def _domain_matrix(data, shape, is_gaussian: bool):
+    """Rows of Scalars as a sparse sympy DomainMatrix over QQ or QQ_I."""
     from sympy import QQ, QQ_I
     from sympy.polys.matrices import DomainMatrix
 
@@ -91,37 +92,33 @@ def _sympy_nullspace(A: Mat, is_gaussian: bool):
             return QQ(x.re.numerator, x.re.denominator)
         return QQ_I(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator))
 
-    K = QQ_I if is_gaussian else QQ
-    dm = DomainMatrix([[conv(x) for x in row] for row in A.data], A.shape, K, fmt="sparse")
+    dm = DomainMatrix([[conv(x) for x in row] for row in data], shape, QQ_I if is_gaussian else QQ, fmt="sparse")
     assert dm.rep.fmt == "sparse"
-    out = []
-    for row in dm.nullspace().to_Matrix().tolist():
-        cells = [e.as_real_imag() for e in row]
-        out.append([Scalar(Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))) for a, b in cells])
-    return out
+    return dm
 
 
-def _row_space(vectors, n):
-    """The reduced echelon form of the vectors stacked as rows: equal for
-    two lists iff they span the same space."""
-    if not vectors:
-        return []
-    R, piv = rref(Mat(len(vectors), n, vectors))
-    return R.data[: len(piv)]
+def _row_space(dm):
+    """sympy's reduced echelon form of the rows of a DomainMatrix, zero rows
+    dropped: equal for two matrices iff their rows span the same space."""
+    R, piv = dm.rref()
+    return R.to_list()[: len(piv)]
 
 
 @given(planted())
 @settings(max_examples=200, deadline=None)
-def test_sparse_kernel_matches_dense_and_sympy(A):
+def test_sparse_kernel_matches_kernel_basis_and_sympy(A):
     rows, is_gaussian = sparse_rows(A)
     vecs = as_columns(sparse_kernel(rows, A.cols, is_gaussian), A.cols)
-    # the same vectors, byte for byte, as the dense kernel
+    # the same vectors, byte for byte, as kernel_basis
     assert vecs == kernel_basis(A)
     for v in vecs:
         assert (A @ v).is_zero()
-    # the same space as sympy's sparse nullspace
+    # the same space as sympy's sparse nullspace, both reduced by sympy
+    theirs = _domain_matrix(A.data, A.shape, is_gaussian).nullspace()
+    assert theirs.shape == (len(vecs), A.cols)
     ours = [[v[r, 0] for r in range(A.cols)] for v in vecs]
-    assert _row_space(ours, A.cols) == _row_space(_sympy_nullspace(A, is_gaussian), A.cols)
+    if vecs:
+        assert _row_space(_domain_matrix(ours, theirs.shape, is_gaussian)) == _row_space(theirs)
     rows, _ = sparse_rows(A)
     assert sparse_rank(rows, A.cols, is_gaussian) == A.cols - len(vecs)
 
@@ -169,7 +166,7 @@ def test_scrambled_qi_pencil_keeps_entries_small():
     for c, row in _sparse_rref(list(system.rows), system.total, True):
         assert row[c][1] == 0
         assert max(abs(x).bit_length() for pair in row.values() for x in pair) <= 32
-    # the Hom basis is the dense kernel of the same equations, entry for entry
+    # the Hom basis is the kernel_basis of the same equations, entry for entry
     dense = Mat(
         len(system.rows),
         system.total,
