@@ -18,8 +18,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import Mat
-from .modules import DomainError
+from .linalg import DomainError, Mat
 from .operators import Operator, Slot, TermN, over_denominator
 from .scalars import ONE, Scalar
 

@@ -5,51 +5,26 @@ stdout as plain text or (with --json) versioned JSON, deterministically
 ordered so identical invocations are byte-identical.  Exit codes: 0 success,
 1 domain error, 2 usage error.  The default scalar field can be set with the
 INTDIFF_FIELD environment variable (q or qi).
+
+Each invocation is a fresh process, so a command loads only the layers it
+runs on: this module imports `scalars`, `parser`, `operators` and
+`serialize` at the top, and a handler imports any other layer in its body
+(`action` for act, `modules` for the window commands, `classify` for the
+classification commands).  The operator commands never load `linalg`.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from dataclasses import dataclass
 from math import prod
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, NamedTuple, Optional
 
 from . import __version__
-from .classify import (
-    MAX_GAMMA_DIM,
-    BandOrbit,
-    KroneckerRep,
-    band_module,
-    is_indecomposable,
-    kronecker_decompose,
-    parse_word,
-    rep_type,
-    rep_type_orbit,
-    string_module,
-)
-from .modules import (
-    MAX_MS_LENGTH,
-    MAX_WINDOW_POINTS,
-    DomainError,
-    DSet,
-    Fiber,
-    ModuleWindow,
-    Orbit,
-    annihilator_dset,
-    block_decompose,
-    build_Ms,
-    build_simple,
-    decompose_weight,
-    fiber as module_fiber,
-    induce,
-    is_equidimensional,
-    support,
-)
-from .action import check_action_window, to_matrix
 from .operators import Operator, from_expression, principal_left_ideal_membership
-from .parser import ParseError, check_slots, parse_expression
+from .parser import check_slots, parse_expression
 from .scalars import QQ, QQI, Field, Scalar, scalar_from_str
 from .serialize import (
     REPORT_SCHEMA,
@@ -61,7 +36,8 @@ from .serialize import (
     operator_to_json,
 )
 
-import json
+if TYPE_CHECKING:
+    from .modules import DSet, ModuleWindow, Orbit
 
 # largest --arity: every operator command (normalize, mul, commutator, grade,
 # involve, act) on "d_1 + int_1" and "H_1 + x_1" takes at most 0.13 s at
@@ -70,8 +46,7 @@ import json
 MAX_ARITY = 1_000
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(NamedTuple):
     field: Field
     arity: int
     window: Optional[str]
@@ -88,6 +63,13 @@ class SessionConfig:
 
 class UsageError(Exception):
     pass
+
+
+def _domain_error(message: str) -> ValueError:
+    """A `linalg.DomainError` (exit 1); linalg loads only when one is raised."""
+    from .linalg import DomainError
+
+    return DomainError(message)
 
 
 class _ArgumentError(Exception):
@@ -123,6 +105,8 @@ def _parse_scalar_arg(text: str) -> Scalar:
 
 
 def _parse_orbit(text: str) -> Orbit:
+    from .modules import Orbit
+
     reps = []
     for part in text.split(","):
         part = part.strip()
@@ -164,9 +148,11 @@ def _parse_window_arg(text: Optional[str], n: int):
 
 
 def _bounded_window(window):
+    from .modules import MAX_WINDOW_POINTS
+
     points = prod(max(b - a + 1, 0) for a, b in window)
     if points > MAX_WINDOW_POINTS:
-        raise DomainError(
+        raise _domain_error(
             f"window of {points} points exceeds the limit MAX_WINDOW_POINTS = {MAX_WINDOW_POINTS}"
         )
     return window
@@ -179,6 +165,8 @@ def _read_operator(text: str, cfg: SessionConfig) -> Operator:
 
 
 def _load_module(args, cfg: SessionConfig) -> ModuleWindow:
+    from .modules import MAX_MS_LENGTH, DSet, build_Ms, build_simple
+
     if getattr(args, "infile", None):
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
@@ -186,13 +174,13 @@ def _load_module(args, cfg: SessionConfig) -> ModuleWindow:
         except OSError as exc:
             raise UsageError(f"cannot read --in file {args.infile!r}: {exc.strerror}")
         if not isinstance(doc, dict):
-            raise DomainError("module document is not a JSON object")
+            raise _domain_error("module document is not a JSON object")
         try:
             M = module_from_json(doc)
         except KeyError as exc:
-            raise DomainError(f"module document lacks key {exc.args[0]!r}")
+            raise _domain_error(f"module document lacks key {exc.args[0]!r}")
         except (TypeError, AttributeError) as exc:
-            raise DomainError(f"malformed module document: {exc}")
+            raise _domain_error(f"malformed module document: {exc}")
         _bounded_window(M.window)
         return M
     kind = getattr(args, "module", None)
@@ -204,7 +192,7 @@ def _load_module(args, cfg: SessionConfig) -> ModuleWindow:
         if args.s is None or args.lam is None:
             raise UsageError("module Ms needs --s and --lambda")
         if args.s > MAX_MS_LENGTH:
-            raise DomainError(f"length {args.s} exceeds the limit MAX_MS_LENGTH = {MAX_MS_LENGTH}")
+            raise _domain_error(f"length {args.s} exceeds the limit MAX_MS_LENGTH = {MAX_MS_LENGTH}")
         window = _parse_window_arg(args.window or cfg.window, 1)
         return build_Ms(args.s, _parse_scalar_arg(args.lam), window)
     if kind == "simple":
@@ -261,6 +249,8 @@ def cmd_commutator(args, cfg):
 
 
 def cmd_act(args, cfg):
+    from .action import check_action_window, to_matrix
+
     expr = _expressions(args)[0]
     # the sizes alone may refuse the window; building the operator can take longer
     check_action_window(cfg.arity, cfg.deg)
@@ -284,7 +274,7 @@ def cmd_grade(args, cfg):
 
 def cmd_ideal_test(args, cfg):
     if cfg.arity != 1:
-        raise DomainError("principal ideal membership is implemented for arity 1")
+        raise _domain_error("principal ideal membership is implemented for arity 1")
     a = _read_operator(args.expr[0], cfg)
     if args.gen == "d":
         gen = "d"
@@ -320,6 +310,8 @@ def cmd_module_build(args, cfg):
 
 
 def cmd_support(args, cfg):
+    from .modules import support
+
     M = _load_module(args, cfg)
     pts = support(M)
     lines = [",".join(str(x) for x in p) for p in pts]
@@ -348,6 +340,8 @@ def _dset_doc(dset: DSet) -> dict:
 
 
 def cmd_decompose(args, cfg):
+    from .modules import decompose_weight
+
     M = _load_module(args, cfg)
     mults = decompose_weight(M)
     items = sorted(mults.items(), key=lambda kv: sorted(kv[0].D))
@@ -360,6 +354,8 @@ def cmd_decompose(args, cfg):
 
 
 def cmd_block_split(args, cfg):
+    from .modules import block_decompose
+
     M = _load_module(args, cfg)
     blocks = block_decompose(M)
     lines = []
@@ -371,6 +367,9 @@ def cmd_block_split(args, cfg):
 
 
 def cmd_rep_type(args, cfg):
+    from .classify import rep_type, rep_type_orbit
+    from .modules import DSet
+
     orbit = _parse_orbit(args.orbit)
     if args.dset is None:
         verdict = rep_type_orbit(orbit)
@@ -380,6 +379,8 @@ def cmd_rep_type(args, cfg):
 
 
 def cmd_kronecker(args, cfg):
+    from .classify import KroneckerRep, kronecker_decompose
+
     A = mat_from_json(json.loads(args.a))
     B = mat_from_json(json.loads(args.b))
     labels = kronecker_decompose(KroneckerRep(A, B), cfg.field)
@@ -395,13 +396,17 @@ def cmd_kronecker(args, cfg):
 
 
 def _bounded_gamma_dim(kind: str, dim: int) -> None:
+    from .classify import MAX_GAMMA_DIM
+
     if dim > MAX_GAMMA_DIM:
-        raise DomainError(
+        raise _domain_error(
             f"{kind} module of dimension {dim} exceeds the limit MAX_GAMMA_DIM = {MAX_GAMMA_DIM}"
         )
 
 
 def cmd_string(args, cfg):
+    from .classify import is_indecomposable, parse_word, string_module
+
     word = parse_word(args.word)
     _bounded_gamma_dim("string", len(word) + 1)
     m = string_module(word)
@@ -420,12 +425,14 @@ def cmd_string(args, cfg):
 
 
 def cmd_band(args, cfg):
+    from .classify import BandOrbit, band_module, is_indecomposable, parse_word
+
     if args.lam is None:
         raise UsageError("band needs --lambda")
     lam = _parse_scalar_arg(args.lam)
     word = parse_word(args.word)
     if args.n < 1:
-        raise DomainError("band multiplicity must be positive")
+        raise _domain_error("band multiplicity must be positive")
     _bounded_gamma_dim("band", args.n * len(word))
     canon = BandOrbit(word)
     m = band_module(canon, args.n, lam)
@@ -445,6 +452,8 @@ def cmd_band(args, cfg):
 
 
 def cmd_fiber(args, cfg):
+    from .modules import fiber as module_fiber
+
     M = _load_module(args, cfg)
     point = tuple(_parse_ints(args.point, "--point"))
     if len(point) != M.n:
@@ -464,6 +473,8 @@ def cmd_fiber(args, cfg):
 
 
 def cmd_induce(args, cfg):
+    from .modules import DSet, Fiber, induce
+
     orbit = _parse_orbit(args.orbit)
     dset = DSet(orbit, _parse_ints(args.dset or "", "slot list"))
     window = _parse_window_arg(args.window or cfg.window, orbit.n)
@@ -480,6 +491,8 @@ def cmd_induce(args, cfg):
 
 
 def cmd_report(args, cfg):
+    from .modules import annihilator_dset, is_equidimensional
+
     M = _load_module(args, cfg)
     _, label = annihilator_dset(M, strict=False)
     weight, offending = M.is_weight()
@@ -609,13 +622,13 @@ def main(argv=None) -> int:
     )
     try:
         if cfg.arity > MAX_ARITY:
-            raise DomainError(f"arity {cfg.arity} exceeds the limit MAX_ARITY = {MAX_ARITY}")
+            raise _domain_error(f"arity {cfg.arity} exceeds the limit MAX_ARITY = {MAX_ARITY}")
         args.handler(args, cfg)
         return 0
     except UsageError as exc:
         _fail(cfg, "usage", str(exc))
         return 2
-    except (ParseError, DomainError, ValueError) as exc:
+    except ValueError as exc:  # parser.ParseError and linalg.DomainError among them
         _fail(cfg, "domain", str(exc))
         return 1
 

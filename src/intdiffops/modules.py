@@ -10,9 +10,8 @@ requirements surfaced explicitly when transport room is missing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
     DomainError,
@@ -136,8 +135,7 @@ class DSet:
         return f"DSet({self.orbit!r}, D={sorted(self.D)})"
 
 
-@dataclass(frozen=True)
-class AnnihilatorLabel:
+class AnnihilatorLabel(NamedTuple):
     """The annihilator prime: the sum of the slot primes listed."""
 
     prime_slots: Tuple[int, ...]
@@ -518,8 +516,7 @@ def is_equidimensional(M: ModuleWindow) -> bool:
     return len(dims) <= 1
 
 
-@dataclass(frozen=True)
-class SupportProfile:
+class SupportProfile(NamedTuple):
     """Finite description of a module's support for generation tests:
     how many orbits meet the support, and a uniform weight-space bound."""
 

@@ -454,16 +454,28 @@ class Operator:
         return _canonical(self.n, self.den * other.den, re, im)
 
     def __pow__(self, k: int) -> "Operator":
-        """self**k as ((self*self)*self)*...: k - 1 products, each with the
-        base, the sparse factor, on the right."""
+        """self**k.  While the repeated square self^(2^j) is a single term,
+        by binary powering: int_1^10000 takes 17 products instead of 9,999.
+        A square of several terms is not squared again, as a product of two
+        wide factors costs far more than a run of products with the base
+        (x_1^64 has 64 terms; six squarings take 5.6 s where 63 products
+        with the base take 0.02 s on a 2-vCPU machine), so the rest of the
+        power is ((square*self)*self)*..., the base, the sparse factor, on
+        the right."""
         if k < 0:
             raise ValueError("negative operator power")
         if k == 0:
             return Operator.one(self.n)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        head = None  # product of the squares taken for the low bits of k
+        square, step = self, 1  # square = self^step
+        while k > 1 and len(square.re) <= 1:
+            if k & 1:
+                head = square if head is None else head * square
+            square, step, k = square * square, 2 * step, k >> 1
+        # square^k = square * self^((k - 1) * step)
+        for _ in range((k - 1) * step):
+            square = square * self
+        return square if head is None else head * square
 
     def commutator(self, other: "Operator") -> "Operator":
         """self*other - other*self in one pass: the first product's term

@@ -18,9 +18,8 @@ line/column of the offending token and the set of expected tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .scalars import Scalar
 
@@ -39,8 +38,7 @@ class ParseError(ValueError):
         super().__init__(f"{message} at line {line}, column {col}{hint}")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUM IMAG GEN E OP LPAREN RPAREN END
     text: str
     line: int

@@ -3,17 +3,21 @@
 Every document carries a `schema` field; keys are emitted sorted so that
 serialized output is byte-identical across runs.  Scalars travel as exact
 rational strings ("3/2", "1/2+3/4*i"); nothing is ever converted to floats.
+The matrix and module readers import `linalg` and `modules` in their
+bodies, so serializing operators loads neither.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from .linalg import Mat
-from .modules import ModuleWindow, Orbit
-from .operators import Operator
+from .operators import Operator, term_sort_key
 from .scalars import scalar_from_str
+
+if TYPE_CHECKING:
+    from .linalg import Mat
+    from .modules import ModuleWindow, Orbit
 
 OPERATOR_SCHEMA = "intdiffops.operator/1"
 MODULE_SCHEMA = "intdiffops.module/1"
@@ -33,6 +37,8 @@ def mat_to_json(m: Mat) -> List[List[str]]:
 
 def mat_from_json(rows: List[List[str]], cols_hint: int = 0) -> Mat:
     """Entries are scalar strings; bare JSON integers are also accepted."""
+    from .linalg import Mat
+
     if not rows:
         return Mat(0, cols_hint)
     data = [
@@ -64,8 +70,6 @@ def _slot_from_json(d: dict):
 
 
 def operator_to_json(a: Operator) -> dict:
-    from .operators import term_sort_key
-
     terms = []
     for term in sorted(a.terms, key=term_sort_key):
         terms.append(
@@ -107,6 +111,8 @@ def orbit_to_json(orbit: Orbit) -> dict:
 
 
 def orbit_from_json(doc: dict) -> Orbit:
+    from .modules import Orbit
+
     return Orbit(
         [scalar_from_str(r) for r in doc["reps"]],
         [bool(b) for b in doc["integer"]],
@@ -139,6 +145,8 @@ def module_to_json(m: ModuleWindow) -> dict:
 def module_from_json(doc: dict) -> ModuleWindow:
     if doc.get("schema") != MODULE_SCHEMA:
         raise ValueError(f"unexpected module schema {doc.get('schema')!r}")
+    from .modules import ModuleWindow
+
     orbit = orbit_from_json(doc["orbit"])
     window = [tuple(iv) for iv in doc["window"]]
     spaces = {_point_from_key(k): d for k, d in doc["spaces"].items()}

@@ -505,6 +505,112 @@ def test_cli_import_leaves_sympy_unloaded():
     assert importers == ["symbolic.py"]
 
 
+# run in a fresh interpreter: each argv of the JSON list in argv[1] through
+# cli.main, then print the modules that importing and running the CLI loaded
+_COMMAND_IMPORTS = """
+import io, json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+from intdiffops.cli import main
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+_LAYERS = ["intdiffops." + m for m in ("linalg", "modules", "local_ideals", "action", "classify")]
+_SIMPLE = ["--module", "simple", "--orbit", "Z", "--dset", ""]
+
+
+@pytest.mark.parametrize(
+    "argvs,needed,unloaded",
+    [
+        (
+            [
+                ["normalize", "d_1*int_1"],
+                ["mul", "H_1^2", "d_1"],
+                ["commutator", "H_1", "int_1"],
+                ["grade", "H_1*d_1 + int_1^2"],
+                ["ideal-test", "H_1*d_1", "--gen", "H", "--lambda", "1"],
+                ["involve", "H_1^2*d_1 - e[1,2]_1"],
+            ],
+            ["intdiffops.operators", "intdiffops.serialize"],
+            _LAYERS + ["dataclasses", "inspect"],
+        ),
+        ([["--deg", "3", "act", "int_1*d_1"]], ["intdiffops.action"], ["intdiffops.modules", "intdiffops.classify"]),
+        (
+            [["--window=-2..2", command, *_SIMPLE] for command in ("dims", "support", "module-build", "decompose")],
+            ["intdiffops.modules"],
+            ["intdiffops.classify", "dataclasses"],
+        ),
+    ],
+    ids=["operator", "act", "window"],
+)
+def test_commands_load_only_their_layers(argvs, needed, unloaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMMAND_IMPORTS, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert set(needed) <= loaded
+    assert not loaded & set(unloaded), sorted(loaded & set(unloaded))
+
+
+_PUBLIC_NAMES = """
+import json, sys
+import intdiffops
+layers = sorted(m for m in sys.modules if m.startswith("intdiffops."))
+homes = {}
+for name in intdiffops.__all__:
+    obj = getattr(intdiffops, name)
+    home = sys.modules[obj.__module__]
+    assert obj is vars(home)[name] and home.__name__.startswith("intdiffops."), name
+    homes[name] = home.__name__
+star = {}
+exec("from intdiffops import *", star)
+assert all(star[name] is getattr(intdiffops, name) for name in intdiffops.__all__)
+try:
+    intdiffops.no_such_name
+except AttributeError as exc:
+    missing = str(exc)
+from intdiffops import linalg
+print(json.dumps([layers, homes, missing, linalg.__name__]))
+"""
+
+
+def test_public_names_load_on_first_access():
+    proc = subprocess.run(
+        [sys.executable, "-c", _PUBLIC_NAMES],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers, homes, missing, linalg = json.loads(proc.stdout)
+    # a bare `import intdiffops` loads no layer
+    assert layers == []
+    assert homes["Operator"] == "intdiffops.operators" and homes["QQ"] == "intdiffops.scalars"
+    assert homes["build_Ms"] == "intdiffops.modules" and homes["rep_type"] == "intdiffops.classify"
+    assert "no_such_name" in missing
+    # submodules still import by name from the package
+    assert linalg == "intdiffops.linalg"
+
+
+def test_single_term_power_is_refused_in_time():
+    # int_1^10000 at arity 1,000 is one term; its 9,999 products once took 33 s
+    start = time.perf_counter()
+    code, out = run_cli(["--json", "--arity", str(MAX_ARITY), "--deg", "0", "act", "int_1^10000"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["kind"] == "domain" and f"MAX_ACTION_CELLS = {MAX_ACTION_CELLS}" in error["message"]
+
+
 def test_windows_without_layer_0_are_refused():
     simple = ["--module", "simple", "--orbit", "Z", "--dset", "1"]
     for command in (["report"], ["fiber", "--point", "2"]):

@@ -294,6 +294,47 @@ def test_power_forms_no_product_above_its_degree(monkeypatch, x):
             assert all(b is x for _, b, _ in made)
 
 
+def _single_term_bases():
+    for n in (1, 2, 3):
+        for i in sorted({1, n}):
+            yield Operator.gen_int(n, i)
+            yield Operator.gen_d(n, i)
+            yield Operator.gen_H(n, i)
+            yield Operator.gen_x(n, i)
+            for s, t in ((0, 0), (1, 2), (2, 1), (3, 3)):
+                yield Operator.gen_e(n, s, t, i)
+        # a coefficient, and a term over two slots
+        yield Operator.gen_int(n, 1).scale(Scalar(-2, 3) if n == 2 else Scalar(1, 1))
+        if n > 1:
+            yield Operator.gen_int(n, 1) * Operator.gen_d(n, n)
+
+
+@pytest.mark.parametrize("base", list(_single_term_bases()), ids=lambda a: f"n{a.n}:{a}")
+def test_power_of_a_single_term_is_the_repeated_product(base):
+    # binary powering while the squares stay single terms; x's square has two
+    expected = Operator.one(base.n)
+    for k in range(14):
+        assert base**k == expected, k
+        expected = expected * base
+
+
+def test_power_squares_only_single_terms(monkeypatch):
+    mul = Operator.__mul__
+    sizes = []
+
+    def counted(a, b):
+        sizes.append((len(a.terms), len(b.terms)))
+        return mul(a, b)
+
+    monkeypatch.setattr(Operator, "__mul__", counted)
+    Operator.gen_int(1, 1) ** 10000
+    assert len(sizes) == 17 and set(sizes) == {(1, 1)}
+    sizes.clear()
+    Operator.gen_x(1, 1) ** 64
+    # one squaring of x, then 62 products with x itself
+    assert sizes[0] == (1, 1) and sizes[1:] == [(j, 1) for j in range(2, 64)]
+
+
 def test_slot_product_cache_is_bounded():
     from intdiffops import operators
 
