@@ -18,18 +18,24 @@ certified to be a field is returned whole, so a pencil is reported outside
 the field only by its label.  `factor_unipoly` factors polynomials of
 degree <= 2 in closed form and hands higher degrees to the `symbolic`
 adapter, which loads sympy on first use.
+
+Every decision goes through that splitter: `is_indecomposable` is its
+first step, and `isomorphism` splits what its first test leaves open, both
+over the field of the entries, Q when every entry is real and Q(i)
+otherwise (`_entry_field`).  An End/rad that is not commutative, such as a
+quaternion algebra over Q, is neither split nor certified a field, so
+whether it is a division algebra stays undecided and raises DomainError.
 """
 
 from __future__ import annotations
 
 import random as _random
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
     Mat,
@@ -38,19 +44,17 @@ from .linalg import (
     _eliminate_qi,
     _real_pivot,
     block_diag,
-    column_space_basis,
     hom_space,
     invert,
     kernel_basis,
     rank,
     retraction,
-    rref,
     sparse_rank,
     split,
 )
-from .local_ideals import LocalIdeal
+from .local_ideals import LocalIdeal, QuotientBasis
 from .modules import DSet, DomainError, Fiber, Orbit
-from .poly import MultiPoly, UniPoly, monomials_below
+from .poly import UniPoly
 from .scalars import ONE, QQ, QQI, ZERO, Field, Scalar
 
 
@@ -61,8 +65,7 @@ class FieldError(DomainError):
 # -- representation type ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RepTypeVerdict:
+class RepTypeVerdict(NamedTuple):
     kind: str  # finite | tame | wild
     witness: str
 
@@ -265,13 +268,19 @@ def _radical_dim(end: List[Tuple[Mat, ...]]) -> int:
 
 
 def is_indecomposable(module) -> bool:
-    """End(V)/rad = K, computed exactly.  Accepts a QuiverRep (a pencil, say)
-    or a sequence of square action matrices on one space."""
+    """Whether the module is indecomposable over the field of its entries
+    (Q, or Q(i) when an entry is not real).  Accepts a QuiverRep (a pencil,
+    say) or a sequence of square action matrices on one space.
+
+    A finite-dimensional module is indecomposable iff End is local, that is
+    End/rad is a division algebra (Fitting's lemma).  This is the
+    splitter's first step, `_splitting_element`: End/rad of dimension 1,
+    or certified a field, means True; a splitting element means False; and
+    a search that does neither raises DomainError."""
     R = module if isinstance(module, QuiverRep) else _one_space(list(module))
     if not any(R.dims):
         return False
-    end = hom_space(R, R)
-    return len(end) - _radical_dim(end) == 1
+    return _splitting_element(R, _entry_field(R)) is None
 
 
 def modules_isomorphic(mats_m: Sequence[Mat], mats_n: Sequence[Mat]) -> Optional[Mat]:
@@ -298,21 +307,25 @@ class KroneckerRep(QuiverRep):
         return f"KroneckerRep(dims=({self.d1},{self.d2}))"
 
 
-@dataclass(frozen=True)
-class KroneckerBlockLabel:
-    """One of the five series: S1, S2(n), S3(n), S4(n, lam), S5(n)."""
-
+class _KroneckerLabelFields(NamedTuple):
     series: str
     n: int = 0
     lam: Optional[Scalar] = None
 
-    def __post_init__(self):
-        if self.series not in ("S1", "S2", "S3", "S4", "S5"):
-            raise ValueError(f"unknown series {self.series!r}")
-        if self.series != "S1" and self.n < 1:
+
+class KroneckerBlockLabel(_KroneckerLabelFields):
+    """One of the five series: S1, S2(n), S3(n), S4(n, lam), S5(n)."""
+
+    __slots__ = ()
+
+    def __new__(cls, series: str, n: int = 0, lam: Optional[Scalar] = None):
+        if series not in ("S1", "S2", "S3", "S4", "S5"):
+            raise ValueError(f"unknown series {series!r}")
+        if series != "S1" and n < 1:
             raise ValueError("series parameter n must be >= 1")
-        if self.series == "S4" and self.lam is None:
+        if series == "S4" and lam is None:
             raise ValueError("series S4 needs an eigenvalue")
+        return super().__new__(cls, series, n, lam)
 
     def sort_key(self):
         lam_key = self.lam.sort_key() if self.lam is not None else (Fraction(0), Fraction(0))
@@ -359,20 +372,32 @@ def _jordan_block(n: int, lam) -> Mat:
     return Mat(n, n, [[lam if c == r else ONE if c == r + 1 else ZERO for c in range(n)] for r in range(n)])
 
 
-def _splitting_element(
-    end: List[Tuple[Mat, ...]], field: Field, residue_dim: int
-) -> Optional[Tuple[Tuple[Mat, ...], UniPoly, UniPoly]]:
-    """An endomorphism (a tuple of blocks, one per vertex) whose min poly
-    splits into two coprime parts, or None when End is local.
+def _entry_field(*reps: QuiverRep) -> Field:
+    """Q when every entry of the reps' maps is real, else Q(i)."""
+    real = all(f._int()[1] is None for R in reps for _, _, f in R.arrows)
+    return QQ if real else QQI
 
-    Candidates are the basis elements, sums and differences of two of them,
-    then seeded pseudo-random combinations, all taken block by block.  The
-    search stops at the first candidate m whose min poly either has two
-    distinct irreducible factors or is g^e with g irreducible of degree
-    residue_dim = dim End/rad >= 2.  Then K[m mod rad] fills End/rad, so
-    End/rad is a field bigger than K and None is a proof, not a search
-    failure (split or certify, as in the MeatAxe).
+
+def _splitting_element(R: QuiverRep, field: Field) -> Optional[Tuple[Tuple[Mat, ...], UniPoly, UniPoly]]:
+    """An endomorphism of R (a tuple of blocks, one per vertex) whose min
+    poly splits into two coprime parts over the field, or None when End(R)
+    is local.
+
+    None is a proof: End/rad has dimension 1, or the search below certifies
+    it a field.  Candidates are the basis elements of End, sums and
+    differences of two of them, then seeded pseudo-random combinations, all
+    taken block by block.  The search stops at the first candidate m whose
+    min poly either has two distinct irreducible factors or is g^e with g
+    irreducible of degree dim End/rad >= 2; then K[m mod rad] fills End/rad,
+    so End/rad is a field bigger than K (split or certify, as in the
+    MeatAxe).  A search that does neither raises DomainError: an End/rad
+    that is not commutative, such as a quaternion algebra over Q, holds no
+    element of that degree and stays undecided.
     """
+    end = hom_space(R, R)
+    residue_dim = len(end) - _radical_dim(end)
+    if residue_dim == 1:
+        return None
 
     def candidates():
         yield from end
@@ -402,9 +427,9 @@ def _splitting_element(
             return m, f1, f2
         if factors[0][0].degree() == residue_dim:
             return None
-    raise RuntimeError(
-        f"splitting search exhausted: no split and no degree-{residue_dim} certificate "
-        "among the basis, pair and 300 seeded candidates"
+    raise DomainError(
+        f"End/rad of dimension {residue_dim} is undecided: no split and no degree-{residue_dim} "
+        "certificate among the basis, pair and 300 seeded candidates"
     )
 
 
@@ -457,12 +482,11 @@ def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, T
 
     End(R) stays the per-vertex block tuples of `hom_space`: a splitting
     element m = (m_v) with min poly f1*f2 gives the parts ker f_i(m_v) at
-    each vertex v."""
+    each vertex v.  A summand whose End/rad `_splitting_element` can neither
+    split nor certify a field raises DomainError."""
     if not any(R.dims):
         return []
-    end = hom_space(R, R)
-    residue_dim = len(end) - _radical_dim(end)
-    split_by = None if residue_dim == 1 else _splitting_element(end, field, residue_dim)
+    split_by = _splitting_element(R, field)
     if split_by is None:
         return [(R, tuple(Mat.scalar(d, ONE) for d in R.dims))]
     m, f1, f2 = split_by
@@ -514,8 +538,7 @@ def isomorphism(M: QuiverRep, N: QuiverRep) -> Optional[Tuple[Mat, ...]]:
         # a vector that every hom's block kills on the left or on the right
         if d and (rank(blocks[0].hstack(*blocks[1:])) < d or rank(reduce(Mat.vstack, blocks)) < d):
             return None
-    real = all(f._int()[1] is None for R in (M, N) for _, _, f in R.arrows)
-    field = QQ if real else QQI
+    field = _entry_field(M, N)
     pieces_m = split_indecomposables(M, field)
     if len(pieces_m) == 1:
         return None
@@ -660,8 +683,7 @@ def _is_periodic(w: Word) -> bool:
     return False
 
 
-@dataclass
-class GammaModule:
+class GammaModule(NamedTuple):
     """Module over K[h1,h2]/(h1h2) with explicit h1, h2 matrices."""
 
     kind: str  # "string" or "band"
@@ -795,8 +817,7 @@ def gamma_to_A(module: GammaModule, field: Field = QQI) -> Tuple[Mat, Mat]:
     return h1, h2
 
 
-@dataclass(frozen=True)
-class AModuleDescriptor:
+class AModuleDescriptor(NamedTuple):
     """Entry of the indecomposable list: simple, string, band family, or the
     regular module itself."""
 
@@ -855,43 +876,46 @@ def realize_A_member(
 
 
 def find_regular_copy(h1: Mat, h2: Mat) -> Optional[Mat]:
-    """Columns spanning a free rank-1 submodule {v, h1v, h2v, h1h2v}, found
-    deterministically; None when the doubled socle acts by zero."""
-    d = h1.rows
-    if (h1 @ h2).is_zero():
-        return None
-    # basis vectors, then sums of two basis vectors
-    for picked in chain(combinations(range(d), 1), combinations(range(d), 2)):
-        v = Mat.col_vector([ONE if r in picked else ZERO for r in range(d)])
-        hit = _regular_span(h1, h2, v)
-        if hit is not None:
-            return hit
-    return None
+    """Columns v, h1v, h2v, h1h2v spanning a free rank-1 submodule, for v
+    the first basis vector that h1h2 does not kill; None when h1h2 = 0.
 
-
-def _regular_span(h1: Mat, h2: Mat, v: Mat) -> Optional[Mat]:
-    vecs = [v, h1 @ v, h2 @ v, (h1 @ h2) @ v]
-    d = v.rows
-    basis = column_space_basis(vecs, d)
-    if len(basis) != 4 or vecs[3].is_zero():
+    A is local with simple socle K h1h2, which every nonzero ideal holds, so
+    the annihilator of v is zero, and A v is free, exactly when h1h2 v != 0.
+    DomainError when the matrices break the relations h1^2 = h2^2 =
+    h1h2 - h2h1 = 0 of A."""
+    P = h1 @ h2
+    for name, rel in (("h1^2", h1 @ h1), ("h2^2", h2 @ h2), ("h1h2 - h2h1", P - h2 @ h1)):
+        if not rel.is_zero():
+            raise DomainError(f"not a module over K[h1,h2]/(h1^2,h2^2): {name} != 0")
+    c = next((j for j in range(P.cols) if not P.select_cols([j]).is_zero()), None)
+    if c is None:
         return None
-    return Mat.from_cols(vecs, d)
+    v = Mat.col_vector([ONE if r == c else ZERO for r in range(h1.rows)])
+    return Mat.from_cols([v, h1 @ v, h2 @ v, P @ v], h1.rows)
 
 
 def contains_regular_summand(h1: Mat, h2: Mat) -> bool:
-    """Whether a free rank-1 submodule exists and splits off."""
+    """Whether A = K[h1,h2]/(h1^2,h2^2) is a direct summand of the module,
+    that is, whether h1h2 acts by a nonzero map.
+
+    A is a Frobenius algebra, so self-injective: a free submodule is
+    injective and splits off (Lam, Lectures on Modules and Rings, section
+    3), and `find_regular_copy` finds one exactly when h1h2 != 0.  The
+    retraction onto its copy is solved for as a check.  DomainError when
+    the matrices break the relations of A."""
     emb = find_regular_copy(h1, h2)
     if emb is None:
         return False
     homs = hom_space(_one_space([h1, h2]), _one_space(regular_A_module()))
-    return retraction(homs, [emb]) is not None
+    if retraction(homs, [emb]) is None:
+        raise AssertionError("a free submodule over a self-injective algebra has no retraction")
+    return True
 
 
 # -- tameness of local ideals in two variables ------------------------------
 
 
-@dataclass(frozen=True)
-class TameVerdict:
+class TameVerdict(NamedTuple):
     tame: bool
     over_closure: bool  # splits only after a quadratic extension
 
@@ -907,28 +931,18 @@ def tame_local_ideal(ideal: LocalIdeal, field: Field = QQ) -> TameVerdict:
     """Whether the ideal contains a product of two independent linear forms
     in the shifted coordinates (a factorizable quadratic), decided over the
     configured field with an over-the-closure flag.  The decision reads the
-    dimension of the span of the ideal's pure quadratic forms; no search."""
+    dimension of the span of the pure quadratic forms in I + m^3, off the
+    reduced span of its `QuotientBasis`; no search.  At order <= 2, m^2 lies
+    in I and with it h1 h2."""
     if ideal.n != 2:
         raise DomainError("tameness test is for two-variable local ideals")
-    window = monomials_below(2, 3)
-    col_of = {e: j for j, e in enumerate(window)}
-    rows = []
-    for g in ideal.shifted:
-        for m in window:
-            prod = (g * MultiPoly.monomial(2, m)).truncate(3)
-            if not prod.is_zero():
-                rows.append(_poly_vec(prod, col_of))
-    if ideal.order < 3:
-        # everything of degree >= order is in the ideal
-        for e in window:
-            if sum(e) >= ideal.order:
-                rows.append(_poly_vec(MultiPoly.monomial(2, e), col_of))
-    R, piv = rref(Mat.from_rows(rows, len(window)))
-    space = R.data[: len(piv)]
+    if ideal.order <= 2:
+        return TameVerdict(True, False)
+    qb = QuotientBasis(LocalIdeal(ideal.center, 3, ideal.generators))
     # the quadratic parts (h1^2, h1 h2, h2^2) of the elements with no lower terms
-    low = Mat(3, len(space), [[row[col_of[e]] for row in space] for e in window if sum(e) < 2])
-    quad = Mat(3, len(space), [[row[col_of[e]] for row in space] for e in ((2, 0), (1, 1), (0, 2))])
-    forms = quad @ Mat.from_cols(kernel_basis(low), len(space))
+    low = qb.span.select_cols(qb.col_of[e] for e in qb.window if sum(e) < 2).transpose()
+    quad = qb.span.select_cols(qb.col_of[e] for e in ((2, 0), (1, 1), (0, 2))).transpose()
+    forms = quad @ Mat.from_cols(kernel_basis(low), qb.span.rows)
     m = rank(forms)
     if m == 0:
         return TameVerdict(False, False)
@@ -943,10 +957,3 @@ def tame_local_ideal(ideal: LocalIdeal, field: Field = QQ) -> TameVerdict:
     disc = b * b - a * c * Scalar(4)
     square = field.sqrt(disc) is not None
     return TameVerdict(not disc.is_zero() and square, not disc.is_zero() and not square)
-
-
-def _poly_vec(p: MultiPoly, col_of) -> List[Scalar]:
-    v = [ZERO] * len(col_of)
-    for e, c in p.coeffs.items():
-        v[col_of[e]] = c
-    return v

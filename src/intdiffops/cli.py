@@ -34,6 +34,7 @@ from .serialize import (
     module_from_json,
     module_to_json,
     operator_to_json,
+    orbit_to_json,
 )
 
 if TYPE_CHECKING:
@@ -330,13 +331,7 @@ def cmd_dims(args, cfg):
 
 
 def _dset_doc(dset: DSet) -> dict:
-    return {
-        "D": sorted(dset.D),
-        "orbit": {
-            "integer": list(dset.orbit.integer),
-            "reps": [str(r) for r in dset.orbit.reps],
-        },
-    }
+    return {"D": sorted(dset.D), "orbit": orbit_to_json(dset.orbit)}
 
 
 def cmd_decompose(args, cfg):

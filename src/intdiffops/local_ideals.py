@@ -3,6 +3,11 @@
 A LocalIdeal I satisfies m >= I >= m^i for the maximal ideal m at its center,
 so D_n/I is finite dimensional.  Internally everything is computed in shifted
 coordinates h_j = H_j - lambda_j, which turns m^i into a monomial ideal.
+
+`QuotientBasis` keeps the span of I modulo m^i as one reduced Mat from
+`linalg.rref`, and each normal form (a reduction, a coordinate column, a
+multiplication matrix) is one product against it, so every elimination runs
+in the linalg kernel.
 """
 
 from __future__ import annotations
@@ -84,9 +89,16 @@ class LocalIdeal:
 
 
 class QuotientBasis:
-    """Monomial basis and normal-form reduction of D_n/I.
+    """Monomial basis and normal forms of D_n/I.
 
-    basis_monomials are exponent vectors in shifted coordinates, graded-lex.
+    The window is every monomial of degree below the order, graded-lex, in
+    shifted coordinates; the products g*m of the generators with the window,
+    terms of degree >= order dropped, span I modulo m^order.  Their `rref`
+    is kept as one Mat, `span`, with no zero rows: its pivot columns are the
+    leading monomials of I, and basis_monomials are the other ones.  As
+    `span` is reduced, the normal form of a coefficient row v is
+    v - v[pivots] @ span, so `reduce`, `coordinates` and
+    `multiplication_matrix` each take it as one product against `span`.
     Reduction is linear and idempotent; every element of I (below the
     truncation order) reduces to zero.
     """
@@ -96,62 +108,44 @@ class QuotientBasis:
         n, i = ideal.n, ideal.order
         self.window = monomials_below(n, i)
         self.col_of = {e: j for j, e in enumerate(self.window)}
-        rows = []
-        for g in ideal.shifted:
-            for m in self.window:
-                prod = (g * MultiPoly.monomial(n, m)).truncate(i)
-                if not prod.is_zero():
-                    rows.append(self._vector(prod))
-        if rows:
-            R, piv = rref(Mat.from_rows(rows, len(self.window)))
-            self.red_rows = [R.data[r] for r in range(len(piv))]
-            self.pivots = piv
-        else:
-            self.red_rows = []
-            self.pivots = []
+        products = [(g * MultiPoly.monomial(n, m)).truncate(i) for g in ideal.shifted for m in self.window]
+        R, self.pivots = rref(self._rows([p for p in products if not p.is_zero()]))
+        self.span = R.select_rows(range(len(self.pivots)))
         piv_set = set(self.pivots)
-        self.basis_monomials: List[Expo] = [
-            e for j, e in enumerate(self.window) if j not in piv_set
-        ]
-        self.basis_index = {e: k for k, e in enumerate(self.basis_monomials)}
+        self.free = [j for j in range(len(self.window)) if j not in piv_set]
+        self.basis_monomials: List[Expo] = [self.window[j] for j in self.free]
 
     @property
     def dim(self) -> int:
         return len(self.basis_monomials)
 
-    def _vector(self, p: MultiPoly) -> List[Scalar]:
-        v = [ZERO] * len(self.window)
-        for e, c in p.coeffs.items():
-            v[self.col_of[e]] = c
-        return v
+    def _rows(self, polys: Sequence[MultiPoly]) -> Mat:
+        """One row per polynomial: its coefficients at the window monomials,
+        so terms of degree >= order drop out."""
+        rows = [[p.coeffs.get(e, ZERO) for e in self.window] for p in polys]
+        return Mat(len(polys), len(self.window), rows)
+
+    def _normal_forms(self, polys: Sequence[MultiPoly]) -> Mat:
+        """One row per polynomial: the coordinates of its normal form in the
+        monomial basis."""
+        V = self._rows(polys)
+        return (V - V.select_cols(self.pivots) @ self.span).select_cols(self.free)
 
     def reduce(self, p: MultiPoly) -> MultiPoly:
         """Normal form of p in D_n/I (shifted coordinates in, shifted out)."""
         if p.n != self.ideal.n:
             raise ValueError("arity mismatch")
-        v = self._vector(p.truncate(self.ideal.order))
-        for row, c in zip(self.red_rows, self.pivots):
-            f = v[c]
-            if not f.is_zero():
-                v = [v[j] - f * row[j] for j in range(len(v))]
-        return MultiPoly(self.ideal.n, {e: v[j] for j, e in enumerate(self.window)})
+        return MultiPoly(p.n, dict(zip(self.basis_monomials, self._normal_forms([p]).row(0))))
 
     def coordinates(self, p: MultiPoly) -> Mat:
         """Coordinate column of the normal form of p in the monomial basis."""
-        nf = self.reduce(p)
-        col = [ZERO] * self.dim
-        for e, c in nf.coeffs.items():
-            col[self.basis_index[e]] = c
-        return Mat.col_vector(col)
+        return self._normal_forms([p]).transpose()
 
     def multiplication_matrix(self, j: int) -> Mat:
         """Matrix of multiplication by h_j on D_n/I (nilpotent, 1-based slot)."""
         hj = MultiPoly.var(self.ideal.n, j)
-        cols = [
-            self.coordinates(hj * MultiPoly.monomial(self.ideal.n, e))
-            for e in self.basis_monomials
-        ]
-        return Mat.from_cols(cols, self.dim)
+        images = [hj * MultiPoly.monomial(self.ideal.n, e) for e in self.basis_monomials]
+        return self._normal_forms(images).transpose()
 
 
 def quotient_basis(ideal: LocalIdeal) -> QuotientBasis:

@@ -436,7 +436,8 @@ def induce(fiber: Fiber, dset: DSet, window) -> ModuleWindow:
     for p in product(*[range(a, b + 1) for a, b in w]):
         if all(p[i - 1] >= 1 for i in deg):
             spaces[p] = d
-    maps: Dict[Tuple[str, int, Point], Mat] = {}
+    M = ModuleWindow(orbit, w, spaces, {})
+    maps = M.maps
     idm = Mat.identity(d)
     nil = {
         j: A - Mat.scalar(d, mu)
@@ -448,22 +449,19 @@ def induce(fiber: Fiber, dset: DSet, window) -> ModuleWindow:
             dn = ModuleWindow.shift(p, i, -1)
             if i in dset.D:
                 maps[("H", i, p)] = Mat.scalar(d, p[i - 1])
-                if _inside(up, w):
+                if M.in_window(up):
                     maps[("int", i, p)] = idm
-                if _inside(dn, w):
+                if M.in_window(dn):
                     maps[("d", i, p)] = idm if dn[i - 1] >= 1 else Mat.zero(0, d)
             else:
                 wgt = orbit.weight(i, p[i - 1])
                 maps[("H", i, p)] = Mat.scalar(d, wgt) + nil[i]
-                if _inside(up, w):
+                if M.in_window(up):
                     maps[("int", i, p)] = idm
-                if _inside(dn, w):
+                if M.in_window(dn):
                     maps[("d", i, p)] = idm
-    return ModuleWindow(orbit, w, spaces, maps)
-
-
-def _inside(p: Point, w: Window) -> bool:
-    return all(a <= x <= b for x, (a, b) in zip(p, w))
+    M._validate_shapes()
+    return M
 
 
 def build_simple(dset: DSet, window) -> ModuleWindow:

@@ -21,6 +21,7 @@ from intdiffops.classify import (
     band_module,
     contains_regular_summand,
     factor_unipoly,
+    find_regular_copy,
     ind_A_members,
     isomorphism,
     is_indecomposable,
@@ -41,7 +42,17 @@ from intdiffops.classify import (
     string_module,
     tame_local_ideal,
 )
-from intdiffops.linalg import Mat, QuiverRep, block_diag, hom_space, invert, kernel_basis, rank, rref
+from intdiffops.linalg import (
+    Mat,
+    QuiverRep,
+    block_diag,
+    hom_space,
+    invert,
+    kernel_basis,
+    rank,
+    retraction,
+    rref,
+)
 from intdiffops.local_ideals import LocalIdeal, MaxIdeal
 from intdiffops.modules import DomainError, DSet, Fiber, Orbit
 from intdiffops.poly import MultiPoly, UniPoly
@@ -591,3 +602,65 @@ def test_tameness_decision_matches_grid_and_factors(quads, field):
         assert rank(Mat.from_rows(list(quads) + [(p * r, p * s + q * r, q * s)], 3)) == dim
     if dim == 0:
         assert not verdict.tame and not verdict.over_closure
+
+
+# -- decisions through the one splitter --------------------------------------
+
+
+def test_rotation_pencil_is_indecomposable_over_its_entry_field():
+    # B = [[0,-1],[1,0]] has min poly t^2 + 1: End = Q(i), a field over Q
+    J = Mat(2, 2, [[0, -1], [1, 0]])
+    R = KroneckerRep(Mat.identity(2), J)
+    assert is_indecomposable(R)
+    assert len(split_indecomposables(R, QQ)) == 1
+    # conjugated by a non-real basis change, the entries live in Q(i), where
+    # the eigenvalues i and -i split it
+    P = Mat(2, 2, [[1, Scalar(0, 1)], [0, 1]])
+    C = invert(P) @ J @ P
+    assert C._int()[1] is not None
+    assert not is_indecomposable(KroneckerRep(Mat.identity(2), C))
+
+
+def test_quaternion_module_is_undecided():
+    # left multiplication by i and j on Q^4 = Q<1, i, j, k>: End is the
+    # rational quaternion algebra, a division algebra that is not
+    # commutative, so no element certifies it and none splits it
+    Li = Mat(4, 4, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    Lj = Mat(4, 4, [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+    assert Li @ Lj == Mat(4, 4, [[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+    with pytest.raises(DomainError, match="dimension 4"):
+        is_indecomposable([Li, Lj])
+    with pytest.raises(DomainError, match="dimension 4"):
+        split_indecomposables(QuiverRep([4], [(0, 0, Li), (0, 0, Lj)]), QQ)
+
+
+def test_regular_summand_refuses_non_A_modules():
+    E32 = Mat(3, 3, [[0, 0, 0], [0, 0, 0], [0, 1, 0]])
+    E21 = Mat(3, 3, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    with pytest.raises(DomainError, match=r"h1h2 - h2h1 != 0"):
+        contains_regular_summand(E32, E21)
+    with pytest.raises(DomainError, match=r"h1\^2 != 0"):
+        contains_regular_summand(E21 + E32, E21)
+
+
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=3), st.integers(0, 2**32), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_regular_summand_verdict_is_the_doubled_socle(picks, seed, gaussian):
+    members = ind_A_members(4, QQI)
+    rng = random.Random(seed)
+    lams = [Scalar(rng.choice((1, 2, -1))) for _ in picks]
+    mods = [realize_A_member(members[k % len(members)], lam=lam, field=QQI) for k, lam in zip(picks, lams)]
+    g = (rand_invertible_qi if gaussian else rand_invertible)(sum(a.rows for a, _ in mods), rng)
+    gi = invert(g)
+    H1, H2 = (g @ block_diag(*blocks) @ gi for blocks in zip(*mods))
+    verdict = contains_regular_summand(H1, H2)
+    assert verdict is not (H1 @ H2).is_zero()
+    emb = find_regular_copy(H1, H2)
+    assert (emb is not None) is verdict
+    if verdict:
+        R1, R2 = regular_A_module()
+        assert rank(emb) == 4 and H1 @ emb == emb @ R1 and H2 @ emb == emb @ R2
+        M, A = QuiverRep([H1.rows], [(0, 0, H1), (0, 0, H2)]), QuiverRep([4], [(0, 0, R1), (0, 0, R2)])
+        homs = hom_space(M, A)
+        rho = retraction(homs, [emb])
+        assert rho is not None and rho[0] @ emb == Mat.identity(4)

@@ -543,8 +543,18 @@ _SIMPLE = ["--module", "simple", "--orbit", "Z", "--dset", ""]
             ["intdiffops.modules"],
             ["intdiffops.classify", "dataclasses"],
         ),
+        (
+            [
+                ["rep-type", "--orbit", "Z,Z", "--dset", "1,2"],
+                ["kronecker", "--a", '[["1","0"],["0","1"],["0","0"]]', "--b", '[["0","0"],["1","0"],["0","1"]]'],
+                ["string", "h1h2"],
+                ["--field", "qi", "band", "h1h2", "--n", "2", "--lambda", "2"],
+            ],
+            ["intdiffops.classify"],
+            ["dataclasses", "inspect"],
+        ),
     ],
-    ids=["operator", "act", "window"],
+    ids=["operator", "act", "window", "classification"],
 )
 def test_commands_load_only_their_layers(argvs, needed, unloaded):
     proc = subprocess.run(
