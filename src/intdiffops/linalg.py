@@ -12,13 +12,15 @@ sub-representation on per-vertex bases, and `split` the summands of a
 direct sum given by bases that fill every vertex.  `opposite_forest` spans
 a representation by opposite pairs, arrows f : s -> t and g : t -> s with
 g f = 1, such as d_i and int_i of a module window off its degenerate
-layer.  Along a tree of such pairs `split` carries the bases given at the
-root, T_t = f T_s, so the tree's arrows are the identity in block
-coordinates and no vertex but the root is inverted; a window's block
-decomposition then needs projectors only at the roots (1.7 inversions and
-142 products per decomposition instead of 16.3 and 243 on the 140 of a
-seed-7 `weight_modules` bench run).  Deciding isomorphism needs the
-Krull-Schmidt splitter, so it lives in `classify`.
+layer.  `ForestTransport` contracts a representation along such a forest
+to bases given at the roots only: it carries U_t = f U_s down each tree,
+so the tree's arrows are the identity in block coordinates and no vertex
+but a root is inverted, and checks every other arrow once.  A window's
+block decomposition then needs projectors only at the roots, and its
+labels need no block at all (1.7 inversions and 135 products per
+decomposition on the 280 of the first 400 jobs of a seed-7
+`weight_modules` bench run).  `split` is its forest-free case.  Deciding
+isomorphism needs the Krull-Schmidt splitter, so it lives in `classify`.
 
 A `Mat` works on integer rows.  Row i is a list of ints over one positive
 scale (and a second list for the imaginary parts over Q(i)), in lowest
@@ -47,15 +49,16 @@ over Z for Q (`rref` of 35x40 in 0.015 s against 0.020 s, of 60x120 in
 `rank` of 35x40 in 0.010 s against 0.008 s; best CPU times, CPython 3.11,
 2 vCPUs).  The dense Z kernel won only on the tiniest matrices, by about
 4 us a call on the 2x2 and 3x3 of the bench, and those are few: with
-projectors only at forest roots a seed-7 `weight_modules` bench job makes
-about 7 rational `rref`s and 1.7 `rank`s, each of at most 50 cells.
+projectors only at forest roots a seed-7 `weight_modules` decomposition
+makes about 5.7 rational `rref`s (4.0 for pivot columns of projectors, 1.7
+in inversions) and no `rank`, each of at most 50 cells.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar, common_den
 
@@ -945,7 +948,9 @@ def opposite_forest(R: QuiverRep) -> Tuple[List[int], List[Optional[Tuple[int, i
 
     Off the degenerate layer, d_i and int_i of a module window are such a
     pair, so a window's trees cover every run of equal dimensions (see
-    `split` and `modules.block_decompose`)."""
+    `ForestTransport` and `modules.block_decompose`).  On the 280
+    decompositions of the first 400 jobs of a seed-7 `weight_modules` bench
+    run the pair checks take 30.6 of the 135 products per decomposition."""
     n = len(R.dims)
     first, out = {}, [[] for _ in range(n)]
     for k, (s, t, _) in enumerate(R.arrows):
@@ -975,128 +980,245 @@ def opposite_forest(R: QuiverRep) -> Tuple[List[int], List[Optional[Tuple[int, i
     return order, up
 
 
-def split(
-    R: QuiverRep,
-    parts: Sequence[List[Optional[Mat]]],
-    forest: Optional[Tuple[List[int], List[Optional[Tuple[int, int, int]]]]] = None,
-) -> Optional[List[QuiverRep]]:
+class ForestTransport:
+    """Splitting of R into parts given at the roots of a spanning forest of
+    opposite pairs, as a contract/expand pair.
+
+    `forest` is `opposite_forest(R)`, or every vertex its own root, as
+    `split` gives it.  Each loop's scalar is read once, when the transport
+    is made: scalars[j] is c when the loop arrow j, at a vertex of positive
+    dimension, is c*I, and None otherwise.
+
+    `contract(parts)` takes parts[k][r], a column basis of part k at every
+    root r; side by side in part order they form T_r, which must be
+    invertible (DomainError otherwise) and is inverted once.  Along a tree
+    whose root holds two or more nonempty parts it carries U_v = f U_u from
+    the root in R's own coordinates, U = I at the root, one product per
+    tree arrow.  Part k at v is then U_v T_r[k], so the tree arrows are the
+    identity in block coordinates and a carried vertex has its root's part
+    dimensions.  A tree with one nonempty part keeps R's own coordinates,
+    as that part is the whole space.  Every other arrow f : s -> t has the
+    holonomy F = U_t^-1 f U_s and must be block-diagonal, with no block
+    between two parts, in the coordinates X = T_r(t)^-1 F T_r(s).  Four
+    kinds of arrow need no product:
+    - a loop whose map is c*I, as c*I is the same in every basis;
+    - a zero map, which is zero in every basis;
+    - a tree arrow;
+    - an arrow whose two ends hold one part each, the same one: X is that
+      part's one block.
+    An arrow between vertices of one tree takes one product, f U_s, and
+    when that is U_t, F = I and so X = I.  Only the others are conjugated
+    and checked, and U_t^-1 = U_u^-1 g is made along the tree pairs g
+    only for the targets that need it.  contract returns each root's part
+    offsets, or None when some arrow is not block-diagonal.
+
+    `expand()` then gives R as the direct sum of its parts, one QuiverRep
+    per part with each arrow's diagonal block of X, equal to what `restrict`
+    solves for part by part; `bases()` gives the bases of every part at
+    every vertex in those coordinates.  With forest-free parts (`split`)
+    every vertex is a root and every X is T_t^-1 f T_s.
+
+    On the 280 decompositions of the first 400 jobs of a seed-7
+    `weight_modules` bench run, `modules.decompose_weight` contracts with
+    1.7 inversions, 135 products (7.2 of them for the root projectors and
+    30.6 for the pair checks of `opposite_forest`), 131 `scalar_value`
+    reads and 5.7 column selections per decomposition, and builds no
+    block.  Before the contraction, when `split` carried bases to every
+    vertex and the decomposition built every block window, the same runs
+    took 144 products, 251 reads and 40 selections.
+    """
+
+    def __init__(self, R: QuiverRep, forest: Tuple[Sequence[int], Sequence[Optional[Tuple[int, int, int]]]]):
+        order, up = forest
+        self.rep, self.order, self.up = R, list(order), up
+        self.root = list(range(len(R.dims)))
+        for v in self.order:
+            if up[v] is not None:
+                self.root[v] = self.root[up[v][0]]
+        self.roots = [v for v in self.order if up[v] is None]
+        self.scalars = {j: f.scalar_value() for j, (s, t, f) in enumerate(R.arrows) if s == t and R.dims[s]}
+        # filled by contract: each root's part offsets, T_r and T_r^-1 of the
+        # roots whose bases are not the identity, U_v of the carried vertices,
+        # U_v^-1 as made, and per arrow its Scalar c (blocks c*I), its X, or
+        # None (one part at both ends, whose block is the arrow whole)
+        self.bounds: Dict[int, Tuple[int, ...]] = {}
+        self._parts: Sequence = ()
+        self._T, self._Tinv, self._U, self._Uinv = {}, {}, {}, {}
+        self._hol: list = []
+
+    def contract(self, parts: Sequence) -> Optional[Dict[int, Tuple[int, ...]]]:
+        """Each root's part offsets (`bounds`), or None when some arrow is
+        not block-diagonal; parts[k][r] is read at the roots only."""
+        R, root, up, bounds = self.rep, self.root, self.up, self.bounds
+        T, Tinv, U = self._T, self._Tinv, self._U
+        self._parts = parts
+        # the one nonempty part of each root that holds exactly one
+        sole = {}
+        for r in self.roots:
+            d = R.dims[r]
+            Tr = _zeros(d, 0).hstack(*(p[r] for p in parts))
+            if Tr.cols != d:
+                raise DomainError(f"the parts hold {Tr.cols} columns at vertex {r} of dimension {d}")
+            if not Tr.is_identity():
+                inv = invert(Tr)
+                if inv is None:
+                    raise DomainError(f"the parts do not form a basis at vertex {r}")
+                T[r], Tinv[r] = Tr, inv
+            b = bounds[r] = tuple(accumulate((p[r].cols for p in parts), initial=0))
+            held = [k for k, (x, y) in enumerate(zip(b, b[1:])) if y > x]
+            sole[r] = held[0] if len(held) == 1 else None
+        tree = set()
+        for v in self.order:
+            # a tree vertex has positive dimension, so its root holds a part
+            if up[v] is not None and sole[root[v]] is None:
+                u, k, l = up[v]
+                f = R.arrows[k][2]
+                U[v] = f @ U[u] if u in U else f
+                tree.update((k, l))
+        hol = self._hol = []
+        scalars = self.scalars
+        for j, (s, t, f) in enumerate(R.arrows):
+            if j in tree:
+                hol.append(ONE)
+                continue
+            c = scalars.get(j)
+            if c is not None:
+                hol.append(c)
+                continue
+            rs, rt = root[s], root[t]
+            if sole[rs] is not None and sole[rs] == sole[rt]:
+                hol.append(None)
+                continue
+            if f.is_zero():
+                hol.append(ZERO)
+                continue
+            X = f @ U[s] if s in U else f
+            if rs == rt and s != t and (X == U[t] if t in U else X.is_identity()):
+                hol.append(ONE)
+                continue
+            # a vertex of a tree with one part keeps R's coordinates
+            if rs in T and (s == rs or s in U):
+                X = X @ T[rs]
+            if t in U:
+                X = self._inverse(t) @ X
+            if rt in Tinv and (t == rt or t in U):
+                X = Tinv[rt] @ X
+            if not _block_diagonal(X, bounds[rs], bounds[rt]):
+                return None
+            hol.append(X)
+        return bounds
+
+    def _inverse(self, v: int) -> Mat:
+        """U_v^-1 = U_u^-1 g for the tree pair g : v -> u, made up the tree
+        from the nearest vertex that has it and kept."""
+        Uinv, up, arrows = self._Uinv, self.up, self.rep.arrows
+        chain = []
+        while v not in Uinv and v in self._U:
+            chain.append(v)
+            v = up[v][0]
+        W = Uinv.get(v)
+        for w in reversed(chain):
+            g = arrows[up[w][2]][2]
+            W = Uinv[w] = g if W is None else W @ g
+        return W
+
+    def expand(self) -> List[QuiverRep]:
+        """R as the direct sum of its parts, after a `contract` that
+        returned their offsets: one QuiverRep per part, in part order.  Zero,
+        identity and c*I blocks are shared, one list per pair of part
+        offsets and scalar."""
+        R, root, bounds, T, Tinv = self.rep, self.root, self.bounds, self._T, self._Tinv
+        diagonals = {}
+
+        def diagonal(bs: Tuple[int, ...], bt: Tuple[int, ...], c: Scalar) -> List[Mat]:
+            # every part's block c*I, or zero when c is, of an arrow between
+            # vertices of these offsets; Mats born of ints are never written
+            key = (bs, bt, c.nre, c.nim, c.den)
+            blocks = diagonals.get(key)
+            if blocks is None:
+                blocks = diagonals[key] = [
+                    _zeros(y - x, b - a) if c.is_zero() else Mat.scalar(y - x, c)
+                    for x, y, a, b in zip(bt, bt[1:], bs, bs[1:])
+                ]
+            return blocks
+
+        arrows: List[list] = [[] for _ in self._parts]
+        for (s, t, f), h in zip(R.arrows, self._hol):
+            bs, bt = bounds[root[s]], bounds[root[t]]
+            if type(h) is Scalar:
+                blocks = diagonal(bs, bt, h)
+            else:
+                if h is None:
+                    # one part at both ends, which are roots or keep R's coordinates
+                    h = f @ T[s] if s in T else f
+                    if t in Tinv:
+                        h = Tinv[t] @ h
+                blocks = _diagonal_blocks(h, bs, bt)
+            for out, block in zip(arrows, blocks):
+                out.append((s, t, block))
+        dims = [bounds[r] for r in root]
+        return [QuiverRep([b[k + 1] - b[k] for b in dims], out) for k, out in enumerate(arrows)]
+
+    def bases(self) -> List[List[Mat]]:
+        """parts[k][v], the basis of part k at every vertex v after a
+        `contract`: as given at a root, U_v T_r[k] at a carried vertex, and
+        the identity for the one part of a tree with one part."""
+        R, root, bounds, U = self.rep, self.root, self.bounds, self._U
+        out = [[] for _ in self._parts]
+        for v, d in enumerate(R.dims):
+            r, b = root[v], bounds[root[v]]
+            if v == r:
+                for o, p in zip(out, self._parts):
+                    o.append(p[r])
+                continue
+            B = (U[v] @ self._T[r] if r in self._T else U[v]) if v in U else Mat.scalar(d, ONE)
+            for o, x, y in zip(out, b, b[1:]):
+                o.append(B.select_cols(range(x, y)) if y > x else _zeros(d, 0))
+        return out
+
+
+def _block_diagonal(X: Mat, bs: Tuple[int, ...], bt: Tuple[int, ...]) -> bool:
+    """Whether X maps each part of its source, cut at the offsets bs, into
+    the same part of its target, cut at bt: read off the integer rows."""
+    re, im, _ = X._int()
+    for k in range(len(bs) - 1):
+        a, b = bs[k], bs[k + 1]
+        for r in range(bt[k], bt[k + 1]):
+            if any(re[r][:a]) or any(re[r][b:]):
+                return False
+            if im is not None and (any(im[r][:a]) or any(im[r][b:])):
+                return False
+    return True
+
+
+def _diagonal_blocks(X: Mat, bs: Tuple[int, ...], bt: Tuple[int, ...]) -> List[Mat]:
+    """The diagonal blocks of a block-diagonal X, one per part: zero when
+    the part has no source or no target space, X itself when the part holds
+    both spaces whole."""
+    blocks = []
+    for a, b, x, y in zip(bs, bs[1:], bt, bt[1:]):
+        if a == b or x == y:
+            blocks.append(_zeros(y - x, b - a))
+        elif b - a == X.cols and y - x == X.rows:
+            blocks.append(X)
+        else:
+            re, im, sc = X._int()
+            rows = [_lowest(re[r][a:b], None if im is None else im[r][a:b], sc[r]) for r in range(x, y)]
+            blocks.append(_mat(y - x, b - a, *_unzip(rows)))
+    return blocks
+
+
+def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverRep]]:
     """R as the direct sum of its restrictions to the parts, one QuiverRep
     per part, or None when some part is not stable under the arrows.
 
     parts[k][v] is a column basis of part k at vertex v.  Side by side in
-    part order they form T_v.  Bases given at a vertex are used as given:
-    T_v must be invertible (DomainError otherwise) and is inverted once.  A
-    vertex whose entries are all None takes its parts from its parent u in
-    `forest` (an `opposite_forest` of R) through the tree pair f : u -> v,
-    g : v -> u: T_v = f T_u and T_v^-1 = T_u^-1 g, two products and no
-    inversion, and the None entries are replaced by the carried bases.
-    Parents come first in the forest's order, so parts given at the roots
-    fix them along every tree.
-
-    An arrow f : s -> t becomes X = T_t^-1 f T_s.  Its diagonal blocks are
-    the part maps, equal to what `restrict` solves for part by part, and
-    its off-diagonal blocks vanish exactly when every part is stable.  Both
-    are read from X's integer rows in one pass.  Three kinds of arrow need
-    no X:
-    - a tree pair into a carried vertex, which is the identity in block
-      coordinates (T_v^-1 f T_u = 1 = T_u^-1 g T_v), so each part gets
-      the identity of its size;
-    - a loop (s == t) whose map is c*I, as T^-1 (c I) T = c I in every
-      basis: each part gets c*I of its size and no off-diagonal block can
-      be nonzero;
-    - a zero map, which is zero in every basis.
-    Every other arrow is conjugated and checked.  When a carried vertex's
-    parent holds at most one nonempty part, that part is the whole space,
-    so the vertex keeps T_v = I instead and its tree arrows pass through
-    like any other.  Zero, identity and c*I blocks are shared, one list
-    per pair of part offsets and scalar in a call.
-
-    On the 140 decompositions of a seed-7 `weight_modules` bench run, with
-    bases given at the forest's roots only (`modules.block_decompose`),
-    split inverts 1.7 bases per decomposition instead of 16.3 and forms 105
-    products instead of 135; the pair checks of `opposite_forest` add 30.
-    """
+    part order they form T_v, which must be invertible (DomainError
+    otherwise).  The `ForestTransport` of every vertex its own root: an
+    arrow f : s -> t becomes X = T_t^-1 f T_s, whose diagonal blocks are the
+    part maps and whose off-diagonal blocks vanish exactly when every part
+    is stable; loops c*I, zero maps and arrows between vertices of one part
+    each are taken without a check."""
     n = len(R.dims)
-    T: List[Optional[Mat]] = [None] * n
-    Tinv: List[Optional[Mat]] = [None] * n
-    # each vertex's part offsets
-    bounds: List[Tuple[int, ...]] = [()] * n
-    ident = set()
-    for v in range(n) if forest is None else forest[0]:
-        d = R.dims[v]
-        if parts and parts[0][v] is None:
-            link = None if forest is None else forest[1][v]
-            if link is None:
-                raise ValueError(f"no bases at vertex {v}, and no parent to carry them from")
-            u, k, l = link
-            b = bounds[v] = bounds[u]
-            if sum(1 for x, y in zip(b, b[1:]) if y > x) > 1:
-                f, g = R.arrows[k][2], R.arrows[l][2]
-                Tv = T[v] = f if T[u] is None else f @ T[u]
-                Tinv[v] = g if Tinv[u] is None else Tinv[u] @ g
-                ident.update((k, l))
-                for p, x, y in zip(parts, b, b[1:]):
-                    p[v] = Tv.select_cols(range(x, y)) if y > x else _zeros(d, 0)
-            else:
-                for p, x, y in zip(parts, b, b[1:]):
-                    p[v] = Mat.scalar(d, ONE) if y > x else _zeros(d, 0)
-            continue
-        Tv = _zeros(d, 0).hstack(*(p[v] for p in parts))
-        if Tv.cols != d:
-            raise DomainError(f"the parts hold {Tv.cols} columns at vertex {v} of dimension {d}")
-        if not Tv.is_identity():
-            inv = invert(Tv)
-            if inv is None:
-                raise DomainError(f"the parts do not form a basis at vertex {v}")
-            T[v], Tinv[v] = Tv, inv
-        bounds[v] = tuple(accumulate((p[v].cols for p in parts), initial=0))
-    diagonals = {}
-
-    def diagonal(bs: Tuple[int, ...], bt: Tuple[int, ...], c: Scalar) -> List[Mat]:
-        # every part's block c*I, or zero when c is, of an arrow between
-        # vertices of these offsets: one list per offsets and scalar, shared,
-        # as Mats born of ints are never written
-        key = (bs, bt, c.nre, c.nim, c.den)
-        blocks = diagonals.get(key)
-        if blocks is None:
-            blocks = diagonals[key] = [
-                _zeros(y - x, b - a) if c.is_zero() else Mat.scalar(y - x, c)
-                for x, y, a, b in zip(bt, bt[1:], bs, bs[1:])
-            ]
-        return blocks
-
-    arrows: List[list] = [[] for _ in parts]
-    for j, (s, t, f) in enumerate(R.arrows):
-        bs, bt = bounds[s], bounds[t]
-        c = ONE if j in ident else f.scalar_value() if s == t else None
-        if c is None and f.is_zero():
-            c = ZERO
-        if c is not None:
-            for out, block in zip(arrows, diagonal(bs, bt, c)):
-                out.append((s, t, block))
-            continue
-        X = f if T[s] is None else f @ T[s]
-        if Tinv[t] is not None:
-            X = Tinv[t] @ X
-        re, im, sc = X._int()
-        for k, out in enumerate(arrows):
-            a, b = bs[k], bs[k + 1]
-            if bt[k] == bt[k + 1] or a == b:
-                # no target, or no source: the part's rows of X must vanish
-                for r in range(bt[k], bt[k + 1]):
-                    if any(re[r]) or im is not None and any(im[r]):
-                        return None
-                out.append((s, t, diagonal(bs, bt, ZERO)[k]))
-                continue
-            if b - a == X.cols and bt[k + 1] - bt[k] == X.rows:
-                # this part holds both spaces, so its block is all of X
-                out.append((s, t, X))
-                continue
-            rows = []
-            for r in range(bt[k], bt[k + 1]):
-                row, irow = re[r], None if im is None else im[r]
-                if any(row[:a]) or any(row[b:]) or irow is not None and (any(irow[:a]) or any(irow[b:])):
-                    return None
-                rows.append(_lowest(row[a:b], None if irow is None else irow[a:b], sc[r]))
-            out.append((s, t, _mat(len(rows), b - a, *_unzip(rows))))
-    return [QuiverRep([p[v].cols for v in range(n)], out) for p, out in zip(parts, arrows)]
+    transport = ForestTransport(R, (range(n), [None] * n))
+    return None if transport.contract(parts) is None else transport.expand()

@@ -15,6 +15,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Option
 
 from .linalg import (
     DomainError,
+    ForestTransport,
     Mat,
     QuiverRep,
     _zeros,
@@ -24,7 +25,6 @@ from .linalg import (
     restrict,
     retraction,
     rref,
-    split,
 )
 from .local_ideals import LocalIdeal, MaxIdeal, quotient_basis
 from .poly import MultiPoly
@@ -35,8 +35,9 @@ Window = Tuple[Tuple[int, int], ...]
 
 # most points a window box given on the command line may hold.  Decomposing
 # a window now costs time linear in its points (block-split of a 1,000-point
-# Ms window with s = 3 takes about 0.3 s on a 2-CPU machine); a larger value
-# waits until every window command has been timed at it.
+# Ms window with s = 3 takes about 0.02 s in `block_decompose` and 0.2 s as
+# a whole `--json` CLI process on a 2-vCPU machine); a larger value waits
+# until every window command has been timed at it.
 MAX_WINDOW_POINTS = 1_000
 
 # longest Ms module the command line may build.  Its weight spaces are
@@ -542,12 +543,12 @@ def _socle_projector(M: ModuleWindow, slot: int, p: Point) -> Optional[Mat]:
 def annihilator_dset(M: ModuleWindow, strict: bool = True) -> Tuple[FrozenSet[int], AnnihilatorLabel]:
     """The degenerate slots of M, plus the annihilator label of the rest.
 
-    The slots are the union of the D of the nonempty blocks of
-    `block_decompose`, so the window must reach down to layer 0 in each
-    integer slot; a zero module has none.  With strict=True, M must be a
-    single block: more than one nonempty block is a DomainError naming
-    their labels."""
-    labels = [dset.D for dset, sub in block_decompose(M) if sub.spaces]
+    The slots are the union of the D of the blocks of `block_decompose`,
+    read at the roots of the contracted forest with no block built, so the
+    window must reach down to layer 0 in each integer slot; a zero module
+    has none.  With strict=True, M must be a single block: more than one
+    nonempty block is a DomainError naming their labels."""
+    labels = _block_labels(M)
     if strict and len(labels) > 1:
         raise DomainError(
             "module is not a single block: it has the blocks "
@@ -638,35 +639,44 @@ def _root_bases(M: ModuleWindow, p: Point, memos: Dict[int, Dict[Point, Mat]]) -
     return {D: I if Q is None else Q.select_cols(rref(Q)[1]) for D, Q in prefixes}
 
 
-def _block_parts(M: ModuleWindow):
-    """The blocks of a left window before they become windows: (pts, keys,
-    order, parts, pieces).  pts, keys are those of `M.quiver()`; order lists
-    the D of every block; parts[k][v] is the basis of block order[k] at
-    pts[v]; pieces[k] is the block as a `QuiverRep` in those bases."""
+def _transport(M: ModuleWindow) -> Tuple[List[Point], List[Tuple[str, int, Point]], ForestTransport]:
+    """The quiver of a left window, as (pts, keys) of `quiver`, and its
+    `ForestTransport` along the window's `opposite_forest`."""
     pts, keys, rep = M.quiver()
-    forest = opposite_forest(rep)
-    up = forest[1]
+    return pts, keys, ForestTransport(rep, opposite_forest(rep))
+
+
+def _contract_blocks(M: ModuleWindow, pts: List[Point], transport: ForestTransport) -> List[Tuple[int, ...]]:
+    """The D of every block of the left window M, in block order, with the
+    transport contracted to the blocks' bases at its roots (`_root_bases`),
+    so that its `bounds` hold each root's block offsets.  Every listed block
+    holds a basis at some root, so none is empty."""
+    rep = transport.rep
     dd = M.orbit.integer_slots()
     memos: Dict[int, Dict[Point, Mat]] = {i: {} for i in dd}
-    roots = {v: _root_bases(M, pts[v], memos) for v, d in enumerate(rep.dims) if d and up[v] is None}
-    order = [D for r in range(len(dd) + 1) for D in combinations(dd, r) if any(D in at_v for at_v in roots.values())]
-    parts: List[List[Optional[Mat]]] = [[] for _ in order]
-    for v, d in enumerate(rep.dims):
-        if up[v] is not None:
-            for part in parts:
-                part.append(None)
-            continue
-        at_v, empty = roots.get(v, {}), Mat(d, 0)
+    roots = {r: _root_bases(M, pts[r], memos) for r in transport.roots if rep.dims[r]}
+    order = [D for r in range(len(dd) + 1) for D in combinations(dd, r) if any(D in at_r for at_r in roots.values())]
+    parts: List[Dict[int, Mat]] = [{} for _ in order]
+    for r in transport.roots:
+        at_r, empty = roots.get(r, {}), Mat(rep.dims[r], 0)
         for D, part in zip(order, parts):
-            part.append(at_v.get(D, empty))
-        c = sum(part[-1].cols for part in parts)
-        if c != d:
-            raise DomainError(f"projector split does not exhaust the space at {pts[v]}: {c} of {d}")
-    pieces = split(rep, parts, forest)
-    if pieces is None:
-        q = _unstable_target(pts, rep, parts)
+            part[r] = at_r.get(D, empty)
+        c = sum(part[r].cols for part in parts)
+        if c != rep.dims[r]:
+            raise DomainError(f"projector split does not exhaust the space at {pts[r]}: {c} of {rep.dims[r]}")
+    if transport.contract(parts) is None:
+        q = _unstable_target(pts, rep, transport.bases())
         raise DomainError(f"bases are not stable under the generators into {q}")
-    return pts, keys, order, parts, pieces
+    return order
+
+
+def _block_labels(M: ModuleWindow) -> List[Tuple[int, ...]]:
+    """The D of the blocks of M, in block order, with no block built; a
+    right window's are those of the left window `dualize` makes of it."""
+    if M.side == "right":
+        M = dualize(M)
+    pts, _, transport = _transport(M)
+    return _contract_blocks(M, pts, transport)
 
 
 def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
@@ -683,20 +693,21 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
     (`linalg.opposite_forest`), and projectors, prefix products and pivot
     columns (`_root_bases`) are computed at its roots only.  Each P_i comes
     from the one a layer below (`_socle_unit`), kept across roots.
-    `linalg.split` carries the roots' bases down every tree, T_t = f T_s,
-    so every tree arrow is the identity in block coordinates; every other
-    arrow f : p -> q is conjugated to T_q^-1 f T_p and must be
-    block-diagonal.  At a non-root point of a tree with two or more blocks,
-    a block's basis is thus its root basis carried along the tree, not the
+    `linalg.ForestTransport` contracts the window to those roots and checks
+    that every arrow is block-diagonal, then expands it into one block per
+    D.  At a non-root point of a tree with two or more blocks, a block's
+    basis is thus its root basis carried along the tree, U_v T_r, not the
     pivot columns of P_D there; it spans the same space, as P_D commutes
     with the generators.  A tree with one block keeps the window's own
     coordinates.  An H_i of a weight module is a loop c*I, which is c*I in
-    every basis: `split` hands each block c*I of its size with no product.
-    On the 140 decompositions of a seed-7 `weight_modules` bench run this
-    takes 1.9x less time than projectors at every point (0.46 s against
-    0.87 s, best of 9 CPU timings, CPython 3.11, 2 vCPUs): 142 products
-    per decomposition instead of 243, 6.7 of them for projectors instead
-    of 108, and 1.7 inversions instead of 16.3.
+    every basis, so each block gets c*I of its size with no product.
+    `decompose_weight`, `annihilator_dset` and `is_absolutely_prime_window`
+    stop at the contraction and build no block.  On the 280 windows of the
+    first 400 jobs of a seed-7 `weight_modules` bench run this makes 135
+    products per decomposition, 7.2 of them for projectors, and 1.7
+    inversions; on the first 140 it takes 0.45 s against 0.56 s when
+    `split` carried bases to every vertex (medians of 6 alternating
+    best-of-20 CPU timings, CPython 3.11, 2 vCPUs).
 
     A right window is decomposed as the left window `dualize` makes of it:
     the blocks are the same subspaces, with the same labels, since
@@ -705,9 +716,10 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
     """
     if M.side == "right":
         return [(D, dualize(sub)) for D, sub in block_decompose(dualize(M))]
-    pts, keys, order, _, pieces = _block_parts(M)
+    pts, keys, transport = _transport(M)
+    order = _contract_blocks(M, pts, transport)
     blocks = []
-    for D, sub in zip(order, pieces):
+    for D, sub in zip(order, transport.expand()):
         spaces = {p: d for p, d in zip(pts, sub.dims) if d}
         maps = {key: f for key, (_, _, f) in zip(keys, sub.arrows) if key[2] in spaces}
         blocks.append((DSet(M.orbit, D), ModuleWindow._trusted(M.orbit, M.window, spaces, maps, M.side)))
@@ -715,18 +727,26 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
 
 
 def decompose_weight(M: ModuleWindow) -> Dict[DSet, int]:
-    """Multiset of simple labels of a weight module window."""
-    ok, bad = M.is_weight()
-    if not ok:
-        raise DomainError(f"module is not a weight module at point {bad}")
+    """Multiset of simple labels of a weight module window, read off the
+    block offsets at the roots of the window's forest with no block built:
+    a carried point has its root's block dimensions, so a block is
+    equidimensional exactly when its nonzero dimensions at the roots agree,
+    and that dimension is its multiplicity.  Each H_i loop's scalar is read
+    once, by the transport, for the weight test and for the contraction."""
+    L = dualize(M) if M.side == "right" else M
+    pts, keys, transport = _transport(L)
+    for j, c in transport.scalars.items():
+        _, i, p = keys[j]
+        if c != M.orbit.weight(i, p[i - 1]):
+            raise DomainError(f"module is not a weight module at point {p}")
+    order = _contract_blocks(L, pts, transport)
     out: Dict[DSet, int] = {}
-    for dset, sub in block_decompose(M):
-        if not is_equidimensional(sub):
+    for k, D in enumerate(order):
+        dset = DSet(M.orbit, D)
+        dims = {b[k + 1] - b[k] for b in transport.bounds.values()} - {0}
+        if len(dims) > 1:
             raise DomainError(f"block {dset!r} is not equidimensional")
-        if not sub.spaces:
-            continue
-        mult = next(iter(sub.spaces.values()))
-        out[dset] = out.get(dset, 0) + mult
+        out[dset] = dims.pop()
     return out
 
 
@@ -820,4 +840,4 @@ def is_absolutely_prime_window(M: ModuleWindow) -> bool:
     subfactor as off the block.  The window must reach down to layer 0 in
     each integer slot, as for `block_decompose`; a window that does not
     raises DomainError rather than answering False."""
-    return sum(1 for _, sub in block_decompose(M) if sub.spaces) == 1
+    return len(_block_labels(M)) == 1

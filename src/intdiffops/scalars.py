@@ -46,6 +46,11 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # rebuilt from the normalized triple, past the write guard, so
+        # pickle and copy.deepcopy work on Scalars and on what holds them
+        return _trusted, (self.nre, self.nim, self.den)
+
     # -- constructors -------------------------------------------------
 
     @staticmethod

@@ -26,10 +26,9 @@ from intdiffops.modules import (
     build_simple,
     decompose_weight,
     dualize,
-    _block_parts,
     _restrict_to_bases,
 )
-from test_modules import _reference_projector, direct_sum, scramble
+from test_modules import _block_parts, _reference_projector, direct_sum, scramble
 
 
 @st.composite
@@ -86,7 +85,7 @@ def test_transported_blocks_are_the_projector_images(case, side):
                 D: sum(1 for E, _ in planted if E == D) for D in want
             }
         return
-    pts, _, got_order, parts, _ = _block_parts(M)
+    pts, _, got_order, parts = _block_parts(M)
     assert got_order == order
     blocks = block_decompose(M)
     assert [tuple(sorted(ds.D)) for ds, _ in blocks] == order
@@ -110,7 +109,7 @@ def test_transported_blocks_are_the_projector_images(case, side):
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_a_broken_non_tree_arrow_is_not_stable(case, data):
     M, _ = case
-    pts, keys, order, parts, _ = _block_parts(M)
+    pts, keys, order, parts = _block_parts(M)
     index = {p: v for v, p in enumerate(pts)}
     _, up = opposite_forest(M.quiver()[2])
     tree = {k for link in up if link is not None for k in link[1:]}

@@ -25,9 +25,10 @@ from intdiffops.modules import (
     split_extension,
     support,
     window_isomorphism,
-    _block_parts,
+    _contract_blocks,
     _restrict_to_bases,
     _socle_projector,
+    _transport,
 )
 from intdiffops.scalars import ONE, Scalar
 from annihilator_reference import cyclic_closure
@@ -53,6 +54,14 @@ def scramble(M, rng):
             continue
         maps[(kind, slot, p)] = gq @ f @ invert(gp)
     return ModuleWindow(M.orbit, M.window, M.spaces, maps, M.side)
+
+
+def _block_parts(M):
+    """(pts, keys, order, parts) of a left window: parts[k][v] is the basis
+    of block order[k] at pts[v] in the coordinates of its decomposition."""
+    pts, keys, transport = _transport(M)
+    order = _contract_blocks(M, pts, transport)
+    return pts, keys, order, transport.bases()
 
 
 def direct_sum(A, B):
@@ -196,7 +205,7 @@ def test_block_decompose_matches_projector_reference(n, sizes, seed):
                 bases[D][p] = Mat(d, len(piv), [[E.data[r][c] for c in piv] for r in range(d)])
         assert total == I
     expected = [D for D, b in bases.items() if b]
-    pts, _, order, parts, _ = _block_parts(M)
+    pts, _, order, parts = _block_parts(M)
     got = block_decompose(M)
     assert [tuple(sorted(ds.D)) for ds, _ in got] == expected == order
     for (_, sub), D, part in zip(got, order, parts):
