@@ -9,7 +9,10 @@ ideals in two variables.
 Pencils (two vertices, two arrows), modules on one space (one vertex, a
 loop per action matrix) and module windows are `linalg.QuiverRep`s, so
 `linalg.hom_space`, one Krull-Schmidt splitter, `split_indecomposables`, and
-the isomorphism decision built on it, `isomorphism`, serve all of them.
+the isomorphism decision built on it, `isomorphism`, serve all of them.  A
+window is first contracted along its opposite forest
+(`linalg.ForestTransport.contracted`), whose End is the window's; pencils
+and one-space modules have no opposite pairs and are taken as they are.
 The splitter takes End from the intertwining equations, as tuples of
 vertex blocks, its radical from the trace form (characteristic zero), and
 splits along an element whose minimal polynomial factors into coprime
@@ -38,6 +41,7 @@ from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .linalg import (
+    ForestTransport,
     Mat,
     QuiverRep,
     _eliminate_q,
@@ -47,6 +51,7 @@ from .linalg import (
     hom_space,
     invert,
     kernel_basis,
+    opposite_forest,
     rank,
     retraction,
     sparse_rank,
@@ -480,12 +485,23 @@ def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, T
     per vertex (Krull-Schmidt by splitting End(R)).  R comes back whole,
     with identity embeddings, exactly when End(R) is local.
 
-    End(R) stays the per-vertex block tuples of `hom_space`: a splitting
-    element m = (m_v) with min poly f1*f2 gives the parts ker f_i(m_v) at
-    each vertex v.  A summand whose End/rad `_splitting_element` can neither
-    split nor certify a field raises DomainError."""
+    A representation with opposite pairs (a module window) is split as its
+    contraction along its `opposite_forest`, whose End is End(R) as an
+    algebra; each summand comes back as a representation of R's quiver
+    (`ForestTransport.expand_rep`), with its embeddings carried down the
+    trees (`expand_map`).  End(R) stays the per-vertex block tuples of
+    `hom_space`: a splitting element m = (m_v) with min poly f1*f2 gives
+    the parts ker f_i(m_v) at each vertex v.  A summand whose End/rad
+    `_splitting_element` can neither split nor certify a field raises
+    DomainError."""
     if not any(R.dims):
         return []
+    transport = _contraction(R)
+    if transport is not None:
+        return [
+            (transport.expand_rep(piece), tuple(transport.expand_map(emb)))
+            for piece, emb in split_indecomposables(transport.contracted(), field)
+        ]
     split_by = _splitting_element(R, field)
     if split_by is None:
         return [(R, tuple(Mat.scalar(d, ONE) for d in R.dims))]
@@ -504,6 +520,13 @@ def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, T
     return out
 
 
+def _contraction(R: QuiverRep) -> Optional[ForestTransport]:
+    """The transport of R along its `opposite_forest`, or None when the
+    forest has no tree arrow (as for pencils and one-space modules)."""
+    forest = opposite_forest(R)
+    return None if all(x is None for x in forest[1]) else ForestTransport(R, forest)
+
+
 def _invertible_hom(homs: List[Tuple[Mat, ...]]) -> Optional[Tuple[Mat, ...]]:
     """The first hom whose blocks are all invertible, or None."""
     return next((h for h in homs if all(rank(b) == b.rows for b in h)), None)
@@ -513,6 +536,31 @@ def isomorphism(M: QuiverRep, N: QuiverRep) -> Optional[Tuple[Mat, ...]]:
     """The blocks of an isomorphism M -> N, one per vertex, or None when
     there is none.  An exact decision, over Q(i) if an entry of M or N is
     not real and over Q otherwise; by Noether-Deuring the answer is the same.
+
+    When M has opposite pairs (a module window), the decision runs on M and
+    N contracted along M's `opposite_forest`, and only the blocks it
+    returns are expanded (`ForestTransport.expand_map`).  An isomorphism
+    conjugates g f, so a tree pair of M that is not inverse in N proves
+    None first.  See `_isomorphism` for the decision itself.
+    """
+    if M.dims != N.dims:
+        return None
+    if not any(M.dims):
+        return tuple(Mat(0, 0) for _ in M.dims)
+    field = _entry_field(M, N)
+    tm = _contraction(M)
+    if tm is None:
+        return _isomorphism(M, N, field)
+    pairs = [(k, l) for _, k, l in filter(None, tm.up)]
+    if not all((N.arrows[l][2] @ N.arrows[k][2]).is_identity() for k, l in pairs):
+        return None
+    tn = ForestTransport(N, (tm.order, tm.up))
+    X = _isomorphism(tm.contracted(), tn.contracted(), field)
+    return None if X is None else tuple(tn.expand_map(X, tm))
+
+
+def _isomorphism(M: QuiverRep, N: QuiverRep, field: Field) -> Optional[Tuple[Mat, ...]]:
+    """The decision of `isomorphism`, splitting over the given field.
 
     A hom is an isomorphism when every block is invertible.  The first such
     basis element of Hom(M, N) wins, and a vector that every hom's block at
@@ -526,10 +574,6 @@ def isomorphism(M: QuiverRep, N: QuiverRep) -> Optional[Tuple[Mat, ...]]:
     phi_j, put side by side through the embeddings E_j of M and F_j of N,
     give phi_v = [F_j phi_j ...] [E_j ...]^-1.
     """
-    if M.dims != N.dims:
-        return None
-    if not any(M.dims):
-        return tuple(Mat(0, 0) for _ in M.dims)
     homs = hom_space(M, N)
     iso = _invertible_hom(homs)
     if iso is not None or not homs:
@@ -538,7 +582,6 @@ def isomorphism(M: QuiverRep, N: QuiverRep) -> Optional[Tuple[Mat, ...]]:
         # a vector that every hom's block kills on the left or on the right
         if d and (rank(blocks[0].hstack(*blocks[1:])) < d or rank(reduce(Mat.vstack, blocks)) < d):
             return None
-    field = _entry_field(M, N)
     pieces_m = split_indecomposables(M, field)
     if len(pieces_m) == 1:
         return None

@@ -19,17 +19,26 @@ but a root is inverted, and checks every other arrow once.  A window's
 block decomposition then needs projectors only at the roots, and its
 labels need no block at all (1.7 inversions and 135 products per
 decomposition on the 280 of the first 400 jobs of a seed-7
-`weight_modules` bench run).  `split` is its forest-free case.  Deciding
-isomorphism needs the Krull-Schmidt splitter, so it lives in `classify`.
+`weight_modules` bench run).  `split` is its forest-free case.  The same
+transport contracts a window for its Hom spaces: `contracted` keeps one
+vertex per root and conjugates every other arrow to F = U_t^-1 f U_s, so
+Hom of two windows contracted along one forest is Hom of the contractions,
+and `expand_map` carries each solution back, phi_v = U^N_v X_r (U^M_v)^-1.
+End of a scrambled M(5,0) + M(2,0) on 21 points (147 dimensions) is then a
+7x7 system at one root, 49 unknowns instead of 1,029, and takes 0.04 s
+instead of 26.6 s.  Deciding isomorphism needs the Krull-Schmidt splitter,
+so it lives in `classify`.
 
 A `Mat` works on integer rows.  Row i is a list of ints over one positive
 scale (and a second list for the imaginary parts over Q(i)), in lowest
 terms, so the form is canonical.  Products, sums, stacks, slices and scalar
 multiples compute the integer result directly and reduce each output row by
 one gcd with its scale; a right operand of `@` keeps its columns over a
-common scale.  Scalars are built only when `.data` is read: for printing,
-JSON, and the callers that walk entries.  Rows are never written once a
-Mat holds them, so Mats may share rows.
+common scale.  A product of two real matrices, as most products of a
+contracted window are (1x1 to 3x3), runs one loop of dense dot products,
+taking a mostly zero row nonzero by nonzero.  Scalars are built only when
+`.data` is read: for printing, JSON, and the callers that walk entries.
+Rows are never written once a Mat holds them, so Mats may share rows.
 
 Elimination has one kernel, `_sparse_echelon` and `_sparse_rref`, on rows
 that are dicts of their nonzero integer entries (`_sparse_rows`), with the
@@ -58,6 +67,7 @@ from __future__ import annotations
 
 from itertools import accumulate, chain
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar, common_den
@@ -205,8 +215,16 @@ class Mat:
 
     def __matmul__(self, other: "Mat") -> "Mat":
         """Row i of A times B's columns over a common scale s: integer dot
-        products over the nonzero entries of the row, then one gcd with the
-        row's denominator scale_i * s."""
+        products, then one gcd with the row's denominator scale_i * s.
+
+        When both operands are real, one loop builds the result's rows and
+        scales directly: a row with at least half its entries nonzero takes
+        the dense dot sum(map(mul, row, col)), a sparser one a dot over its
+        nonzero entries (a dense dot everywhere took a 120x120, 5 %-dense
+        product from 8 ms to 50 ms).  That loop is what the contracted
+        window Hom spaces spend their time in, on 1x1 to 3x3 blocks: a 2x2
+        product takes 3.4 us against 5.9 us through the (re, im, scale) row
+        tuples of the Gaussian loop below (CPython 3.11, 2 vCPUs)."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if not (self.rows and self.cols and other.cols):
@@ -214,6 +232,29 @@ class Mat:
         are, aim, asc = self._int()
         bre, bim, s = other._columns()
         zero = [0] * other.cols
+        if aim is None and bim is None:
+            half = self.cols // 2
+            rows, scales = [], []
+            for ar, d in zip(are, asc):
+                zeros = ar.count(0)
+                if zeros <= half:
+                    re = [sum(map(mul, ar, col)) for col in bre]
+                elif zeros == self.cols:
+                    rows.append(zero)
+                    scales.append(1)
+                    continue
+                else:
+                    nz = [(k, a) for k, a in enumerate(ar) if a]
+                    re = [sum([a * col[k] for k, a in nz]) for col in bre]
+                d *= s
+                if d != 1:
+                    g = gcd(d, *re)
+                    if g != 1:
+                        re = [v // g for v in re]
+                        d //= g
+                rows.append(re)
+                scales.append(d)
+            return _mat(self.rows, other.cols, rows, None, scales)
         out = []
         for i, ar in enumerate(are):
             ai = None if aim is None else aim[i]
@@ -771,10 +812,15 @@ class BlockSystem:
     is unknown number offset_v + l*dims_n[v] + k.  Every arrow gives the rows
     of phi_t f - g phi_s = 0, entry (i, j) column-major, each stored as a
     sparse row (see `sparse_kernel`) with at most dims_m[t] + dims_n[s]
-    entries; zero rows are not stored, and `gaussian` says whether entries
-    are (re, im) pairs.  solve() returns a basis of the solutions as tuples
-    of blocks, one per vertex: the `kernel_basis` of the same equations,
-    cut into blocks.
+    entries; zero rows are not stored, nor a loop's row that an earlier
+    loop gave, and `gaussian` says whether entries are (re, im) pairs.
+    Contracted windows repeat loop rows: each weight's H_i loop there is
+    the root's plus an integer on both sides, which gives the root's
+    equations again, and dropping the repeats makes End of the scrambled
+    147-dimensional window (21 such loops at one root) 0.03 s instead of
+    0.17 s.
+    solve() returns a basis of the solutions as tuples of blocks, one per
+    vertex: the `kernel_basis` of the same equations, cut into blocks.
     """
 
     def __init__(self, dims_m: Sequence[int], dims_n: Sequence[int], arrows):
@@ -789,8 +835,10 @@ class BlockSystem:
             self.total += m * n
         arrows = list(arrows)
         self.gaussian = any(f._int()[1] is not None or g._int()[1] is not None for _, _, f, g in arrows)
-        # the system's nonzero rows, sparse (see `sparse_kernel`) and primitive
+        # the system's nonzero rows, sparse (see `sparse_kernel`) and
+        # primitive, and the entries of those that loops gave
         self.rows: List[dict] = []
+        self._looped: set = set()
         for s, t, f, g in arrows:
             self._add_arrow(s, t, f, g)
 
@@ -856,8 +904,15 @@ class BlockSystem:
                             row[c] = x
                         else:
                             del row[c]
-                if row:
-                    self.rows.append(primitive(row))
+                if not row:
+                    continue
+                row = primitive(row)
+                if s == t:
+                    key = frozenset(row.items())
+                    if key in self._looped:
+                        continue
+                    self._looped.add(key)
+                self.rows.append(row)
 
     def solve(self) -> List[Tuple[Mat, ...]]:
         """Basis of the Hom space, each element a tuple of blocks phi_v,
@@ -904,7 +959,8 @@ class QuiverRep:
 
 def hom_space(M: QuiverRep, N: QuiverRep) -> List[Tuple[Mat, ...]]:
     """Basis of Hom(M, N) for two representations whose arrows pair up in
-    order; the one place that builds a `BlockSystem`."""
+    order; the one place that builds a `BlockSystem`.  Windows reach it
+    contracted (`ForestTransport.contracted`)."""
     arrows = [(s, t, f, g) for (s, t, f), (_, _, g) in zip(M.arrows, N.arrows)]
     return BlockSystem(M.dims, N.dims, arrows).solve()
 
@@ -912,12 +968,17 @@ def hom_space(M: QuiverRep, N: QuiverRep) -> List[Tuple[Mat, ...]]:
 def restrict(R: QuiverRep, bases: Sequence[Mat]) -> Optional[QuiverRep]:
     """R on the spans of the columns of bases[v], in those coordinates, or
     None when an arrow maps a basis outside the one at its target.  One solve
-    per target vertex, over the images of all arrows into it side by side."""
-    into = {}
-    for k, (s, t, _) in enumerate(R.arrows):
-        if bases[s].cols:
-            into.setdefault(t, []).append(k)
-    maps = {}
+    per target vertex, over the images of all arrows into it side by side;
+    a loop c*I keeps every span and restricts to c*I with no solve."""
+    into, maps = {}, {}
+    for k, (s, t, f) in enumerate(R.arrows):
+        d = bases[s].cols
+        if d:
+            c = f.scalar_value() if s == t else None
+            if c is None:
+                into.setdefault(t, []).append(k)
+            else:
+                maps[k] = Mat.scalar(d, c)
     for t, ks in into.items():
         imgs = [R.arrows[k][2] @ bases[R.arrows[k][0]] for k in ks]
         X = solve_linear(bases[t], imgs[0].hstack(*imgs[1:]))
@@ -934,24 +995,29 @@ def restrict(R: QuiverRep, bases: Sequence[Mat]) -> Optional[QuiverRep]:
     return QuiverRep([B.cols for B in bases], arrows)
 
 
-def opposite_forest(R: QuiverRep) -> Tuple[List[int], List[Optional[Tuple[int, int, int]]]]:
-    """A BFS spanning forest of R over its opposite pairs, as (order, up).
+def opposite_forest(R: QuiverRep, *others: QuiverRep) -> Tuple[List[int], List[Optional[Tuple[int, int, int]]]]:
+    """A BFS spanning forest of R over the opposite pairs it shares with the
+    other representations of its quiver (arrows paired in order), as
+    (order, up).
 
     An opposite pair is an arrow f : s -> t and the first arrow g : t -> s,
-    s != t, with dims[s] = dims[t] > 0 and g f = 1 (so f g = 1 too: f and g
-    are mutually inverse).  Roots are taken in vertex order, and each tree
-    grows breadth first, so its paths stay short.  `order` lists every
-    vertex, each after its parent; up[v] is (u, k, l) for the parent u, the
-    arrow k : u -> v and the arrow l : v -> u, and None at a root.  The
-    product g f is formed only when the search first reaches t through the
-    pair, so each pair is checked at most once.
+    s != t, with dims[s] = dims[t] and g f = 1 in every representation (so
+    f g = 1 too: f and g are mutually inverse), and dims[s] > 0 in one of
+    them.  Roots are taken in vertex order, and each tree grows breadth
+    first, so its paths stay short.  `order` lists every vertex, each after
+    its parent; up[v] is (u, k, l) for the parent u, the arrow k : u -> v
+    and the arrow l : v -> u, and None at a root.  The products g f are
+    formed only when the search first reaches t through the pair, so each
+    pair is checked at most once.
 
     Off the degenerate layer, d_i and int_i of a module window are such a
     pair, so a window's trees cover every run of equal dimensions (see
     `ForestTransport` and `modules.block_decompose`).  On the 280
     decompositions of the first 400 jobs of a seed-7 `weight_modules` bench
     run the pair checks take 30.6 of the 135 products per decomposition."""
+    reps = (R, *others)
     n = len(R.dims)
+    dims = list(zip(*(S.dims for S in reps)))
     first, out = {}, [[] for _ in range(n)]
     for k, (s, t, _) in enumerate(R.arrows):
         if s != t and (s, t) not in first:
@@ -966,13 +1032,13 @@ def opposite_forest(R: QuiverRep) -> Tuple[List[int], List[Optional[Tuple[int, i
         seen[root] = True
         queue = [root]
         for u in queue:
-            d = R.dims[u]
-            for t in out[u] if d else ():
+            d = dims[u]
+            for t in out[u] if any(d) else ():
                 l = first.get((t, u))
-                if seen[t] or l is None or R.dims[t] != d:
+                if seen[t] or l is None or dims[t] != d:
                     continue
                 k = first[u, t]
-                if (R.arrows[l][2] @ R.arrows[k][2]).is_identity():
+                if all((S.arrows[l][2] @ S.arrows[k][2]).is_identity() for S in reps):
                     seen[t] = True
                     up[t] = (u, k, l)
                     queue.append(t)
@@ -1018,6 +1084,12 @@ class ForestTransport:
     every vertex in those coordinates.  With forest-free parts (`split`)
     every vertex is a root and every X is T_t^-1 f T_s.
 
+    For Hom spaces the transport contracts R itself: `contracted()`
+    carries U down every tree and gives R on the roots, `expand_map` takes
+    maps of the contraction back to every vertex, `expand_rep` takes a
+    summand of it back to R's quiver, and `carries` tests whether bases
+    given at every vertex are the carried root bases.
+
     On the 280 decompositions of the first 400 jobs of a seed-7
     `weight_modules` bench run, `modules.decompose_weight` contracts with
     1.7 inversions, 135 products (7.2 of them for the root projectors and
@@ -1036,6 +1108,8 @@ class ForestTransport:
             if up[v] is not None:
                 self.root[v] = self.root[up[v][0]]
         self.roots = [v for v in self.order if up[v] is None]
+        # each root's vertex in the contracted representation
+        self._index = {r: i for i, r in enumerate(self.roots)}
         self.scalars = {j: f.scalar_value() for j, (s, t, f) in enumerate(R.arrows) if s == t and R.dims[s]}
         # filled by contract: each root's part offsets, T_r and T_r^-1 of the
         # roots whose bases are not the identity, U_v of the carried vertices,
@@ -1045,6 +1119,8 @@ class ForestTransport:
         self._parts: Sequence = ()
         self._T, self._Tinv, self._U, self._Uinv = {}, {}, {}, {}
         self._hol: list = []
+        # filled by contracted: the arrows off the trees, in order
+        self._kept: List[int] = []
 
     def contract(self, parts: Sequence) -> Optional[Dict[int, Tuple[int, ...]]]:
         """Each root's part offsets (`bounds`), or None when some arrow is
@@ -1067,14 +1143,8 @@ class ForestTransport:
             b = bounds[r] = tuple(accumulate((p[r].cols for p in parts), initial=0))
             held = [k for k, (x, y) in enumerate(zip(b, b[1:])) if y > x]
             sole[r] = held[0] if len(held) == 1 else None
-        tree = set()
-        for v in self.order:
-            # a tree vertex has positive dimension, so its root holds a part
-            if up[v] is not None and sole[root[v]] is None:
-                u, k, l = up[v]
-                f = R.arrows[k][2]
-                U[v] = f @ U[u] if u in U else f
-                tree.update((k, l))
+        # a tree vertex has positive dimension, so its root holds a part
+        tree = self._carry({r for r in self.roots if sole[r] is None})
         hol = self._hol = []
         scalars = self.scalars
         for j, (s, t, f) in enumerate(R.arrows):
@@ -1107,6 +1177,111 @@ class ForestTransport:
                 return None
             hol.append(X)
         return bounds
+
+    def _carry(self, roots) -> set:
+        """U_v = f U_u down the trees of the given roots, one product per
+        tree arrow (U_v = f next to the root); returns those trees' arrows."""
+        R, root, up, U = self.rep, self.root, self.up, self._U
+        tree = set()
+        for v in self.order:
+            if up[v] is not None and root[v] in roots:
+                u, k, l = up[v]
+                f = R.arrows[k][2]
+                U[v] = f @ U[u] if u in U else f
+                tree.update((k, l))
+        return tree
+
+    def contracted(self) -> QuiverRep:
+        """R contracted along the forest: one vertex per root, in `roots`
+        order, of the root's dimension, and each arrow f : s -> t off the
+        trees, in order, as F = U_t^-1 f U_s between the roots of s and t;
+        the tree arrows vanish.  U is carried down every tree, and U_t^-1 is
+        made along the tree pairs only where a target needs it.  A c*I loop
+        and a zero map are their own F, and an arrow inside one tree whose
+        f U_s is U_t gives F = I.
+
+        Hom(M, N) of two representations contracted along one forest that
+        both admit is Hom of the contracted ones: the tree arrows fix phi_v
+        = U^N_v X_r (U^M_v)^-1 from the block X_r at the root r of v, and
+        the other arrows ask X_r(t) F^M = F^N X_r(s) (see `expand_map`).  So
+        End(M) and End(C) are isomorphic algebras, and M and N are
+        isomorphic exactly when their contractions are; on a window the
+        contracted quiver has one vertex per run of equal dimensions."""
+        R, root, U = self.rep, self.root, self._U
+        tree = self._carry(set(self.roots))
+        index = self._index
+        self._kept, arrows = [], []
+        for j, (s, t, f) in enumerate(R.arrows):
+            if j in tree:
+                continue
+            self._kept.append(j)
+            if (s in U or t in U) and self.scalars.get(j) is None and not f.is_zero():
+                X = f @ U[s] if s in U else f
+                if t not in U:
+                    f = X
+                elif root[s] == root[t] and X == U[t]:
+                    f = Mat.scalar(R.dims[t], ONE)
+                else:
+                    f = self._inverse(t) @ X
+            arrows.append((index[root[s]], index[root[t]], f))
+        return QuiverRep([R.dims[r] for r in self.roots], arrows)
+
+    def expand_map(self, blocks: Sequence[Mat], source: Optional["ForestTransport"] = None) -> List[Mat]:
+        """Per vertex v, U_v B_r (U^source_v)^-1 for the block B_r of v's
+        root r, blocks in `roots` order, after `contracted`: a map of the
+        contracted representations expanded to every vertex.  With no
+        source it is U_v B_r, the carried basis or embedding of B_r; with
+        the transport of the source along the same forest it is the
+        hom phi_v of a contracted hom X."""
+        index, U = self._index, self._U
+        out = []
+        for v, r in enumerate(self.root):
+            B = blocks[index[r]]
+            if v in U:
+                B = U[v] @ B
+            if source is not None and v in source._U:
+                B = B @ source._inverse(v)
+            out.append(B)
+        return out
+
+    def carries(self, bases: Sequence[Mat]) -> bool:
+        """Whether bases[v] holds independent columns spanning U_v B_r at
+        every carried vertex v, B_r = bases[r] at v's root r, after
+        `contracted`: whether the echelon form of [bases[v] | U_v B_r] has
+        its pivots in exactly the columns of bases[v].  When B_r is
+        independent that is span(U_v B_r) = span(bases[v])."""
+        root = self.root
+        for v, U in self._U.items():
+            B, c = bases[v], bases[v].cols
+            if bases[root[v]].cols != c:
+                return False
+            if not c:
+                continue
+            re, im, _ = B.hstack(U @ bases[root[v]])._int()
+            pivots = _sparse_echelon(_sparse_rows(re, im), 2 * c, im is not None)
+            if [p for p, _ in pivots] != list(range(c)):
+                return False
+        return True
+
+    def expand_rep(self, piece: QuiverRep) -> QuiverRep:
+        """A representation of the contracted quiver (a summand of
+        `contracted()`, say) as one of R's quiver: each vertex gets its
+        root's space, the tree arrows the identity and every other arrow
+        its map in the piece.  With the embeddings `expand_map` gives, a
+        summand of the contraction becomes a summand of R."""
+        dims = [piece.dims[self._index[r]] for r in self.root]
+        maps = dict(zip(self._kept, (f for _, _, f in piece.arrows)))
+        ident = {}
+        arrows = []
+        for j, (s, t, _) in enumerate(self.rep.arrows):
+            f = maps.get(j)
+            if f is None:
+                d = dims[s]
+                f = ident.get(d)
+                if f is None:
+                    f = ident[d] = Mat.scalar(d, ONE)
+            arrows.append((s, t, f))
+        return QuiverRep(dims, arrows)
 
     def _inverse(self, v: int) -> Mat:
         """U_v^-1 = U_u^-1 g for the tree pair g : v -> u, made up the tree

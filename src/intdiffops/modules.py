@@ -558,11 +558,11 @@ def annihilator_dset(M: ModuleWindow, strict: bool = True) -> Tuple[FrozenSet[in
     return active, AnnihilatorLabel(tuple(j for j in range(1, M.n + 1) if j not in active))
 
 
-def _unstable_target(pts: List[Point], rep: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Point:
+def _unstable_target(pts: List[Point], rep: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[Point]:
     """The first point into which some generator maps a part's basis
-    outside that part's basis there."""
+    outside that part's basis there, or None when every part is stable."""
     into = (QuiverRep(rep.dims, [a for a in rep.arrows if a[1] == v]) for v in range(len(pts)))
-    return next(q for q, R in zip(pts, into) if any(restrict(R, full) is None for full in parts))
+    return next((q for q, R in zip(pts, into) if any(restrict(R, full) is None for full in parts)), None)
 
 
 def _restrict_to_bases(M: ModuleWindow, bases: Dict[Point, Mat]) -> ModuleWindow:
@@ -640,7 +640,7 @@ def _root_bases(M: ModuleWindow, p: Point, memos: Dict[int, Dict[Point, Mat]]) -
 
 
 def _transport(M: ModuleWindow) -> Tuple[List[Point], List[Tuple[str, int, Point]], ForestTransport]:
-    """The quiver of a left window, as (pts, keys) of `quiver`, and its
+    """The quiver of a window, as (pts, keys) of `quiver`, and its
     `ForestTransport` along the window's `opposite_forest`."""
     pts, keys, rep = M.quiver()
     return pts, keys, ForestTransport(rep, opposite_forest(rep))
@@ -788,17 +788,26 @@ def dualize(M: ModuleWindow) -> ModuleWindow:
 
 
 def hom_basis(M: ModuleWindow, N: ModuleWindow) -> List[Dict[Point, Mat]]:
-    """Basis of the space of window module maps M -> N: the Hom space of
-    the quiver whose vertices are the window points and whose arrows are
-    the in-window generator maps."""
+    """Basis of the space of window module maps M -> N.
+
+    The window quivers of M and N are contracted along one
+    `opposite_forest` that both admit (`ForestTransport.contracted`), their
+    Hom space is solved at the roots, and each basis element X is expanded
+    to phi_v = U^N_v X_r (U^M_v)^-1 at every point v of a tree with root
+    r."""
     if M.orbit != N.orbit or M.window != N.window or M.side != N.side:
         raise DomainError("modules live on different windows")
     pts, _, rep_m = M.quiver()
-    return [dict(zip(pts, h)) for h in hom_space(rep_m, N.quiver()[2])]
+    rep_n = N.quiver()[2]
+    forest = opposite_forest(rep_m, rep_n)
+    tm, tn = ForestTransport(rep_m, forest), ForestTransport(rep_n, forest)
+    return [dict(zip(pts, tn.expand_map(X, tm))) for X in hom_space(tm.contracted(), tn.contracted())]
 
 
 def window_isomorphism(M: ModuleWindow, N: ModuleWindow) -> Optional[Dict[Point, Mat]]:
-    """An invertible window module map M -> N, or None."""
+    """An invertible window module map M -> N, or None; decided on the
+    window quivers contracted along M's opposite forest
+    (`classify.isomorphism`)."""
     # classify imports this module, so the import waits for the call
     from .classify import isomorphism
 
@@ -814,19 +823,35 @@ def split_extension(
 ) -> Optional[Dict[Point, Mat]]:
     """Complement of a generator-stable submodule, or None when none exists.
 
-    S maps support points to column bases of the subspaces.  The answer is
-    the pointwise kernel of a module retraction M -> S, found in the Hom
-    space by `linalg.retraction`."""
+    S maps support points to column bases of the subspaces.  The window
+    quiver is contracted along its `opposite_forest`.  S must be carried
+    by the trees: at each point v of a tree with root r, U_v S_r spans S_v
+    with as many columns.  Restricted to the roots, S must be stable under
+    the contracted arrows; then S is a submodule, and a module retraction
+    M -> S is found at the roots, in the Hom space of the contracted
+    representations, by `linalg.retraction`.  The complement at v is U_v
+    ker rho_r.  A refusal names the first point into which a generator
+    maps S outside itself (`_unstable_target`), and a None is confirmed
+    by that check too, as the carried test cannot tell a dependent basis
+    from an unstable one."""
     Ssub = {p: B for p, B in S.items() if B.cols > 0}
     for p, B in Ssub.items():
         if B.rows != M.dim(p):
             raise DomainError(f"submodule basis at {p} has wrong height")
-    pts = sorted(M.points())
-    homs = [tuple(h[p] for p in pts) for h in hom_basis(M, _restrict_to_bases(M, Ssub))]
-    rho = retraction(homs, [Ssub.get(p, Mat(M.dim(p), 0)) for p in pts])
+    pts, _, transport = _transport(M)
+    rep = transport.rep
+    full = [Ssub.get(p, Mat(d, 0)) for p, d in zip(pts, rep.dims)]
+    C = transport.contracted()
+    at_roots = [full[r] for r in transport.roots]
+    sub = restrict(C, at_roots) if transport.carries(full) else None
+    rho = None if sub is None else retraction(hom_space(C, sub), at_roots)
     if rho is None:
+        q = _unstable_target(pts, rep, [full])
+        if q is not None:
+            raise DomainError(f"bases are not stable under the generators into {q}")
         return None
-    return {p: Mat.from_cols(kernel_basis(r), M.dim(p)) for p, r in zip(pts, rho)}
+    kernels = [Mat.from_cols(kernel_basis(r), d) for r, d in zip(rho, C.dims)]
+    return dict(zip(pts, transport.expand_map(kernels)))
 
 
 # -- absolute primeness ------------------------------------------------------

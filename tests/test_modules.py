@@ -379,6 +379,50 @@ def test_split_extension_rejects_unstable_subspaces():
         split_extension(M, S)
 
 
+def _first_summand_bases(g, M, A):
+    """The image, in the scrambled window M, of the first summand A of the
+    sum it scrambles by the bases g: the first A.dim(p) unit columns."""
+    return {p: g[p] @ Mat(M.dim(p), A.dim(p), [[int(r == c) for c in range(A.dim(p))] for r in range(M.dim(p))]) for p in A.spaces}
+
+
+def _scrambled_sum(A, B, seed):
+    rng = random.Random(seed)
+    S = direct_sum(A, B)
+    g = {p: rand_invertible(S.dim(p), rng) for p in S.support()}
+    maps = {}
+    for (kind, slot, p), f in S.maps.items():
+        q = S.target(kind, slot, p)
+        maps[(kind, slot, p)] = g[q] @ f @ invert(g[p]) if q in g and f.rows else f
+    return ModuleWindow(S.orbit, S.window, S.spaces, maps, S.side), g
+
+
+def test_split_extension_refuses_a_basis_bent_at_a_carried_point():
+    # simple + simple on -2..2 is one tree rooted at (-2,); S is the first
+    # summand except at (1,), a carried point, where it is the second: d_1 at
+    # (1,) maps it outside S at (0,), the first point a generator leaves S
+    orbit = Orbit.from_reps([0])
+    A = build_simple(DSet(orbit, set()), [(-2, 2)])
+    M, g = _scrambled_sum(A, A, 4)
+    S = _first_summand_bases(g, M, A)
+    S[(1,)] = g[(1,)] @ Mat(2, 1, [[0], [1]])
+    with pytest.raises(DomainError, match=r"^bases are not stable under the generators into \(0,\)$"):
+        split_extension(M, S)
+
+
+def test_split_extension_refuses_a_basis_unstable_off_the_trees():
+    # simple + simple({1}) on -2..2 has the trees {-2, -1, 0} and {1, 2}; S
+    # is the sum of the two summands' lines on 1..2, which the tree pair
+    # between 1 and 2 carries, but d_1 at (1,), between the trees, maps it
+    # onto the first summand's line at (0,), outside S = 0 there
+    orbit = Orbit.from_reps([0])
+    window = [(-2, 2)]
+    A, B = build_simple(DSet(orbit, set()), window), build_simple(DSet(orbit, {1}), window)
+    M, g = _scrambled_sum(A, B, 6)
+    S = {p: g[p] @ Mat(2, 1, [[1], [1]]) for p in B.spaces}
+    with pytest.raises(DomainError, match=r"^bases are not stable under the generators into \(0,\)$"):
+        split_extension(M, S)
+
+
 def test_absolutely_prime():
     orbit = Orbit.from_reps([0])
     window = [(-2, 2)]
