@@ -565,19 +565,6 @@ def _unstable_target(pts: List[Point], rep: QuiverRep, parts: Sequence[Sequence[
     return next((q for q, R in zip(pts, into) if any(restrict(R, full) is None for full in parts)), None)
 
 
-def _restrict_to_bases(M: ModuleWindow, bases: Dict[Point, Mat]) -> ModuleWindow:
-    """Submodule window in the coordinates of the given pointwise bases."""
-    pts, keys, rep = M.quiver()
-    full = [bases.get(p, Mat(M.dim(p), 0)) for p in pts]
-    sub = restrict(rep, full)
-    if sub is None:
-        q = _unstable_target(pts, rep, [full])
-        raise DomainError(f"bases are not stable under the generators into {q}")
-    spaces = {p: B.cols for p, B in bases.items() if B.cols > 0}
-    maps = {key: f for key, (_, _, f) in zip(keys, sub.arrows) if key[2] in spaces}
-    return ModuleWindow(M.orbit, M.window, spaces, maps, M.side)
-
-
 def _socle_unit(M: ModuleWindow, slot: int, p: Point, memo: Dict[Point, Mat]) -> Mat:
     """Window matrix at the support point p of the diagonal socle unit at
     layer p_slot: zero below layer 1, 1 - int d on layer 1, and above it

@@ -10,20 +10,40 @@ slots reach layer 0:
 - `is_absolutely_prime_window` compares the annihilator of M with that of
   every cyclic submodule (`cyclic_closure`) and its quotient
   (`quotient_module`).
+
+`restrict_to_bases` restricts a window to pointwise bases on its whole
+quiver, one solve per point; the tests use it to check that bases span a
+submodule and to read the submodule's maps.
 """
 
 from typing import Dict, List
 
-from intdiffops.linalg import Mat, column_space_basis, invert, rank
+from intdiffops.linalg import Mat, column_space_basis, invert, rank, restrict
 from intdiffops.modules import (
     AnnihilatorLabel,
     DomainError,
     Fiber,
     ModuleWindow,
-    _restrict_to_bases,
+    Point,
     _socle_projector,
+    _unstable_target,
 )
 from intdiffops.scalars import ONE, ZERO
+
+
+def restrict_to_bases(M: ModuleWindow, bases: Dict[Point, Mat]) -> ModuleWindow:
+    """Submodule window in the coordinates of the given pointwise bases,
+    restricted on every point's entries; a DomainError names the first
+    point into which a generator maps the bases outside themselves."""
+    pts, keys, rep = M.quiver()
+    full = [bases.get(p, Mat(M.dim(p), 0)) for p in pts]
+    sub = restrict(rep, full)
+    if sub is None:
+        q = _unstable_target(pts, rep, [full])
+        raise DomainError(f"bases are not stable under the generators into {q}")
+    spaces = {p: B.cols for p, B in bases.items() if B.cols > 0}
+    maps = {key: f for key, (_, _, f) in zip(keys, sub.arrows) if key[2] in spaces}
+    return ModuleWindow(M.orbit, M.window, spaces, maps, M.side)
 
 
 def in_span(vec: Mat, basis: List[Mat]) -> bool:
@@ -156,7 +176,7 @@ def is_absolutely_prime_window(M: ModuleWindow) -> bool:
             v = Mat.col_vector([ONE if r == j else ZERO for r in range(M.dim(p))])
             sub = cyclic_closure(M, p, v)
             try:
-                if annihilator_dset(_restrict_to_bases(M, sub))[1] != base:
+                if annihilator_dset(restrict_to_bases(M, sub))[1] != base:
                     return False
                 qw = quotient_module(M, sub)
                 if qw.spaces and annihilator_dset(qw)[1] != base:
