@@ -555,7 +555,7 @@ def isomorphism(M: QuiverRep, N: QuiverRep) -> Optional[Tuple[Mat, ...]]:
     if not all((N.arrows[l][2] @ N.arrows[k][2]).is_identity() for k, l in pairs):
         return None
     tn = ForestTransport(N, (tm.order, tm.up))
-    X = _isomorphism(tm.contracted(), tn.contracted(), field)
+    X = _isomorphism(tm.contracted(tn), tn.contracted(tm), field)
     return None if X is None else tuple(tn.expand_map(X, tm))
 
 

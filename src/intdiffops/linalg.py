@@ -8,26 +8,18 @@ of right-hand sides.  It is also the one place that writes and solves
 Hom spaces.  Pencils, modules on one space and module windows are all
 `QuiverRep`s; `hom_space` turns the intertwining equations phi_t f = g phi_s
 of two of them into one `BlockSystem`, `restrict` gives the
-sub-representation on per-vertex bases, and `split` the summands of a
-direct sum given by bases that fill every vertex.  `opposite_forest` spans
-a representation by opposite pairs, arrows f : s -> t and g : t -> s with
-g f = 1, such as d_i and int_i of a module window off its degenerate
-layer.  `ForestTransport` contracts a representation along such a forest
-to bases given at the roots only: it carries U_t = f U_s down each tree,
-so the tree's arrows are the identity in block coordinates and no vertex
-but a root is inverted, and checks every other arrow once.  A window's
-block decomposition then needs projectors only at the roots, and its
-labels need no block at all (1.7 inversions and 135 products per
-decomposition on the 280 of the first 400 jobs of a seed-7
-`weight_modules` bench run).  `split` is its forest-free case.  The same
-transport contracts a window for its Hom spaces: `contracted` keeps one
-vertex per root and conjugates every other arrow to F = U_t^-1 f U_s, so
-Hom of two windows contracted along one forest is Hom of the contractions,
-and `expand_map` carries each solution back, phi_v = U^N_v X_r (U^M_v)^-1.
-End of a scrambled M(5,0) + M(2,0) on 21 points (147 dimensions) is then a
-7x7 system at one root, 49 unknowns instead of 1,029, and takes 0.04 s
-instead of 26.6 s.  Deciding isomorphism needs the Krull-Schmidt splitter,
-so it lives in `classify`.
+sub-representation on per-vertex bases, and `split`, in one pass over the
+arrows, the summands of a direct sum given by bases that fill every
+vertex.  `opposite_forest` spans a representation by opposite pairs,
+arrows f : s -> t and g : t -> s with g f = 1, such as d_i and int_i of a
+module window off its degenerate layer, and `ForestTransport` contracts it
+along them to one vertex per tree.  Hom, isomorphism and splitting of a
+window are solved on its contraction and carried back: End of a scrambled
+M(5,0) + M(2,0) on 21 points (147 dimensions) is a 7x7 system at one root,
+49 unknowns instead of 1,029, and takes 0.04 s instead of 26.6 s.  A
+window's blocks are the `split` of its contraction by their bases at the
+roots.  Deciding isomorphism needs the Krull-Schmidt splitter, so it lives
+in `classify`.
 
 A `Mat` works on integer rows.  Row i is a list of ints over one positive
 scale (and a second list for the imaginary parts over Q(i)), in lowest
@@ -65,6 +57,7 @@ in inversions) and no `rank`, each of at most 50 cells.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul
@@ -956,6 +949,12 @@ class QuiverRep:
         self.dims = tuple(dims)
         self.arrows = list(arrows)
 
+    @cached_property
+    def scalars(self) -> Dict[int, Optional[Scalar]]:
+        """scalars[j] = c when loop j, at a vertex of positive dimension, is
+        c*I, and None otherwise; each loop is read once, when first asked."""
+        return {j: f.scalar_value() for j, (s, t, f) in enumerate(self.arrows) if s == t and self.dims[s]}
+
 
 def hom_space(M: QuiverRep, N: QuiverRep) -> List[Tuple[Mat, ...]]:
     """Basis of Hom(M, N) for two representations whose arrows pair up in
@@ -1012,9 +1011,7 @@ def opposite_forest(R: QuiverRep, *others: QuiverRep) -> Tuple[List[int], List[O
 
     Off the degenerate layer, d_i and int_i of a module window are such a
     pair, so a window's trees cover every run of equal dimensions (see
-    `ForestTransport` and `modules.block_decompose`).  On the 280
-    decompositions of the first 400 jobs of a seed-7 `weight_modules` bench
-    run the pair checks take 30.6 of the 135 products per decomposition."""
+    `ForestTransport` and `modules.block_decompose`)."""
     reps = (R, *others)
     n = len(R.dims)
     dims = list(zip(*(S.dims for S in reps)))
@@ -1047,57 +1044,18 @@ def opposite_forest(R: QuiverRep, *others: QuiverRep) -> Tuple[List[int], List[O
 
 
 class ForestTransport:
-    """Splitting of R into parts given at the roots of a spanning forest of
-    opposite pairs, as a contract/expand pair.
+    """R contracted along a spanning forest of opposite pairs, and maps and
+    representations of the contraction carried back.
 
-    `forest` is `opposite_forest(R)`, or every vertex its own root, as
-    `split` gives it.  Each loop's scalar is read once, when the transport
-    is made: scalars[j] is c when the loop arrow j, at a vertex of positive
-    dimension, is c*I, and None otherwise.
-
-    `contract(parts)` takes parts[k][r], a column basis of part k at every
-    root r; side by side in part order they form T_r, which must be
-    invertible (DomainError otherwise) and is inverted once.  Along a tree
-    whose root holds two or more nonempty parts it carries U_v = f U_u from
-    the root in R's own coordinates, U = I at the root, one product per
-    tree arrow.  Part k at v is then U_v T_r[k], so the tree arrows are the
-    identity in block coordinates and a carried vertex has its root's part
-    dimensions.  A tree with one nonempty part keeps R's own coordinates,
-    as that part is the whole space.  Every other arrow f : s -> t has the
-    holonomy F = U_t^-1 f U_s and must be block-diagonal, with no block
-    between two parts, in the coordinates X = T_r(t)^-1 F T_r(s).  Four
-    kinds of arrow need no product:
-    - a loop whose map is c*I, as c*I is the same in every basis;
-    - a zero map, which is zero in every basis;
-    - a tree arrow;
-    - an arrow whose two ends hold one part each, the same one: X is that
-      part's one block.
-    An arrow between vertices of one tree takes one product, f U_s, and
-    when that is U_t, F = I and so X = I.  Only the others are conjugated
-    and checked, and U_t^-1 = U_u^-1 g is made along the tree pairs g
-    only for the targets that need it.  contract returns each root's part
-    offsets, or None when some arrow is not block-diagonal.
-
-    `expand()` then gives R as the direct sum of its parts, one QuiverRep
-    per part with each arrow's diagonal block of X, equal to what `restrict`
-    solves for part by part; `bases()` gives the bases of every part at
-    every vertex in those coordinates.  With forest-free parts (`split`)
-    every vertex is a root and every X is T_t^-1 f T_s.
-
-    For Hom spaces the transport contracts R itself: `contracted()`
-    carries U down every tree and gives R on the roots, `expand_map` takes
-    maps of the contraction back to every vertex, `expand_rep` takes a
-    summand of it back to R's quiver, and `carries` tests whether bases
-    given at every vertex are the carried root bases.
-
-    On the 280 decompositions of the first 400 jobs of a seed-7
-    `weight_modules` bench run, `modules.decompose_weight` contracts with
-    1.7 inversions, 135 products (7.2 of them for the root projectors and
-    30.6 for the pair checks of `opposite_forest`), 131 `scalar_value`
-    reads and 5.7 column selections per decomposition, and builds no
-    block.  Before the contraction, when `split` carried bases to every
-    vertex and the decomposition built every block window, the same runs
-    took 144 products, 251 reads and 40 selections.
+    `forest` is `opposite_forest(R)`, or that forest with some trees cut
+    into single vertices.  Down each tree U_v = f U_u is carried from the
+    root, U = I there, one product per tree arrow, so every tree arrow is
+    the identity in the carried coordinates.  `contracted()` gives R on the
+    roots, `expand_map` takes maps of the contraction back to every vertex,
+    `expand_rep` a representation of the contracted quiver (a summand of
+    the contraction, say) back to R's quiver, and `carries` tests whether
+    bases given at every vertex are the carried root bases.
+    `modules.block_decompose` gives what a window's contraction costs.
     """
 
     def __init__(self, R: QuiverRep, forest: Tuple[Sequence[int], Sequence[Optional[Tuple[int, int, int]]]]):
@@ -1110,121 +1068,81 @@ class ForestTransport:
         self.roots = [v for v in self.order if up[v] is None]
         # each root's vertex in the contracted representation
         self._index = {r: i for i, r in enumerate(self.roots)}
-        self.scalars = {j: f.scalar_value() for j, (s, t, f) in enumerate(R.arrows) if s == t and R.dims[s]}
-        # filled by contract: each root's part offsets, T_r and T_r^-1 of the
-        # roots whose bases are not the identity, U_v of the carried vertices,
-        # U_v^-1 as made, and per arrow its Scalar c (blocks c*I), its X, or
-        # None (one part at both ends, whose block is the arrow whole)
-        self.bounds: Dict[int, Tuple[int, ...]] = {}
-        self._parts: Sequence = ()
-        self._T, self._Tinv, self._U, self._Uinv = {}, {}, {}, {}
-        self._hol: list = []
-        # filled by contracted: the arrows off the trees, in order
+        # U_v and U_v^-1 as made, and the holonomies once made
+        self._U: Dict[int, Mat] = {}
+        self._Uinv: Dict[int, Mat] = {}
+        self._conjugated: Optional[Tuple[list, Dict[int, Scalar]]] = None
+        # filled by contracted: the arrows it keeps, in order, and the c of each it drops
         self._kept: List[int] = []
+        self._dropped: Dict[int, Scalar] = {}
 
-    def contract(self, parts: Sequence) -> Optional[Dict[int, Tuple[int, ...]]]:
-        """Each root's part offsets (`bounds`), or None when some arrow is
-        not block-diagonal; parts[k][r] is read at the roots only."""
-        R, root, up, bounds = self.rep, self.root, self.up, self.bounds
-        T, Tinv, U = self._T, self._Tinv, self._U
-        self._parts = parts
-        # the one nonempty part of each root that holds exactly one
-        sole = {}
-        for r in self.roots:
-            d = R.dims[r]
-            Tr = _zeros(d, 0).hstack(*(p[r] for p in parts))
-            if Tr.cols != d:
-                raise DomainError(f"the parts hold {Tr.cols} columns at vertex {r} of dimension {d}")
-            if not Tr.is_identity():
-                inv = invert(Tr)
-                if inv is None:
-                    raise DomainError(f"the parts do not form a basis at vertex {r}")
-                T[r], Tinv[r] = Tr, inv
-            b = bounds[r] = tuple(accumulate((p[r].cols for p in parts), initial=0))
-            held = [k for k, (x, y) in enumerate(zip(b, b[1:])) if y > x]
-            sole[r] = held[0] if len(held) == 1 else None
-        # a tree vertex has positive dimension, so its root holds a part
-        tree = self._carry({r for r in self.roots if sole[r] is None})
-        hol = self._hol = []
-        scalars = self.scalars
-        for j, (s, t, f) in enumerate(R.arrows):
-            if j in tree:
-                hol.append(ONE)
-                continue
-            c = scalars.get(j)
-            if c is not None:
-                hol.append(c)
-                continue
-            rs, rt = root[s], root[t]
-            if sole[rs] is not None and sole[rs] == sole[rt]:
-                hol.append(None)
-                continue
-            if f.is_zero():
-                hol.append(ZERO)
-                continue
-            X = f @ U[s] if s in U else f
-            if rs == rt and s != t and (X == U[t] if t in U else X.is_identity()):
-                hol.append(ONE)
-                continue
-            # a vertex of a tree with one part keeps R's coordinates
-            if rs in T and (s == rs or s in U):
-                X = X @ T[rs]
-            if t in U:
-                X = self._inverse(t) @ X
-            if rt in Tinv and (t == rt or t in U):
-                X = Tinv[rt] @ X
-            if not _block_diagonal(X, bounds[rs], bounds[rt]):
-                return None
-            hol.append(X)
-        return bounds
-
-    def _carry(self, roots) -> set:
-        """U_v = f U_u down the trees of the given roots, one product per
-        tree arrow (U_v = f next to the root); returns those trees' arrows."""
+    def _holonomies(self) -> Tuple[List[Tuple[int, Mat]], Dict[int, Scalar]]:
+        """(free, fixed), made once, over the arrows f : s -> t off the
+        trees: fixed[j] = c where F = U_t^-1 f U_s is zero or c*I on a loop of
+        the contraction, and free lists the other (j, F) in order.  U_t^-1
+        is made only where needed; an arrow inside a tree has F = I when its
+        one product f U_s is U_t."""
+        if self._conjugated is not None:
+            return self._conjugated
         R, root, up, U = self.rep, self.root, self.up, self._U
         tree = set()
         for v in self.order:
-            if up[v] is not None and root[v] in roots:
+            if up[v] is not None:
                 u, k, l = up[v]
                 f = R.arrows[k][2]
                 U[v] = f @ U[u] if u in U else f
                 tree.update((k, l))
-        return tree
-
-    def contracted(self) -> QuiverRep:
-        """R contracted along the forest: one vertex per root, in `roots`
-        order, of the root's dimension, and each arrow f : s -> t off the
-        trees, in order, as F = U_t^-1 f U_s between the roots of s and t;
-        the tree arrows vanish.  U is carried down every tree, and U_t^-1 is
-        made along the tree pairs only where a target needs it.  A c*I loop
-        and a zero map are their own F, and an arrow inside one tree whose
-        f U_s is U_t gives F = I.
-
-        Hom(M, N) of two representations contracted along one forest that
-        both admit is Hom of the contracted ones: the tree arrows fix phi_v
-        = U^N_v X_r (U^M_v)^-1 from the block X_r at the root r of v, and
-        the other arrows ask X_r(t) F^M = F^N X_r(s) (see `expand_map`).  So
-        End(M) and End(C) are isomorphic algebras, and M and N are
-        isomorphic exactly when their contractions are; on a window the
-        contracted quiver has one vertex per run of equal dimensions."""
-        R, root, U = self.rep, self.root, self._U
-        tree = self._carry(set(self.roots))
-        index = self._index
-        self._kept, arrows = [], []
+        scalars, dims = R.scalars, R.dims
+        free, fixed = [], {}
         for j, (s, t, f) in enumerate(R.arrows):
             if j in tree:
                 continue
-            self._kept.append(j)
-            if (s in U or t in U) and self.scalars.get(j) is None and not f.is_zero():
-                X = f @ U[s] if s in U else f
-                if t not in U:
-                    f = X
-                elif root[s] == root[t] and X == U[t]:
-                    f = Mat.scalar(R.dims[t], ONE)
-                else:
-                    f = self._inverse(t) @ X
-            arrows.append((index[root[s]], index[root[t]], f))
-        return QuiverRep([R.dims[r] for r in self.roots], arrows)
+            c = scalars.get(j)
+            if c is None:
+                if not (dims[s] and dims[t]) or f.is_zero():
+                    c = ZERO
+                elif s in U or t in U:
+                    X = f @ U[s] if s in U else f
+                    if s != t and root[s] == root[t] and (X == U[t] if t in U else X.is_identity()):
+                        c = ONE
+                    else:
+                        f = self._inverse(t) @ X if t in U else X
+            if c is None:
+                free.append((j, f))
+            else:
+                fixed[j] = c
+        self._conjugated = free, fixed
+        return self._conjugated
+
+    def contracted(self, *others: "ForestTransport") -> QuiverRep:
+        """R contracted along the forest: one vertex per root, in `roots`
+        order, and each arrow off the trees, in order, as its F between the
+        roots of its ends.  An arrow whose F is zero, or c*I on a loop, is
+        dropped when its F is the same in `others`, the transports of other
+        representations along the same forest: M and N, each contracted
+        with the other, keep the same arrows, which pair in order in
+        `hom_space`.  A loop c*I of M against c'*I or a non-scalar G of N
+        stays, as it asks X c = c' X or X c = G X.
+
+        Hom(M, N) is then Hom of the contractions: the tree arrows fix
+        phi_v = U^N_v X_r (U^M_v)^-1 from the block X_r at v's root r (see
+        `expand_map`), and the other arrows ask X_r(t) F^M = F^N X_r(s),
+        which holds for every X when F^M and F^N are both zero or both c*I.
+        So End(M) and End(C) are isomorphic algebras, and M and N are
+        isomorphic exactly when their contractions are."""
+        free, fixed = self._holonomies()
+        theirs = [T._holonomies()[1] for T in others]
+        self._dropped = dict(fixed)
+        if theirs:
+            self._dropped = {j: c for j, c in fixed.items() if all(h.get(j) == c for h in theirs)}
+            # where another representation differs, the arrow stays as its zero or c*I
+            kept = [(j, self._fixed(j, c, self.rep.dims)) for j, c in fixed.items() if j not in self._dropped]
+            free = sorted(free + kept, key=lambda jF: jF[0])
+        self._kept = [j for j, _ in free]
+        # each vertex's vertex in the contraction
+        at, arrows = [self._index[r] for r in self.root], self.rep.arrows
+        contracted = [(at[arrows[j][0]], at[arrows[j][1]], F) for j, F in free]
+        return QuiverRep([self.rep.dims[r] for r in self.roots], contracted)
 
     def expand_map(self, blocks: Sequence[Mat], source: Optional["ForestTransport"] = None) -> List[Mat]:
         """Per vertex v, U_v B_r (U^source_v)^-1 for the block B_r of v's
@@ -1264,24 +1182,25 @@ class ForestTransport:
         return True
 
     def expand_rep(self, piece: QuiverRep) -> QuiverRep:
-        """A representation of the contracted quiver (a summand of
-        `contracted()`, say) as one of R's quiver: each vertex gets its
-        root's space, the tree arrows the identity and every other arrow
-        its map in the piece.  With the embeddings `expand_map` gives, a
-        summand of the contraction becomes a summand of R."""
+        """A representation of the last `contracted()` quiver (a summand of
+        the contraction, say) as one of R's quiver: each vertex gets its
+        root's space, the tree arrows the identity, the dropped arrows their
+        zero or c*I, and every other arrow its map in the piece.  With the
+        embeddings `expand_map` gives, a summand of the contraction becomes
+        a summand of R."""
         dims = [piece.dims[self._index[r]] for r in self.root]
         maps = dict(zip(self._kept, (f for _, _, f in piece.arrows)))
-        ident = {}
         arrows = []
         for j, (s, t, _) in enumerate(self.rep.arrows):
             f = maps.get(j)
-            if f is None:
-                d = dims[s]
-                f = ident.get(d)
-                if f is None:
-                    f = ident[d] = Mat.scalar(d, ONE)
-            arrows.append((s, t, f))
+            arrows.append((s, t, self._fixed(j, self._dropped.get(j, ONE), dims) if f is None else f))
         return QuiverRep(dims, arrows)
+
+    def _fixed(self, j: int, c: Scalar, dims: Sequence[int]) -> Mat:
+        """Arrow j as zero, when c is, or c*I, between spaces of the given
+        dimensions at its ends."""
+        s, t, _ = self.rep.arrows[j]
+        return _zeros(dims[t], dims[s]) if c.is_zero() else Mat.scalar(dims[s], c)
 
     def _inverse(self, v: int) -> Mat:
         """U_v^-1 = U_u^-1 g for the tree pair g : v -> u, made up the tree
@@ -1297,91 +1216,6 @@ class ForestTransport:
             W = Uinv[w] = g if W is None else W @ g
         return W
 
-    def expand(self) -> List[QuiverRep]:
-        """R as the direct sum of its parts, after a `contract` that
-        returned their offsets: one QuiverRep per part, in part order.  Zero,
-        identity and c*I blocks are shared, one list per pair of part
-        offsets and scalar."""
-        R, root, bounds, T, Tinv = self.rep, self.root, self.bounds, self._T, self._Tinv
-        diagonals = {}
-
-        def diagonal(bs: Tuple[int, ...], bt: Tuple[int, ...], c: Scalar) -> List[Mat]:
-            # every part's block c*I, or zero when c is, of an arrow between
-            # vertices of these offsets; Mats born of ints are never written
-            key = (bs, bt, c.nre, c.nim, c.den)
-            blocks = diagonals.get(key)
-            if blocks is None:
-                blocks = diagonals[key] = [
-                    _zeros(y - x, b - a) if c.is_zero() else Mat.scalar(y - x, c)
-                    for x, y, a, b in zip(bt, bt[1:], bs, bs[1:])
-                ]
-            return blocks
-
-        arrows: List[list] = [[] for _ in self._parts]
-        for (s, t, f), h in zip(R.arrows, self._hol):
-            bs, bt = bounds[root[s]], bounds[root[t]]
-            if type(h) is Scalar:
-                blocks = diagonal(bs, bt, h)
-            else:
-                if h is None:
-                    # one part at both ends, which are roots or keep R's coordinates
-                    h = f @ T[s] if s in T else f
-                    if t in Tinv:
-                        h = Tinv[t] @ h
-                blocks = _diagonal_blocks(h, bs, bt)
-            for out, block in zip(arrows, blocks):
-                out.append((s, t, block))
-        dims = [bounds[r] for r in root]
-        return [QuiverRep([b[k + 1] - b[k] for b in dims], out) for k, out in enumerate(arrows)]
-
-    def bases(self) -> List[List[Mat]]:
-        """parts[k][v], the basis of part k at every vertex v after a
-        `contract`: as given at a root, U_v T_r[k] at a carried vertex, and
-        the identity for the one part of a tree with one part."""
-        R, root, bounds, U = self.rep, self.root, self.bounds, self._U
-        out = [[] for _ in self._parts]
-        for v, d in enumerate(R.dims):
-            r, b = root[v], bounds[root[v]]
-            if v == r:
-                for o, p in zip(out, self._parts):
-                    o.append(p[r])
-                continue
-            B = (U[v] @ self._T[r] if r in self._T else U[v]) if v in U else Mat.scalar(d, ONE)
-            for o, x, y in zip(out, b, b[1:]):
-                o.append(B.select_cols(range(x, y)) if y > x else _zeros(d, 0))
-        return out
-
-
-def _block_diagonal(X: Mat, bs: Tuple[int, ...], bt: Tuple[int, ...]) -> bool:
-    """Whether X maps each part of its source, cut at the offsets bs, into
-    the same part of its target, cut at bt: read off the integer rows."""
-    re, im, _ = X._int()
-    for k in range(len(bs) - 1):
-        a, b = bs[k], bs[k + 1]
-        for r in range(bt[k], bt[k + 1]):
-            if any(re[r][:a]) or any(re[r][b:]):
-                return False
-            if im is not None and (any(im[r][:a]) or any(im[r][b:])):
-                return False
-    return True
-
-
-def _diagonal_blocks(X: Mat, bs: Tuple[int, ...], bt: Tuple[int, ...]) -> List[Mat]:
-    """The diagonal blocks of a block-diagonal X, one per part: zero when
-    the part has no source or no target space, X itself when the part holds
-    both spaces whole."""
-    blocks = []
-    for a, b, x, y in zip(bs, bs[1:], bt, bt[1:]):
-        if a == b or x == y:
-            blocks.append(_zeros(y - x, b - a))
-        elif b - a == X.cols and y - x == X.rows:
-            blocks.append(X)
-        else:
-            re, im, sc = X._int()
-            rows = [_lowest(re[r][a:b], None if im is None else im[r][a:b], sc[r]) for r in range(x, y)]
-            blocks.append(_mat(y - x, b - a, *_unzip(rows)))
-    return blocks
-
 
 def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverRep]]:
     """R as the direct sum of its restrictions to the parts, one QuiverRep
@@ -1389,11 +1223,77 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
 
     parts[k][v] is a column basis of part k at vertex v.  Side by side in
     part order they form T_v, which must be invertible (DomainError
-    otherwise).  The `ForestTransport` of every vertex its own root: an
-    arrow f : s -> t becomes X = T_t^-1 f T_s, whose diagonal blocks are the
-    part maps and whose off-diagonal blocks vanish exactly when every part
-    is stable; loops c*I, zero maps and arrows between vertices of one part
-    each are taken without a check."""
-    n = len(R.dims)
-    transport = ForestTransport(R, (range(n), [None] * n))
-    return None if transport.contract(parts) is None else transport.expand()
+    otherwise) and is inverted once, unless it is the identity.  Each arrow
+    f : s -> t is conjugated once, X = T_t^-1 f T_s, and its integer rows
+    are read once: X must be block-diagonal, with no block between two
+    parts, and its diagonal blocks, sliced in the same read, are the part
+    maps, equal to what `restrict` solves for part by part.  Two kinds of
+    arrow need no check: a zero map, whose blocks are zero, and an arrow
+    whose two ends hold one part each, the same one, whose X is that
+    part's block whole."""
+    T, Tinv, bounds, sole = [], [], [], []
+    # (basis, T_v, T_v^-1) per basis object, None for the identity: one basis may serve many vertices
+    made: Dict[int, Tuple[Mat, Optional[Mat], Optional[Mat]]] = {}
+    for v, d in enumerate(R.dims):
+        cols = [p[v] for p in parts]
+        widths = [B.cols for B in cols]
+        held = [k for k, w in enumerate(widths) if w]
+        Tv = cols[held[0]] if len(held) == 1 else _zeros(d, 0).hstack(*(cols[k] for k in held))
+        if Tv.cols != d:
+            raise DomainError(f"the parts hold {Tv.cols} columns at vertex {v} of dimension {d}")
+        known = made.get(id(Tv))
+        if known is None:
+            identity = Tv.is_identity()
+            inv = None if identity else invert(Tv)
+            if inv is None and not identity:
+                raise DomainError(f"the parts do not form a basis at vertex {v}")
+            known = made[id(Tv)] = (Tv, None if identity else Tv, inv)
+        T.append(known[1])
+        Tinv.append(known[2])
+        bounds.append(tuple(accumulate(widths, initial=0)))
+        sole.append(held[0] if len(held) == 1 else None)
+    out = [[] for _ in parts]
+    # the pieces other than each part's, which an arrow held by that part alone leaves empty
+    rest = [out[:k] + out[k + 1 :] for k in range(len(out))]
+    empty = _zeros(0, 0)
+    for arrow in R.arrows:
+        s, t, f = arrow
+        k = sole[s]
+        if k is not None and k == sole[t]:
+            if T[s] is not None or Tinv[t] is not None:
+                X = f if T[s] is None else f @ T[s]
+                arrow = (s, t, X if Tinv[t] is None else Tinv[t] @ X)
+            out[k].append(arrow)
+            arrow = (s, t, empty)
+            for arrows in rest[k]:
+                arrows.append(arrow)
+            continue
+        bs, bt = bounds[s], bounds[t]
+        if f.is_zero():
+            for i, arrows in enumerate(out):
+                arrows.append((s, t, _zeros(bt[i + 1] - bt[i], bs[i + 1] - bs[i])))
+            continue
+        X = f if T[s] is None else f @ T[s]
+        if Tinv[t] is not None:
+            X = Tinv[t] @ X
+        re, im, sc = X._int()
+        n = X.cols
+        blocks = []
+        for a, b, x, y in zip(bs, bs[1:], bt, bt[1:]):
+            rows = []
+            for r in range(x, y):
+                row = re[r]
+                seg = row[a:b]
+                if row.count(0) - seg.count(0) != n - b + a:
+                    return None
+                iseg = None
+                if im is not None:
+                    irow = im[r]
+                    iseg = irow[a:b]
+                    if irow.count(0) - iseg.count(0) != n - b + a:
+                        return None
+                rows.append(_lowest(seg, iseg, sc[r]))
+            blocks.append(_mat(y - x, b - a, *_unzip(rows)) if rows and b > a else _zeros(y - x, b - a))
+        for arrows, block in zip(out, blocks):
+            arrows.append((s, t, block))
+    return [QuiverRep([b[k + 1] - b[k] for b in bounds], arrows) for k, arrows in enumerate(out)]

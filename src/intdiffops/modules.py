@@ -25,6 +25,7 @@ from .linalg import (
     restrict,
     retraction,
     rref,
+    split,
 )
 from .local_ideals import LocalIdeal, MaxIdeal, quotient_basis
 from .poly import MultiPoly
@@ -626,35 +627,54 @@ def _root_bases(M: ModuleWindow, p: Point, memos: Dict[int, Dict[Point, Mat]]) -
     return {D: I if Q is None else Q.select_cols(rref(Q)[1]) for D, Q in prefixes}
 
 
-def _transport(M: ModuleWindow) -> Tuple[List[Point], List[Tuple[str, int, Point]], ForestTransport]:
-    """The quiver of a window, as (pts, keys) of `quiver`, and its
-    `ForestTransport` along the window's `opposite_forest`."""
-    pts, keys, rep = M.quiver()
-    return pts, keys, ForestTransport(rep, opposite_forest(rep))
+def _contract_blocks(
+    M: ModuleWindow, pts: List[Point], rep: QuiverRep
+) -> Tuple[List[Tuple[int, ...]], ForestTransport, List[List[Mat]], List[QuiverRep]]:
+    """The blocks of the left window M with quiver (pts, rep), on the
+    window's contraction: their D in block order, the transport, each
+    block's basis at every vertex of the contraction, and the blocks as
+    pieces of the contraction (`linalg.split`).
 
-
-def _contract_blocks(M: ModuleWindow, pts: List[Point], transport: ForestTransport) -> List[Tuple[int, ...]]:
-    """The D of every block of the left window M, in block order, with the
-    transport contracted to the blocks' bases at its roots (`_root_bases`),
-    so that its `bounds` hold each root's block offsets.  Every listed block
-    holds a basis at some root, so none is empty."""
-    rep = transport.rep
+    The bases come from the projectors at the roots of the window's
+    `opposite_forest` (`_root_bases`).  Only the trees whose root holds two
+    or more blocks are carried: the others are cut into single points,
+    each holding its tree's one block whole, so they keep the window's own
+    coordinates and need no product.  Every listed block holds a basis at
+    some root, so none is empty."""
+    order, up = opposite_forest(rep)
     dd = M.orbit.integer_slots()
     memos: Dict[int, Dict[Point, Mat]] = {i: {} for i in dd}
-    roots = {r: _root_bases(M, pts[r], memos) for r in transport.roots if rep.dims[r]}
-    order = [D for r in range(len(dd) + 1) for D in combinations(dd, r) if any(D in at_r for at_r in roots.values())]
-    parts: List[Dict[int, Mat]] = [{} for _ in order]
-    for r in transport.roots:
-        at_r, empty = roots.get(r, {}), Mat(rep.dims[r], 0)
-        for D, part in zip(order, parts):
-            part[r] = at_r.get(D, empty)
-        c = sum(part[r].cols for part in parts)
+    roots = {r: _root_bases(M, pts[r], memos) for r in order if up[r] is None and rep.dims[r]}
+    blocks = [D for r in range(len(dd) + 1) for D in combinations(dd, r) if any(D in at for at in roots.values())]
+    for r, at in roots.items():
+        c = sum(B.cols for B in at.values())
         if c != rep.dims[r]:
             raise DomainError(f"projector split does not exhaust the space at {pts[r]}: {c} of {rep.dims[r]}")
-    if transport.contract(parts) is None:
-        q = _unstable_target(pts, rep, transport.bases())
+    # the one block of every point of a tree whose root holds one
+    held = {}
+    for v in order:
+        if up[v] is None:
+            if len(roots.get(v, ())) == 1:
+                held[v] = next(iter(roots[v]))
+        elif up[v][0] in held:
+            held[v] = held[up[v][0]]
+    transport = ForestTransport(rep, (order, [None if v in held else link for v, link in enumerate(up)]))
+    # one identity and one empty basis per dimension, shared
+    ident = {d: Mat.scalar(d, ONE) for d in set(rep.dims)}
+    empty = {d: _zeros(d, 0) for d in ident}
+    index = {D: k for k, D in enumerate(blocks)}
+    parts = [[empty[rep.dims[r]] for r in transport.roots] for _ in blocks]
+    for i, r in enumerate(transport.roots):
+        if r in roots:
+            for D, B in roots[r].items():
+                parts[index[D]][i] = B
+        elif r in held:
+            parts[index[held[r]]][i] = ident[rep.dims[r]]
+    pieces = split(transport.contracted(), parts)
+    if pieces is None:
+        q = _unstable_target(pts, rep, [transport.expand_map(part) for part in parts])
         raise DomainError(f"bases are not stable under the generators into {q}")
-    return order
+    return blocks, transport, parts, pieces
 
 
 def _block_labels(M: ModuleWindow) -> List[Tuple[int, ...]]:
@@ -662,8 +682,8 @@ def _block_labels(M: ModuleWindow) -> List[Tuple[int, ...]]:
     right window's are those of the left window `dualize` makes of it."""
     if M.side == "right":
         M = dualize(M)
-    pts, _, transport = _transport(M)
-    return _contract_blocks(M, pts, transport)
+    pts, _, rep = M.quiver()
+    return _contract_blocks(M, pts, rep)[0]
 
 
 def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
@@ -680,21 +700,23 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
     (`linalg.opposite_forest`), and projectors, prefix products and pivot
     columns (`_root_bases`) are computed at its roots only.  Each P_i comes
     from the one a layer below (`_socle_unit`), kept across roots.
-    `linalg.ForestTransport` contracts the window to those roots and checks
-    that every arrow is block-diagonal, then expands it into one block per
-    D.  At a non-root point of a tree with two or more blocks, a block's
-    basis is thus its root basis carried along the tree, U_v T_r, not the
-    pivot columns of P_D there; it spans the same space, as P_D commutes
-    with the generators.  A tree with one block keeps the window's own
-    coordinates.  An H_i of a weight module is a loop c*I, which is c*I in
-    every basis, so each block gets c*I of its size with no product.
-    `decompose_weight`, `annihilator_dset` and `is_absolutely_prime_window`
-    stop at the contraction and build no block.  On the 280 windows of the
-    first 400 jobs of a seed-7 `weight_modules` bench run this makes 135
-    products per decomposition, 7.2 of them for projectors, and 1.7
-    inversions; on the first 140 it takes 0.45 s against 0.56 s when
-    `split` carried bases to every vertex (medians of 6 alternating
-    best-of-20 CPU timings, CPython 3.11, 2 vCPUs).
+    `linalg.ForestTransport` contracts the window to those roots, and
+    `linalg.split` splits the contraction by the blocks' bases there,
+    checking that every arrow is block-diagonal; `expand_rep` takes each
+    piece back to the window as one block per D.  At a non-root point of a
+    tree with two or more blocks, a block's basis is thus its root basis
+    carried along the tree, U_v T_r, not the pivot columns of P_D there; it
+    spans the same space, as P_D commutes with the generators.  A tree with
+    one block is not carried: each of its points keeps the window's own
+    coordinates (`_contract_blocks`).  An H_i of a weight module is a loop
+    c*I, which the contraction drops and `expand_rep` rebuilds as c*I of
+    the block's size, with no product.  `decompose_weight`,
+    `annihilator_dset` and `is_absolutely_prime_window` stop at the split
+    and build no block window.  On the 280 windows of the first 400 jobs of
+    a seed-7 `weight_modules` bench run this makes 134.7 products per
+    decomposition, 7.2 of them for projectors, and 1.7 inversions, as many
+    as when the transport checked the blocks itself; the contraction keeps
+    84.5 of the window's 298.6 arrows, on 27.1 of its 41.7 points.
 
     A right window is decomposed as the left window `dualize` makes of it:
     the blocks are the same subspaces, with the same labels, since
@@ -703,10 +725,11 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
     """
     if M.side == "right":
         return [(D, dualize(sub)) for D, sub in block_decompose(dualize(M))]
-    pts, keys, transport = _transport(M)
-    order = _contract_blocks(M, pts, transport)
+    pts, keys, rep = M.quiver()
+    order, transport, _, pieces = _contract_blocks(M, pts, rep)
     blocks = []
-    for D, sub in zip(order, transport.expand()):
+    for D, piece in zip(order, pieces):
+        sub = transport.expand_rep(piece)
         spaces = {p: d for p, d in zip(pts, sub.dims) if d}
         maps = {key: f for key, (_, _, f) in zip(keys, sub.arrows) if key[2] in spaces}
         blocks.append((DSet(M.orbit, D), ModuleWindow._trusted(M.orbit, M.window, spaces, maps, M.side)))
@@ -715,22 +738,23 @@ def block_decompose(M: ModuleWindow) -> List[Tuple[DSet, ModuleWindow]]:
 
 def decompose_weight(M: ModuleWindow) -> Dict[DSet, int]:
     """Multiset of simple labels of a weight module window, read off the
-    block offsets at the roots of the window's forest with no block built:
-    a carried point has its root's block dimensions, so a block is
-    equidimensional exactly when its nonzero dimensions at the roots agree,
-    and that dimension is its multiplicity.  Each H_i loop's scalar is read
-    once, by the transport, for the weight test and for the contraction."""
+    block dimensions at the vertices of the window's contraction with no
+    block window built: a carried point has its root's block dimensions,
+    so a block is equidimensional exactly when its nonzero dimensions
+    there agree, and that dimension is its multiplicity.  Each H_i loop's
+    scalar is read once (`QuiverRep.scalars`), for the weight test and for
+    the contraction, which drops it."""
     L = dualize(M) if M.side == "right" else M
-    pts, keys, transport = _transport(L)
-    for j, c in transport.scalars.items():
+    pts, keys, rep = L.quiver()
+    for j, c in rep.scalars.items():
         _, i, p = keys[j]
         if c != M.orbit.weight(i, p[i - 1]):
             raise DomainError(f"module is not a weight module at point {p}")
-    order = _contract_blocks(L, pts, transport)
+    order, _, parts, _ = _contract_blocks(L, pts, rep)
     out: Dict[DSet, int] = {}
-    for k, D in enumerate(order):
+    for D, part in zip(order, parts):
         dset = DSet(M.orbit, D)
-        dims = {b[k + 1] - b[k] for b in transport.bounds.values()} - {0}
+        dims = {B.cols for B in part} - {0}
         if len(dims) > 1:
             raise DomainError(f"block {dset!r} is not equidimensional")
         out[dset] = dims.pop()
@@ -788,7 +812,7 @@ def hom_basis(M: ModuleWindow, N: ModuleWindow) -> List[Dict[Point, Mat]]:
     rep_n = N.quiver()[2]
     forest = opposite_forest(rep_m, rep_n)
     tm, tn = ForestTransport(rep_m, forest), ForestTransport(rep_n, forest)
-    return [dict(zip(pts, tn.expand_map(X, tm))) for X in hom_space(tm.contracted(), tn.contracted())]
+    return [dict(zip(pts, tn.expand_map(X, tm))) for X in hom_space(tm.contracted(tn), tn.contracted(tm))]
 
 
 def window_isomorphism(M: ModuleWindow, N: ModuleWindow) -> Optional[Dict[Point, Mat]]:
@@ -825,8 +849,8 @@ def split_extension(
     for p, B in Ssub.items():
         if B.rows != M.dim(p):
             raise DomainError(f"submodule basis at {p} has wrong height")
-    pts, _, transport = _transport(M)
-    rep = transport.rep
+    pts, _, rep = M.quiver()
+    transport = ForestTransport(rep, opposite_forest(rep))
     full = [Ssub.get(p, Mat(d, 0)) for p, d in zip(pts, rep.dims)]
     C = transport.contracted()
     at_roots = [full[r] for r in transport.roots]

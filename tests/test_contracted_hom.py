@@ -11,9 +11,11 @@ the system End is solved by on the 147-dimensional window of ROADMAP's
 """
 
 import random
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +116,45 @@ def test_contracted_hom_matches_the_full_quiver(pair):
         phi = [iso[p] for p in pts]
         assert _intertwines(phi, rep_m, rep_n)
         assert all(rank(B) == d == B.cols for B, d in zip(phi, rep_m.dims))
+
+
+def _bent(M, bend):
+    """M with one point changed so that a loop of its contraction differs
+    from M's: an H_1 loop shifted from c*I to (c+1)*I, an H_1 loop made
+    non-scalar, or a d_2/int_2 pair rescaled by 2 and 1/2, which keeps the
+    pair inverse but makes the holonomy of an arrow inside the tree 2
+    where M's is I."""
+    p = (0, 0)
+    maps = dict(M.maps)
+    if bend == "shifted loop":
+        maps[("H", 1, p)] = M.maps[("H", 1, p)] + Mat.scalar(M.dim(p), 1)
+    elif bend == "non-scalar loop":
+        maps[("H", 1, p)] = M.maps[("H", 1, p)] + Mat(2, 2, [[0, 1], [0, 0]])
+    else:
+        q = M.target("d", 2, p)
+        maps[("d", 2, p)] = M.maps[("d", 2, p)].scale(2)
+        maps[("int", 2, q)] = M.maps[("int", 2, q)].scale(Scalar(Fraction(1, 2)))
+    return ModuleWindow(M.orbit, M.window, M.spaces, maps, M.side)
+
+
+@pytest.mark.parametrize("bend", ["shifted loop", "non-scalar loop", "holonomy"])
+def test_loops_that_m_and_n_do_not_share_stay_in_both_contractions(bend):
+    # a scrambled S + S, S the simple of orbit (1/2, 1/2) on a 3 x 3 window:
+    # one tree, every H loop c*I and every arrow inside the tree I; N
+    # differs at one point, so a loop dropped from M's contraction alone
+    # would lose a Hom condition or misalign the arrows that hom_space pairs
+    orbit = Orbit.from_reps(["1/2", "1/2"])
+    window = [(-1, 1)] * 2
+    S = build_simple(DSet(orbit, []), window)
+    M = scramble(direct_sum(S, S), random.Random(2))
+    N = _bent(M, bend)
+    for A, B in ((M, N), (N, M)):
+        _, _, rep_a = A.quiver()
+        rep_b = B.quiver()[2]
+        assert len(hom_basis(A, B)) == len(hom_space(rep_a, rep_b))
+        ref = classify._isomorphism(rep_a, rep_b, classify._entry_field(rep_a, rep_b))
+        assert (window_isomorphism(A, B) is None) == (ref is None)
+    assert len(hom_basis(M, M)) == 4 and len(hom_basis(M, N)) == {"non-scalar loop": 2}.get(bend, 0)
 
 
 def test_end_of_the_147_dimensional_window_is_solved_at_one_root(monkeypatch):

@@ -1,8 +1,9 @@
 """Labels read at the roots of the contracted forest, with no block built.
 
 `decompose_weight`, `annihilator_dset` and `is_absolutely_prime_window`
-stop at `ForestTransport.contract` and read every block's dimensions off
-the part offsets at the forest's roots.  The property test compares them
+stop at the `linalg.split` of the window's contraction
+(`ForestTransport.contracted`) and read every block's dimensions off its
+bases at the contraction's vertices.  The property test compares them
 with the same verdicts read off the block windows of `block_decompose`,
 on scrambled sums and on bent windows, result for result and error for
 error.  The other tests pin what the contracted path does not do (read an
@@ -18,6 +19,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intdiffops import modules
 from intdiffops.linalg import Mat, invert
 from intdiffops.modules import (
     AnnihilatorLabel,
@@ -172,8 +174,8 @@ def test_decompose_weight_reads_each_loop_once_and_builds_no_block(monkeypatch):
     summands = [build_simple(DSet(orbit, rng.sample([1, 2, 3], size)), window) for size in (0, 1, 2)]
     M = scramble(reduce(direct_sum, summands), rng)
     loops = {id(f): 0 for (kind, _, p), f in M.maps.items() if kind == "H" and M.dim(p)}
-    scalar_value, trusted = Mat.scalar_value, ModuleWindow._trusted
-    built = []
+    scalar_value, trusted, matmul, split = Mat.scalar_value, ModuleWindow._trusted, Mat.__matmul__, modules.split
+    built, contractions, products = [], [], [0]
 
     def counted(self):
         if id(self) in loops:
@@ -184,11 +186,27 @@ def test_decompose_weight_reads_each_loop_once_and_builds_no_block(monkeypatch):
         built.append(args)
         return trusted(*args)
 
+    def product(self, other):
+        products[0] += 1
+        return matmul(self, other)
+
+    def split_contraction(C, parts):
+        contractions.append(C)
+        return split(C, parts)
+
     monkeypatch.setattr(Mat, "scalar_value", counted)
+    monkeypatch.setattr(Mat, "__matmul__", product)
+    monkeypatch.setattr(modules, "split", split_contraction)
     monkeypatch.setattr(ModuleWindow, "_trusted", staticmethod(build))
     monkeypatch.setattr(ModuleWindow, "__init__", lambda *args, **kw: built.append(args))
     assert len(decompose_weight(M)) == 3
     assert max(loops.values()) == 1 and built == []
+    # the contraction keeps no c*I loop (every H loop is one), and the split
+    # of the contraction forms no more products than the transport formed
+    # when it checked the blocks itself: 286 of them on this window
+    (C,) = contractions
+    assert not any(s == t and scalar_value(f) is not None for s, t, f in C.arrows)
+    assert products[0] <= 286
 
 
 def test_block_windows_keep_their_bytes(monkeypatch):

@@ -476,6 +476,18 @@ def test_split_needs_a_basis_at_every_vertex():
         split(R, [[plus]])
 
 
+def test_split_checks_the_parts_without_a_source():
+    # an arrow 0 -> 1 between lines; part A holds vertex 0, part B vertex 1
+    a = [Mat(1, 1, [[1]]), Mat(1, 0)]
+    b = [Mat(1, 0), Mat(1, 1, [[1]])]
+    # B has no source space, yet the arrow reaches its target row
+    assert split(QuiverRep([1, 1], [(0, 1, Mat(1, 1, [[3]]))]), [a, b]) is None
+    assert split(QuiverRep([1, 1], [(0, 1, Mat(1, 1, [[3]]))]), [b, a]) is None
+    pieces = split(QuiverRep([1, 1], [(0, 1, Mat(1, 1)), (1, 1, Mat(1, 1, [[2]]))]), [a, b])
+    assert [p.dims for p in pieces] == [(1, 0), (0, 1)]
+    assert [[f for _, _, f in p.arrows] for p in pieces] == [[Mat(0, 1), Mat(0, 0)], [Mat(1, 0), Mat(1, 1, [[2]])]]
+
+
 def test_column_space_and_span():
     cols = [Mat.col_vector([Scalar(1), Scalar(0)]), Mat.col_vector([Scalar(2), Scalar(0)])]
     basis = column_space_basis(cols, 2)
@@ -808,18 +820,6 @@ def test_int_mat_ops_match_scalar_reference(gaussian, data):
         assert (A - A).is_zero()
         assert (A == B) == (a == b) and A == Mat(n, m, a)
         assert (A == B) <= (hash(A) == hash(B))
-
-
-def test_split_checks_the_parts_without_a_source():
-    # an arrow 0 -> 1 between lines; part A holds vertex 0, part B vertex 1
-    a = [Mat(1, 1, [[1]]), Mat(1, 0)]
-    b = [Mat(1, 0), Mat(1, 1, [[1]])]
-    # B has no source space, yet the arrow reaches its target row
-    assert split(QuiverRep([1, 1], [(0, 1, Mat(1, 1, [[3]]))]), [a, b]) is None
-    assert split(QuiverRep([1, 1], [(0, 1, Mat(1, 1, [[3]]))]), [b, a]) is None
-    pieces = split(QuiverRep([1, 1], [(0, 1, Mat(1, 1)), (1, 1, Mat(1, 1, [[2]]))]), [a, b])
-    assert [p.dims for p in pieces] == [(1, 0), (0, 1)]
-    assert [[f for _, _, f in p.arrows] for p in pieces] == [[Mat(0, 1), Mat(0, 0)], [Mat(1, 0), Mat(1, 1, [[2]])]]
 
 
 def _reference_scalar_value(M):

@@ -27,7 +27,6 @@ from intdiffops.modules import (
     window_isomorphism,
     _contract_blocks,
     _socle_projector,
-    _transport,
 )
 from intdiffops.scalars import ONE, Scalar
 from annihilator_reference import cyclic_closure, restrict_to_bases
@@ -57,10 +56,12 @@ def scramble(M, rng):
 
 def _block_parts(M):
     """(pts, keys, order, parts) of a left window: parts[k][v] is the basis
-    of block order[k] at pts[v] in the coordinates of its decomposition."""
-    pts, keys, transport = _transport(M)
-    order = _contract_blocks(M, pts, transport)
-    return pts, keys, order, transport.bases()
+    of block order[k] at pts[v] in the coordinates of its decomposition:
+    the block's bases at the vertices of the contraction, carried down the
+    trees by `expand_map`."""
+    pts, keys, rep = M.quiver()
+    order, transport, parts, _ = _contract_blocks(M, pts, rep)
+    return pts, keys, order, [transport.expand_map(part) for part in parts]
 
 
 def direct_sum(A, B):
