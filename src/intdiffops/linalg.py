@@ -1232,8 +1232,6 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
     whose two ends hold one part each, the same one, whose X is that
     part's block whole."""
     T, Tinv, bounds, sole = [], [], [], []
-    # (basis, T_v, T_v^-1) per basis object, None for the identity: one basis may serve many vertices
-    made: Dict[int, Tuple[Mat, Optional[Mat], Optional[Mat]]] = {}
     for v, d in enumerate(R.dims):
         cols = [p[v] for p in parts]
         widths = [B.cols for B in cols]
@@ -1241,21 +1239,26 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
         Tv = cols[held[0]] if len(held) == 1 else _zeros(d, 0).hstack(*(cols[k] for k in held))
         if Tv.cols != d:
             raise DomainError(f"the parts hold {Tv.cols} columns at vertex {v} of dimension {d}")
-        known = made.get(id(Tv))
-        if known is None:
-            identity = Tv.is_identity()
-            inv = None if identity else invert(Tv)
-            if inv is None and not identity:
-                raise DomainError(f"the parts do not form a basis at vertex {v}")
-            known = made[id(Tv)] = (Tv, None if identity else Tv, inv)
-        T.append(known[1])
-        Tinv.append(known[2])
+        identity = Tv.is_identity()
+        inv = None if identity else invert(Tv)
+        if inv is None and not identity:
+            raise DomainError(f"the parts do not form a basis at vertex {v}")
+        T.append(None if identity else Tv)
+        Tinv.append(inv)
         bounds.append(tuple(accumulate(widths, initial=0)))
         sole.append(held[0] if len(held) == 1 else None)
     out = [[] for _ in parts]
     # the pieces other than each part's, which an arrow held by that part alone leaves empty
     rest = [out[:k] + out[k + 1 :] for k in range(len(out))]
-    empty = _zeros(0, 0)
+    zeros: Dict[Tuple[int, int], Mat] = {}
+
+    def zero(rows: int, cols: int) -> Mat:
+        Z = zeros.get((rows, cols))
+        if Z is None:
+            Z = zeros[rows, cols] = _zeros(rows, cols)
+        return Z
+
+    empty = zero(0, 0)
     for arrow in R.arrows:
         s, t, f = arrow
         k = sole[s]
@@ -1269,31 +1272,24 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
                 arrows.append(arrow)
             continue
         bs, bt = bounds[s], bounds[t]
+        cuts = list(zip(bs, bs[1:], bt, bt[1:]))
         if f.is_zero():
-            for i, arrows in enumerate(out):
-                arrows.append((s, t, _zeros(bt[i + 1] - bt[i], bs[i + 1] - bs[i])))
-            continue
-        X = f if T[s] is None else f @ T[s]
-        if Tinv[t] is not None:
-            X = Tinv[t] @ X
-        re, im, sc = X._int()
-        n = X.cols
-        blocks = []
-        for a, b, x, y in zip(bs, bs[1:], bt, bt[1:]):
-            rows = []
-            for r in range(x, y):
-                row = re[r]
-                seg = row[a:b]
-                if row.count(0) - seg.count(0) != n - b + a:
-                    return None
-                iseg = None
-                if im is not None:
-                    irow = im[r]
-                    iseg = irow[a:b]
-                    if irow.count(0) - iseg.count(0) != n - b + a:
+            blocks = [zero(y - x, b - a) for a, b, x, y in cuts]
+        else:
+            X = f if T[s] is None else f @ T[s]
+            re, im, sc = (X if Tinv[t] is None else Tinv[t] @ X)._int()
+            blocks, n = [], X.cols
+            for a, b, x, y in cuts:
+                # rows x..y hold nothing outside columns a..b exactly when their
+                # zeros there number (y - x)(n - b + a); a slice then keeps its
+                # row's scale, in lowest terms as the row is
+                segs = [re[r][a:b] for r in range(x, y)]
+                isegs = None if im is None else [im[r][a:b] for r in range(x, y)]
+                outside = (y - x) * (n - b + a)
+                for full, cut in ((re, segs), (im, isegs)):
+                    if cut and sum(row.count(0) for row in full[x:y]) - sum(c.count(0) for c in cut) != outside:
                         return None
-                rows.append(_lowest(seg, iseg, sc[r]))
-            blocks.append(_mat(y - x, b - a, *_unzip(rows)) if rows and b > a else _zeros(y - x, b - a))
+                blocks.append(_mat(y - x, b - a, segs, isegs, sc[x:y]) if segs and a < b else zero(y - x, b - a))
         for arrows, block in zip(out, blocks):
             arrows.append((s, t, block))
     return [QuiverRep([b[k + 1] - b[k] for b in bounds], arrows) for k, arrows in enumerate(out)]
