@@ -18,9 +18,9 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import DomainError, Mat
+from .linalg import DomainError, Mat, _lowest, _mat, _unzip
 from .operators import Operator, Slot, TermN, over_denominator
-from .scalars import ONE, Scalar
+from .scalars import Scalar
 
 # largest action matrix (codomain x domain cells) `to_matrix` builds
 MAX_ACTION_CELLS = 1_000_000
@@ -158,15 +158,21 @@ def _power(base: int, n: int) -> str:
 
 def to_matrix(a: Operator, N: int) -> ActionMatrix:
     """Action matrix on exponents up to N; the codomain bound is enlarged by
-    the operator's maximal positive degree so no image is truncated."""
+    the operator's maximal positive degree so no image is truncated.  The
+    integer images over a.den fill the matrix's integer rows directly."""
     _check_action_cells(a, N)
     dom = TruncatedSpace(a.n, N)
     cod = TruncatedSpace(a.n, N + a.max_positive_degree())
-    m = Mat(cod.dim, dom.dim)
+    re = [[0] * dom.dim for _ in range(cod.dim)]
+    im = [[0] * dom.dim for _ in range(cod.dim)] if a.im else None
     for j, alpha in enumerate(dom.basis):
-        for beta, c in act_monomial(a, alpha).items():
-            m.data[cod.index[beta]][j] = c
-    return ActionMatrix(dom, cod, m)
+        image_re, image_im = _image(a, alpha)
+        for beta, v in image_re.items():
+            re[cod.index[beta]][j] = v
+        for beta, v in image_im.items():
+            im[cod.index[beta]][j] = v
+    rows = [_lowest(r, None if im is None else im[i], a.den) for i, r in enumerate(re)]
+    return ActionMatrix(dom, cod, _mat(cod.dim, dom.dim, *_unzip(rows)))
 
 
 def matrices_equal_on_overlap(p: ActionMatrix, q: ActionMatrix) -> bool:
@@ -193,11 +199,8 @@ def compose(outer: ActionMatrix, inner: ActionMatrix) -> Mat:
         raise ValueError("composition window mismatch")
     if outer.N_in == inner.N_out:
         return outer.matrix @ inner.matrix
-    # embed inner's codomain into outer's domain
-    embed = Mat(outer.domain.dim, inner.codomain.dim)
-    for j, beta in enumerate(inner.codomain.basis):
-        embed.data[outer.domain.index[beta]][j] = ONE
-    return outer.matrix @ (embed @ inner.matrix)
+    # inner's codomain embeds in outer's domain: keep outer's columns there
+    return outer.matrix.select_cols(outer.domain.index[beta] for beta in inner.codomain.basis) @ inner.matrix
 
 
 def is_zero_by_action(a: Operator) -> bool:

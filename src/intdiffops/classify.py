@@ -28,6 +28,12 @@ over the field of the entries, Q when every entry is real and Q(i)
 otherwise (`_entry_field`).  An End/rad that is not commutative, such as a
 quaternion algebra over Q, is neither split nor certified a field, so
 whether it is a division algebra stays undecided and raises DomainError.
+
+Pencils have one decomposition path, `kronecker_decompose_with_iso`: it
+splits, labels each piece by its dimensions (and a square one by the min
+poly of B A^-1), and matches the piece against its label's block, so every
+label it returns is verified; `kronecker_decompose` is its label list.  The
+simple K -> 0 is S1 and the simple 0 -> K is S2(0).
 """
 
 from __future__ import annotations
@@ -319,15 +325,16 @@ class _KroneckerLabelFields(NamedTuple):
 
 
 class KroneckerBlockLabel(_KroneckerLabelFields):
-    """One of the five series: S1, S2(n), S3(n), S4(n, lam), S5(n)."""
+    """One of the five series: S1, S2(n), S3(n), S4(n, lam), S5(n).  S2
+    starts at n = 0, the simple 0 -> K, the others at n = 1."""
 
     __slots__ = ()
 
     def __new__(cls, series: str, n: int = 0, lam: Optional[Scalar] = None):
         if series not in ("S1", "S2", "S3", "S4", "S5"):
             raise ValueError(f"unknown series {series!r}")
-        if series != "S1" and n < 1:
-            raise ValueError("series parameter n must be >= 1")
+        if series != "S1" and n < (0 if series == "S2" else 1):
+            raise ValueError("series parameter n must be >= 1, or >= 0 for S2")
         if series == "S4" and lam is None:
             raise ValueError("series S4 needs an eigenvalue")
         return super().__new__(cls, series, n, lam)
@@ -345,36 +352,35 @@ class KroneckerBlockLabel(_KroneckerLabelFields):
 
 
 def kronecker_block(label: KroneckerBlockLabel) -> KroneckerRep:
-    """Explicit matrices of one indecomposable from the five series."""
-    s = label.series
+    """Explicit matrices of one indecomposable from the five series.  S1,
+    the simple K -> 0, is a 0 x 1 pencil, the S3 formula at n = 0; S2(0),
+    the simple 0 -> K, is the S2 formula at n = 0, a 1 x 0 pencil."""
+    s, n = label.series, label.n
     if s == "S1":
         return KroneckerRep(Mat.zero(0, 1), Mat.zero(0, 1))
-    n = label.n
-    if s == "S2":
-        A = Mat.zero(n + 1, n)
-        B = Mat.zero(n + 1, n)
-        for i in range(n):
-            A.data[i][i] = ONE
-            B.data[i + 1][i] = ONE
-        return KroneckerRep(A, B)
-    if s == "S3":
-        A = Mat.zero(n, n + 1)
-        B = Mat.zero(n, n + 1)
-        for i in range(n):
-            A.data[i][i] = ONE
-            B.data[i][i + 1] = ONE
-        return KroneckerRep(A, B)
     if s == "S4":
         return KroneckerRep(Mat.identity(n), _jordan_block(n, label.lam))
-    A = Mat.zero(n, n)
-    for i in range(n - 1):
-        A.data[i][i + 1] = ONE
-    return KroneckerRep(A, Mat.identity(n))
+    if s == "S5":
+        return KroneckerRep(_jordan_block(n, ZERO), Mat.identity(n))
+    diagonal = [(i, i) for i in range(n)]
+    if s == "S2":
+        return KroneckerRep(_ones(n + 1, n, diagonal), _ones(n + 1, n, [(i + 1, i) for i in range(n)]))
+    return KroneckerRep(_ones(n, n + 1, diagonal), _ones(n, n + 1, [(i, i + 1) for i in range(n)]))
 
 
 def _jordan_block(n: int, lam) -> Mat:
     """The n x n Jordan block: lam on the diagonal, 1 just above it."""
     return Mat(n, n, [[lam if c == r else ONE if c == r + 1 else ZERO for c in range(n)] for r in range(n)])
+
+
+def _from_entries(rows: int, cols: int, entries: Dict[Tuple[int, int], Scalar]) -> Mat:
+    """The rows x cols matrix of the entries by (row, col), ZERO elsewhere."""
+    return Mat(rows, cols, [[entries.get((r, c), ZERO) for c in range(cols)] for r in range(rows)])
+
+
+def _ones(rows: int, cols: int, cells) -> Mat:
+    """The rows x cols matrix with ONE at the given (row, col) cells."""
+    return _from_entries(rows, cols, dict.fromkeys(cells, ONE))
 
 
 def _entry_field(*reps: QuiverRep) -> Field:
@@ -438,46 +444,30 @@ def _splitting_element(R: QuiverRep, field: Field) -> Optional[Tuple[Tuple[Mat, 
     )
 
 
-def _kron_indecomposable_label(R: QuiverRep, field: Field) -> KroneckerBlockLabel:
+def _kron_label(R: QuiverRep, field: Field) -> KroneckerBlockLabel:
+    """The series an indecomposable pencil would have, read off its
+    dimensions and, for a square piece, off the min poly of B A^-1.  Only the
+    verdicts are checked here: `kronecker_decompose_with_iso` matches the
+    piece against the label's block, which refuses every wrong guess."""
     d1, d2 = R.dims
+    if d1 != d2:
+        if abs(d1 - d2) != 1:
+            raise DomainError(f"indecomposable pencil of dimensions ({d1},{d2}) is in no series")
+        if d1 < d2:
+            return KroneckerBlockLabel("S2", d1)
+        return KroneckerBlockLabel("S3", d2) if d2 else KroneckerBlockLabel("S1")
     (_, _, A), (_, _, B) = R.arrows
-    if d2 == 0 or d1 == 0:
-        # one-dimensional socle-type pieces; both shapes read as the simple
-        if d1 + d2 != 1:
-            raise DomainError("map-free piece of dimension > 1 is decomposable")
-        return KroneckerBlockLabel("S1")
-    if d1 < d2:
-        if d2 != d1 + 1:
-            raise DomainError(f"unexpected indecomposable dims ({d1},{d2})")
-        return KroneckerBlockLabel("S2", d1)
-    if d1 > d2:
-        if d1 != d2 + 1:
-            raise DomainError(f"unexpected indecomposable dims ({d1},{d2})")
-        return KroneckerBlockLabel("S3", d2)
     Ainv = invert(A)
-    if Ainv is not None:
-        C = B @ Ainv
-        p = min_poly(C)
-        factors = factor_unipoly(p, field)
-        if len(factors) != 1:
-            raise DomainError("square piece with split spectrum is decomposable")
-        f, mult = factors[0]
-        if f.degree() != 1:
-            raise FieldError(
-                f"pencil eigenvalue not in the field {field.name}: min poly {f}"
-            )
-        lam = -f.coeffs.get(0, ZERO)
-        if mult != d1:
-            raise DomainError("square piece is not a single Jordan cell")
-        return KroneckerBlockLabel("S4", d1, lam)
-    Binv = invert(B)
-    if Binv is None:
-        raise DomainError("square indecomposable with both maps singular")
-    C = A @ Binv
-    p = min_poly(C)
-    if p != UniPoly.monomial(d1, 1):
-        raise FieldError(f"pencil eigenvalue not in the field {field.name}")
-    return KroneckerBlockLabel("S5", d1)
+    if Ainv is None:
+        # A B^-1 of an indecomposable square pencil with A singular is nilpotent
+        return KroneckerBlockLabel("S5", d1)
+    factors = factor_unipoly(min_poly(B @ Ainv), field)
+    if len(factors) != 1:
+        raise DomainError("square piece with split spectrum is decomposable")
+    f, _ = factors[0]
+    if f.degree() != 1:
+        raise FieldError(f"pencil eigenvalue not in the field {field.name}: min poly {f}")
+    return KroneckerBlockLabel("S4", d1, -f.coeffs.get(0, ZERO))
 
 
 def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, Tuple[Mat, ...]]]:
@@ -603,15 +593,10 @@ def _isomorphism(M: QuiverRep, N: QuiverRep, field: Field) -> Optional[Tuple[Mat
     )
 
 
-def _kron_labeled(R: KroneckerRep, field: Field):
-    """(label, piece, (P1, P2)) per indecomposable summand, in label order."""
-    labeled = [(_kron_indecomposable_label(p, field), p, emb) for p, emb in split_indecomposables(R, field)]
-    return sorted(labeled, key=lambda item: item[0].sort_key())
-
-
 def kronecker_decompose(R: KroneckerRep, field: Field = QQ) -> List[KroneckerBlockLabel]:
-    """Label multiset (sorted) of the indecomposable summands."""
-    return [label for label, _, _ in _kron_labeled(R, field)]
+    """Label multiset (sorted) of the indecomposable summands, each verified
+    as in `kronecker_decompose_with_iso`."""
+    return kronecker_decompose_with_iso(R, field)[0]
 
 
 def kronecker_decompose_with_iso(R: KroneckerRep, field: Field = QQ):
@@ -620,11 +605,21 @@ def kronecker_decompose_with_iso(R: KroneckerRep, field: Field = QQ):
     Returns (labels, P, Q) with R.A @ Q = P @ A_can and R.B @ Q = P @ B_can,
     where (A_can, B_can) is the block-diagonal sum of the canonical series
     matrices in label order, and P, Q are invertible.
+
+    R is split by `split_indecomposables`, each piece labelled by
+    `_kron_label`, and every piece matched against its label's block: the
+    block is indecomposable, so when the dimensions agree and an isomorphism
+    exists, a basis element of Hom(block, piece) is one.  A piece with no
+    such element raises DomainError, so no label goes unverified.
     """
-    labeled = _kron_labeled(R, field)
+    labeled = sorted(
+        ((_kron_label(piece, field), piece, emb) for piece, emb in split_indecomposables(R, field)),
+        key=lambda item: item[0].sort_key(),
+    )
     Qs, Ps = [], []
     for label, piece, (P1, P2) in labeled:
-        iso = isomorphism(kronecker_block(label), piece)
+        block = kronecker_block(label)
+        iso = _invertible_hom(hom_space(block, piece)) if block.dims == piece.dims else None
         if iso is None:
             raise DomainError(f"piece does not match its label {label!r}")
         Qs.append(P1 @ iso[0])
@@ -751,14 +746,9 @@ def string_module(word) -> GammaModule:
     """Basis e_1..e_{l+1}; letter j acts e_j -> e_{j+1} (h1 forward,
     h2 backward)."""
     w = parse_word(word)
-    l = len(w)
-    h1 = Mat.zero(l + 1, l + 1)
-    h2 = Mat.zero(l + 1, l + 1)
-    for j, letter in enumerate(w):
-        if letter == 1:
-            h1.data[j + 1][j] = ONE
-        else:
-            h2.data[j][j + 1] = ONE
+    d = len(w) + 1
+    h1 = _ones(d, d, [(j + 1, j) for j, letter in enumerate(w) if letter == 1])
+    h2 = _ones(d, d, [(j, j + 1) for j, letter in enumerate(w) if letter == 2])
     mod = GammaModule("string", word_str(w), h1, h2)
     mod.check_relation()
     return mod
@@ -775,28 +765,18 @@ def band_module(orbit, n: int, lam) -> GammaModule:
         raise DomainError("band parameter must be nonzero")
     w = orbit.word
     l = len(w)
-    dim = n * l
-    jordan = _jordan_block(n, lam)
-    h1 = Mat.zero(dim, dim)
-    h2 = Mat.zero(dim, dim)
+    # the entries of h1 and h2 by (row, col): letter j maps block j to block
+    # j + 1 (h1) or back (h2) by the identity, the wrap letter by the Jordan cell
+    entries = ({}, {})
     for j, letter in enumerate(w):
-        src = j
-        dst = (j + 1) % l
-        carrier = jordan if j == l - 1 else Mat.identity(n)
-        target = h1 if letter == 1 else h2
-        if letter == 1:
-            # block src -> block dst
-            for a in range(n):
-                for b in range(n):
-                    c = carrier.data[a][b]
-                    if not c.is_zero():
-                        target.data[dst * n + a][src * n + b] = c
-        else:
-            for a in range(n):
-                for b in range(n):
-                    c = carrier.data[a][b]
-                    if not c.is_zero():
-                        target.data[src * n + a][dst * n + b] = c
+        k = (j + 1) % l
+        r, c = (k * n, j * n) if letter == 1 else (j * n, k * n)
+        wrap = j == l - 1
+        for a in range(n):
+            entries[letter - 1][r + a, c + a] = lam if wrap else ONE
+            if wrap and a + 1 < n:
+                entries[letter - 1][r + a, c + a + 1] = ONE
+    h1, h2 = (_from_entries(n * l, n * l, e) for e in entries)
     mod = GammaModule("band", f"{word_str(w)};n={n};lam={lam}", h1, h2)
     mod.check_relation()
     return mod
@@ -834,13 +814,7 @@ def jordan_fiber_decompose(fiber: Fiber) -> Dict[Tuple[int, Scalar], int]:
 
 def regular_A_module() -> Tuple[Mat, Mat]:
     """Left regular module on the basis {1, h1, h2, h1h2}."""
-    h1 = Mat.zero(4, 4)
-    h2 = Mat.zero(4, 4)
-    h1.data[1][0] = ONE
-    h1.data[3][2] = ONE
-    h2.data[2][0] = ONE
-    h2.data[3][1] = ONE
-    return h1, h2
+    return _ones(4, 4, [(1, 0), (3, 2)]), _ones(4, 4, [(2, 0), (3, 1)])
 
 
 def gamma_to_A(module: GammaModule, field: Field = QQI) -> Tuple[Mat, Mat]:

@@ -50,7 +50,6 @@ MAX_ARITY = 1_000
 class SessionConfig(NamedTuple):
     field: Field
     arity: int
-    window: Optional[str]
     json_out: bool
     deg: int
 
@@ -187,21 +186,21 @@ def _load_module(args, cfg: SessionConfig) -> ModuleWindow:
     kind = getattr(args, "module", None)
     if kind is None:
         raise UsageError("need --module {simple,Ms} or --in FILE")
-    if not args.window and not cfg.window:
+    if not args.window:
         raise UsageError("need --window")
     if kind == "Ms":
         if args.s is None or args.lam is None:
             raise UsageError("module Ms needs --s and --lambda")
         if args.s > MAX_MS_LENGTH:
             raise _domain_error(f"length {args.s} exceeds the limit MAX_MS_LENGTH = {MAX_MS_LENGTH}")
-        window = _parse_window_arg(args.window or cfg.window, 1)
+        window = _parse_window_arg(args.window, 1)
         return build_Ms(args.s, _parse_scalar_arg(args.lam), window)
     if kind == "simple":
         if args.orbit is None:
             raise UsageError("module simple needs --orbit")
         orbit = _parse_orbit(args.orbit)
         dset = DSet(orbit, _parse_ints(args.dset or "", "slot list"))
-        window = _parse_window_arg(args.window or cfg.window, orbit.n)
+        window = _parse_window_arg(args.window, orbit.n)
         return build_simple(dset, window)
     raise UsageError(f"unknown module kind {kind!r}")
 
@@ -472,7 +471,7 @@ def cmd_induce(args, cfg):
 
     orbit = _parse_orbit(args.orbit)
     dset = DSet(orbit, _parse_ints(args.dset or "", "slot list"))
-    window = _parse_window_arg(args.window or cfg.window, orbit.n)
+    window = _parse_window_arg(args.window, orbit.n)
     slots = sorted(dset.complement())
     mats = [mat_from_json(m) for m in json.loads(args.matrices)] if args.matrices else []
     center = [orbit.reps[j - 1] for j in slots]
@@ -588,7 +587,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     # arguments that never start a session report the default config
-    unparsed = SessionConfig(field=QQ, arity=1, window=None, json_out=True, deg=6)
+    unparsed = SessionConfig(field=QQ, arity=1, json_out=True, deg=6)
     try:
         args = parser.parse_args(argv)
         field_name = args.field or os.environ.get("INTDIFF_FIELD", "q")
@@ -611,7 +610,6 @@ def main(argv=None) -> int:
     cfg = SessionConfig(
         field=QQI if field_name == "qi" else QQ,
         arity=args.arity,
-        window=args.window,
         json_out=args.json,
         deg=args.deg,
     )

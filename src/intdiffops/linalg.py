@@ -42,17 +42,7 @@ matrix through it, over Q and Q(i) alike, and so do `solve_linear`,
 `classify`.  The reduced echelon form is unique, so the pivot rule never
 shows in results.  A Hom system has Sum_v m_v*n_v unknowns but at most
 d_s + d_t nonzeros per row, so sparsity is what keeps large strings, bands
-and pencils affordable.  On dense matrices it keeps pace with the
-kernels it replaced, the fraction-free Gauss-Jordan over Z[i] for Q(i)
-(`rref` of 35x40 in 0.051 s against 0.057 s) and the content-reduced one
-over Z for Q (`rref` of 35x40 in 0.015 s against 0.020 s, of 60x120 in
-0.19 s against 0.42 s, `invert` of 30x30 in 0.015 s against 0.024 s, but
-`rank` of 35x40 in 0.010 s against 0.008 s; best CPU times, CPython 3.11,
-2 vCPUs).  The dense Z kernel won only on the tiniest matrices, by about
-4 us a call on the 2x2 and 3x3 of the bench, and those are few: with
-projectors only at forest roots a seed-7 `weight_modules` decomposition
-makes about 5.7 rational `rref`s (4.0 for pivot columns of projectors, 1.7
-in inversions) and no `rank`, each of at most 50 cells.
+and pencils affordable.
 """
 
 from __future__ import annotations
@@ -84,9 +74,9 @@ class Mat:
     (`Mat(rows, cols, data)`, `zero`, `identity`, ...) has them from the
     start and derives its integer form on first use as an operand or in a
     comparison.  A right operand of `@` also caches its columns.  So a Mat
-    is written (through `.data`) only while fresh: it is never written after
-    its first use as an operand, and every write site fills a matrix it has
-    just built from Scalars.
+    may be written (through `.data`) only while fresh, before its first use
+    as an operand.  The package builds every matrix from its entries and
+    writes none; only callers outside it fill a fresh `zero` or `identity`.
     """
 
     __slots__ = ("rows", "cols", "_data", "_ints", "_colform")

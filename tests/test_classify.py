@@ -287,6 +287,108 @@ def test_scrambled_sum_decomposition_with_iso():
     assert (R.B @ Q) == (P @ can.B)
 
 
+def _planted(labels, field, rng):
+    """The sum of the labels' blocks, scrambled on both sides over the field."""
+    S = kronecker_sum([kronecker_block(l) for l in labels])
+    scramble = rand_invertible_qi if field is QQI else rand_invertible
+    U, V = scramble(S.d1, rng), scramble(S.d2, rng)
+    return KroneckerRep(V @ S.A @ U, V @ S.B @ U)
+
+
+def _assert_multiplies_back(R, labels, P, Q):
+    can = kronecker_sum([kronecker_block(l) for l in labels])
+    assert rank(P) == R.d2 and rank(Q) == R.d1
+    assert R.A @ Q == P @ can.A and R.B @ Q == P @ can.B
+
+
+def test_simple_target_is_s2_of_zero():
+    # the simple 0 -> K is the 1 x 0 pencil of the S2 formula, not S1
+    R = kronecker_block(KroneckerBlockLabel("S2", 0))
+    assert R.dims == (0, 1) and kronecker_block(KroneckerBlockLabel("S1")).dims == (1, 0)
+    assert repr(KroneckerBlockLabel("S2", 0)) == "S2(0)"
+    for series in ("S3", "S4", "S5"):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            KroneckerBlockLabel(series, 0, ZERO)
+    with pytest.raises(ValueError, match=">= 0 for S2"):
+        KroneckerBlockLabel("S2", -1)
+
+
+@pytest.mark.parametrize("d2, labels", [(1, "[S1, S2(0)]"), (2, "[S1, S2(0), S2(0)]")])
+def test_zero_pencils_split_into_both_simples(d2, labels):
+    R = KroneckerRep(Mat.zero(d2, 1), Mat.zero(d2, 1))
+    assert repr(kronecker_decompose(R, QQ)) == labels
+    got, P, Q = kronecker_decompose_with_iso(R, QQ)
+    assert repr(got) == labels
+    _assert_multiplies_back(R, got, P, Q)
+
+
+@pytest.mark.parametrize("field", [QQ, QQI], ids=["Q", "Q(i)"])
+def test_scrambled_sums_with_simple_targets(field):
+    rng = random.Random(17)
+    lam = Scalar(1, 1) if field is QQI else Scalar(2)
+    S1, S2_0 = KroneckerBlockLabel("S1"), KroneckerBlockLabel("S2", 0)
+    for labels_in in (
+        [S2_0, KroneckerBlockLabel("S3", 1)],
+        [S2_0, S2_0, KroneckerBlockLabel("S4", 1, lam), S1],
+        [S2_0, KroneckerBlockLabel("S2", 1), KroneckerBlockLabel("S5", 2), KroneckerBlockLabel("S3", 2)],
+    ):
+        R = _planted(labels_in, field, rng)
+        labels, P, Q = kronecker_decompose_with_iso(R, field)
+        assert labels == sorted(labels_in, key=KroneckerBlockLabel.sort_key)
+        _assert_multiplies_back(R, labels, P, Q)
+
+
+def test_a_wrong_label_is_refused_by_the_match(monkeypatch):
+    # S4(2,3) read as S5(2): same dimensions, but no basis hom is invertible
+    R = _planted([KroneckerBlockLabel("S4", 2, Scalar(3))], QQ, random.Random(3))
+    monkeypatch.setattr(classify, "_kron_label", lambda piece, field: KroneckerBlockLabel("S5", 2))
+    with pytest.raises(DomainError, match=r"does not match its label S5\(2\)"):
+        kronecker_decompose(R, QQ)
+    # and so is a label of other dimensions
+    monkeypatch.setattr(classify, "_kron_label", lambda piece, field: KroneckerBlockLabel("S3", 1))
+    with pytest.raises(DomainError, match=r"does not match its label S3\(1\)"):
+        kronecker_decompose(R, QQ)
+
+
+def test_a_piece_in_no_series_is_named_by_its_dimensions():
+    R = QuiverRep((3, 1), [(0, 1, Mat.zero(1, 3)), (0, 1, Mat.zero(1, 3))])
+    with pytest.raises(DomainError, match=r"dimensions \(3,1\) is in no series"):
+        classify._kron_label(R, QQ)
+
+
+def _pencil_labels(field):
+    """Lists of labels from every series, S1 and S2(0) included, whose sum
+    has d1 + d2 <= 8; S4 eigenvalues repeat and lie in the field."""
+    lams = [Scalar(v) for v in (-1, 0, 2)] + ([Scalar(0, 1), Scalar(1, -1)] if field is QQI else [])
+    label = st.one_of(
+        st.sampled_from(
+            [KroneckerBlockLabel("S1")]
+            + [KroneckerBlockLabel("S2", n) for n in (0, 1, 2)]
+            + [KroneckerBlockLabel(s, n) for s in ("S3", "S5") for n in (1, 2)]
+        ),
+        st.builds(KroneckerBlockLabel, st.just("S4"), st.integers(1, 2), st.sampled_from(lams)),
+    )
+    return st.lists(label, min_size=1, max_size=4).filter(
+        lambda labels: sum(sum(kronecker_block(l).dims) for l in labels) <= 8
+    )
+
+
+@given(
+    st.sampled_from([QQ, QQI]).flatmap(lambda field: st.tuples(st.just(field), _pencil_labels(field))),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_pencil_path_property(case, seed):
+    field, labels_in = case
+    R = _planted(labels_in, field, random.Random(seed))
+    labels, P, Q = kronecker_decompose_with_iso(R, field)
+    assert kronecker_decompose(R, field) == labels
+    assert labels == sorted(labels_in, key=KroneckerBlockLabel.sort_key)
+    dims = [kronecker_block(l).dims for l in labels]
+    assert (sum(d for d, _ in dims), sum(d for _, d in dims)) == (R.d1, R.d2)
+    _assert_multiplies_back(R, labels, P, Q)
+
+
 def _reference_radical_basis(end):
     """Radical of the algebra spanned by end via the trace form over
     Scalars (char 0): the Gram matrix tr(E_i E_j), its kernel, and the

@@ -389,6 +389,12 @@ def test_pencil_outside_field_is_a_domain_error():
     assert error["message"] == "pencil eigenvalue not in the field q: min poly H^2 - 2"
 
 
+def test_zero_pencil_names_both_simples():
+    # a 2 x 1 zero pencil is K -> 0 plus twice 0 -> K, that is S1 + 2 S2(0)
+    code, out = run_cli(["kronecker", "--a", '[["0"],["0"]]', "--b", '[["0"],["0"]]'])
+    assert code == 0 and out == "S1 + S2(0) + S2(0)\n"
+
+
 @pytest.mark.parametrize("command", ["act", "grade"])
 def test_act_and_grade_without_an_expression_are_usage_errors(command):
     for stdin_text in ("", "\n  \n"):
