@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time window Hom, isomorphism and splitting at sizes the benchmark never reaches.
+"""Time window Hom, isomorphism and splitting, and pencil decompositions, at sizes the benchmark never reaches.
 
     python3 scripts/scale_probe.py
-    python3 scripts/scale_probe.py --radius 3 --lengths 2 --box 3
+    python3 scripts/scale_probe.py --radius 3 --lengths 2 --box 3 --pencils 7
 
 Builds the windows of ROADMAP's "Sizes the bench never reaches":
 - M(s,0) + M(2,0) on the window -R..R for each s of `--lengths` (R =
@@ -22,6 +22,19 @@ and the isomorphism intertwine every generator map, the isomorphism is
 invertible at every point, each piece's embeddings intertwine its maps
 with the window's, and the embeddings side by side are invertible at every
 point.  A failed check exits 1.
+
+Then, for each size of `--pencils` (7, 11 and 18 by default; empty leaves
+them out), a planted sum of Kronecker blocks, scrambled on both sides by
+`perfbench/workloads.rand_invertible` with seed 0, over Q and over Q(i):
+- 7: S2(1) + S3(1) + S4(2, a) + S5(2), dimensions (7, 7);
+- 11: S2(2) + S3(2) + S4(3, a) + S5(3), dimensions (11, 11);
+- 18: S1 + S2(2) + S3(2) + S4(3, a) + S4(4, a) + S4(2, b) + S5(3),
+  dimensions (18, 17);
+with (a, b) = (2, -1) over Q and (1+i, -i) over Q(i).  One row per pencil
+gives its dimensions, field, the seconds of
+`classify.kronecker_decompose_with_iso` and the labels; outside the timed
+region the labels must be the planted ones and P, Q invertible and
+multiply back against the canonical sum.
 
 The sympy adapter loads on the first factorization of degree >= 3; the
 script loads it before any timing, as a long-running process would have.
@@ -94,11 +107,50 @@ def probe(name: str, M0) -> str:
     )
 
 
+def pencil_labels(size: int, gaussian: bool):
+    """The planted labels of the pencil of the given size (see above)."""
+    from intdiffops.classify import KroneckerBlockLabel as L
+    from intdiffops.scalars import Scalar
+
+    a, b = (Scalar(1, 1), Scalar(0, -1)) if gaussian else (Scalar(2), Scalar(-1))
+    if size == 7:
+        return [L("S2", 1), L("S3", 1), L("S4", 2, a), L("S5", 2)]
+    if size == 11:
+        return [L("S2", 2), L("S3", 2), L("S4", 3, a), L("S5", 3)]
+    return [L("S1"), L("S2", 2), L("S3", 2), L("S4", 3, a), L("S4", 4, a), L("S4", 2, b), L("S5", 3)]
+
+
+def pencil_probe(size: int, gaussian: bool) -> str:
+    """One row for the planted pencil; raises SystemExit on a failed check."""
+    from intdiffops.classify import KroneckerRep, kronecker_block, kronecker_decompose_with_iso, kronecker_sum
+    from intdiffops.linalg import rank
+    from intdiffops.scalars import QQ, QQI
+    from workloads import rand_invertible
+
+    field = QQI if gaussian else QQ
+    planted = pencil_labels(size, gaussian)
+    S = kronecker_sum([kronecker_block(l) for l in planted])
+    rng = random.Random(0)
+    U, V = rand_invertible(S.d1, rng, gaussian), rand_invertible(S.d2, rng, gaussian)
+    R = KroneckerRep(V @ S.A @ U, V @ S.B @ U)
+    t = time.perf_counter()
+    labels, P, Q = kronecker_decompose_with_iso(R, field)
+    seconds = time.perf_counter() - t
+    name = f"({R.d1},{R.d2}) {field.name}"
+    if labels != sorted(planted, key=lambda l: l.sort_key()):
+        raise SystemExit(f"{name}: labels {labels} are not the planted ones")
+    can = kronecker_sum([kronecker_block(l) for l in labels])
+    if not (rank(P) == R.d2 and rank(Q) == R.d1 and R.A @ Q == P @ can.A and R.B @ Q == P @ can.B):
+        raise SystemExit(f"{name}: the decomposition does not multiply back")
+    return f"{name:<12} {seconds:>8.3f}  {' + '.join(map(repr, labels))}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--radius", type=int, default=10, help="arity-1 windows are -R..R")
     ap.add_argument("--lengths", default="3,5", help="the s of each M(s,0) + M(2,0), comma separated")
     ap.add_argument("--box", type=int, default=3, help="the arity-2 box is -B..B squared; 0 leaves it out")
+    ap.add_argument("--pencils", default="7,11,18", help="planted pencil sizes from 7, 11 and 18, comma separated")
     args = ap.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from intdiffops.modules import DSet, Orbit, build_Ms, build_simple
@@ -118,6 +170,14 @@ def main(argv=None) -> int:
         labels = [(), (1,), (2,), (1, 2), (), (1,)]
         M0 = direct_sum_modules([build_simple(DSet(orbit, D), box) for D in labels])
         print(probe(f"six simples b={args.box}", M0), flush=True)
+    sizes = [int(x) for x in args.pencils.split(",") if x]
+    if any(n not in (7, 11, 18) for n in sizes):
+        ap.error("--pencils takes sizes from 7, 11 and 18")
+    if sizes:
+        print(f"{'pencil':<12} {'s':>8}  labels")
+    for n in sizes:
+        for gaussian in (False, True):
+            print(pencil_probe(n, gaussian), flush=True)
     return 0
 
 

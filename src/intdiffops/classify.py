@@ -6,21 +6,20 @@ four-dimensional local algebra K[h1,h2]/(h1^2,h2^2), Jordan data of
 one-variable fibers, and a factorizable-quadratic tameness test for local
 ideals in two variables.
 
-Pencils (two vertices, two arrows), modules on one space (one vertex, a
-loop per action matrix) and module windows are `linalg.QuiverRep`s, so
-`linalg.hom_space`, one Krull-Schmidt splitter, `split_indecomposables`, and
-the isomorphism decision built on it, `isomorphism`, serve all of them.  A
-window is first contracted along its opposite forest
-(`linalg.ForestTransport.contracted`), whose End is the window's; pencils
-and one-space modules have no opposite pairs and are taken as they are.
-The splitter takes End from the intertwining equations, as tuples of
-vertex blocks, its radical from the trace form (characteristic zero), and
-splits along an element whose minimal polynomial factors into coprime
-parts, all block by block on the integer form; a rep whose End/rad is
-certified to be a field is returned whole, so a pencil is reported outside
-the field only by its label.  `factor_unipoly` factors polynomials of
-degree <= 2 in closed form and hands higher degrees to the `symbolic`
-adapter, which loads sympy on first use.
+Modules on one space (one vertex, a loop per action matrix) and module
+windows are `linalg.QuiverRep`s, so `linalg.hom_space`, one Krull-Schmidt
+splitter, `split_indecomposables`, and the isomorphism decision built on
+it, `isomorphism`, serve all of them, pencils included.  A window is first
+contracted along its opposite forest (`linalg.ForestTransport.contracted`),
+whose End is the window's; pencils and one-space modules have no opposite
+pairs and are taken as they are.  The splitter takes End from the
+intertwining equations, as tuples of vertex blocks, its radical from the
+trace form (characteristic zero), and splits along an element whose
+minimal polynomial factors into coprime parts, all block by block on the
+integer form; a rep whose End/rad is certified to be a field is returned
+whole.  `factor_unipoly` factors polynomials of degree <= 2 in closed form
+and hands higher degrees to the `symbolic` adapter, which loads sympy on
+first use.
 
 Every decision goes through that splitter: `is_indecomposable` is its
 first step, and `isomorphism` splits what its first test leaves open, both
@@ -29,11 +28,14 @@ otherwise (`_entry_field`).  An End/rad that is not commutative, such as a
 quaternion algebra over Q, is neither split nor certified a field, so
 whether it is a division algebra stays undecided and raises DomainError.
 
-Pencils have one decomposition path, `kronecker_decompose_with_iso`: it
-splits, labels each piece by its dimensions (and a square one by the min
-poly of B A^-1), and matches the piece against its label's block, so every
-label it returns is verified; `kronecker_decompose` is its label list.  The
-simple K -> 0 is S1 and the simple 0 -> K is S2(0).
+Pencils (two vertices, two arrows A, B : V -> Y) are decomposed without
+End, by one path, `kronecker_decompose_with_iso`: the Wong limits of the
+pencil give its S3/S1 domain, its regular parts and its S2 part; minimal
+polynomial bases give the S3 and S2 chains, and `linalg.jordan_chains` of
+the regular quotients the S4 and S5 chains, each lifted exactly into V.
+The chains are verified once, by multiplying back against the canonical
+sum, so every label it returns is verified; `kronecker_decompose` is its
+label list.  The simple K -> 0 is S1 and the simple 0 -> K is S2(0).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import random as _random
 import re as _re
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -52,14 +54,21 @@ from .linalg import (
     QuiverRep,
     _eliminate_q,
     _eliminate_qi,
+    _lowest,
+    _mat,
     _real_pivot,
+    _unzip,
+    _zeros,
     block_diag,
     hom_space,
     invert,
+    jordan_chains,
     kernel_basis,
     opposite_forest,
     rank,
     retraction,
+    rref,
+    solve_linear,
     sparse_rank,
     split,
 )
@@ -303,6 +312,13 @@ def modules_isomorphic(mats_m: Sequence[Mat], mats_n: Sequence[Mat]) -> Optional
 # -- Kronecker quiver -------------------------------------------------------
 
 
+# largest max(d1, d2) of a pencil the `kronecker` command decomposes.  A
+# scrambled sum of seven blocks of every series over Q(i) (S1, S2(k), S3(k),
+# S4(k, -i), S4(k+1, 1+i), S4(k+2, 1+i), S5(k+1)) took 0.9 s as a full
+# process at (24, 23) and 1.7-1.9 s at (30, 29) on a 2-vCPU machine.
+MAX_PENCIL_DIM = 30
+
+
 class KroneckerRep(QuiverRep):
     """Two spaces M1, M2 with two maps A, B : M1 -> M2 (shapes d2 x d1): the
     quiver with vertices 0, 1 and arrows (0, 1, A), (0, 1, B)."""
@@ -333,6 +349,8 @@ class KroneckerBlockLabel(_KroneckerLabelFields):
     def __new__(cls, series: str, n: int = 0, lam: Optional[Scalar] = None):
         if series not in ("S1", "S2", "S3", "S4", "S5"):
             raise ValueError(f"unknown series {series!r}")
+        if series == "S1" and n:
+            raise ValueError("series S1 takes no parameter")
         if series != "S1" and n < (0 if series == "S2" else 1):
             raise ValueError("series parameter n must be >= 1, or >= 0 for S2")
         if series == "S4" and lam is None:
@@ -442,32 +460,6 @@ def _splitting_element(R: QuiverRep, field: Field) -> Optional[Tuple[Tuple[Mat, 
         f"End/rad of dimension {residue_dim} is undecided: no split and no degree-{residue_dim} "
         "certificate among the basis, pair and 300 seeded candidates"
     )
-
-
-def _kron_label(R: QuiverRep, field: Field) -> KroneckerBlockLabel:
-    """The series an indecomposable pencil would have, read off its
-    dimensions and, for a square piece, off the min poly of B A^-1.  Only the
-    verdicts are checked here: `kronecker_decompose_with_iso` matches the
-    piece against the label's block, which refuses every wrong guess."""
-    d1, d2 = R.dims
-    if d1 != d2:
-        if abs(d1 - d2) != 1:
-            raise DomainError(f"indecomposable pencil of dimensions ({d1},{d2}) is in no series")
-        if d1 < d2:
-            return KroneckerBlockLabel("S2", d1)
-        return KroneckerBlockLabel("S3", d2) if d2 else KroneckerBlockLabel("S1")
-    (_, _, A), (_, _, B) = R.arrows
-    Ainv = invert(A)
-    if Ainv is None:
-        # A B^-1 of an indecomposable square pencil with A singular is nilpotent
-        return KroneckerBlockLabel("S5", d1)
-    factors = factor_unipoly(min_poly(B @ Ainv), field)
-    if len(factors) != 1:
-        raise DomainError("square piece with split spectrum is decomposable")
-    f, _ = factors[0]
-    if f.degree() != 1:
-        raise FieldError(f"pencil eigenvalue not in the field {field.name}: min poly {f}")
-    return KroneckerBlockLabel("S4", d1, -f.coeffs.get(0, ZERO))
 
 
 def split_indecomposables(R: QuiverRep, field: Field) -> List[Tuple[QuiverRep, Tuple[Mat, ...]]]:
@@ -594,8 +586,9 @@ def _isomorphism(M: QuiverRep, N: QuiverRep, field: Field) -> Optional[Tuple[Mat
 
 
 def kronecker_decompose(R: KroneckerRep, field: Field = QQ) -> List[KroneckerBlockLabel]:
-    """Label multiset (sorted) of the indecomposable summands, each verified
-    as in `kronecker_decompose_with_iso`."""
+    """Label multiset (sorted) of the indecomposable summands: the labels of
+    `kronecker_decompose_with_iso`, whose chains multiply back to R, so each
+    label is verified."""
     return kronecker_decompose_with_iso(R, field)[0]
 
 
@@ -606,25 +599,317 @@ def kronecker_decompose_with_iso(R: KroneckerRep, field: Field = QQ):
     where (A_can, B_can) is the block-diagonal sum of the canonical series
     matrices in label order, and P, Q are invertible.
 
-    R is split by `split_indecomposables`, each piece labelled by
-    `_kron_label`, and every piece matched against its label's block: the
-    block is indecomposable, so when the dimensions agree and an isomorphism
-    exists, a basis element of Hom(block, piece) is one.  A piece with no
-    such element raises DomainError, so no label goes unverified.
+    The Kronecker chains are built directly, with no End (Wong, J.
+    Differential Equations 16 (1974); Van Dooren, Linear Algebra Appl. 27
+    (1979)).  For A, B : V -> Y, the Wong limits V* of V_{k+1} =
+    B^-1(A V_k) from V_0 = V and W* of W_{k+1} = A^-1(B W_k) from W_0 = 0
+    (`_wong_limit`) meet in V_I, the S3 and S1 domain:
+    - S3(k) and S1 (k = 0) are a minimal polynomial basis of ker(sA - B)
+      in V_I, degree by degree (`_minimal_chains`);
+    - S4 and S5 are the Jordan chains (`linalg.jordan_chains`) of the
+      quotient pencils (I, N) on V*/V_I and (N', I) on W*/V_I, per
+      eigenvalue of N, each lifted exactly into V (`_regular_part`); a
+      non-linear factor of N's min poly raises FieldError;
+    - S2 blocks span a complement of V* + W* (`_s2_part`).
+    A part whose dimension, counted from the limits, is zero is skipped.
+    The blocks are sorted by label, and P and Q must be square, of full
+    rank and multiply back against `kronecker_sum`: otherwise one
+    DomainError, so no label goes unverified.
     """
-    labeled = sorted(
-        ((_kron_label(piece, field), piece, emb) for piece, emb in split_indecomposables(R, field)),
-        key=lambda item: item[0].sort_key(),
-    )
-    Qs, Ps = [], []
-    for label, piece, (P1, P2) in labeled:
-        block = kronecker_block(label)
-        iso = _invertible_hom(hom_space(block, piece)) if block.dims == piece.dims else None
-        if iso is None:
-            raise DomainError(f"piece does not match its label {label!r}")
-        Qs.append(P1 @ iso[0])
-        Ps.append(P2 @ iso[1])
-    return [label for label, _, _ in labeled], Mat(R.d2, 0).hstack(*Ps), Mat(R.d1, 0).hstack(*Qs)
+    A, B = R.A, R.B
+    d1, d2 = R.dims
+    TV, EV, pv, NV = _wong_limit(B, A, True)
+    TW, EW, pw, NW = _wong_limit(A, B, False)
+    TI, C4, C5 = _zeros(d1, 0), TV, TW
+    if TV.cols and TW.cols:
+        TI, C4 = _meet(TV, EW, pw)
+        if TI.cols:
+            C5 = _meet(TW, EV, pv)[1] if TW.cols > TI.cols else _zeros(d1, 0)
+            NV = NW = None
+    AI = A @ TI
+    lift = None if AI.is_zero() else TI
+    parts = []  # (label, Q columns, P columns) per block
+    for chain in _minimal_chains(AI, B @ TI, TI.cols):
+        k = chain.cols - 1
+        Q = TI @ chain
+        parts.append((KroneckerBlockLabel("S3", k) if k else KroneckerBlockLabel("S1"), Q, A @ Q.select_cols(range(k))))
+    if C4.cols:
+        parts += _regular_part(A, B, C4, NV, lift, field)
+    if C5.cols:
+        parts += _regular_part(B, A, C5, NW, lift, None)
+    parts += _s2_part(A, B, parts)
+    parts.sort(key=lambda part: part[0].sort_key())
+    labels = [label for label, _, _ in parts]
+    Q = _zeros(d1, 0).hstack(*(q for _, q, _ in parts))
+    P = _zeros(d2, 0).hstack(*(p for _, _, p in parts))
+    can = kronecker_sum([kronecker_block(label) for label in labels])
+    if not (
+        (Q.cols, P.cols) == (d1, d2)
+        and rank(Q) == d1
+        and rank(P) == d2
+        and A @ Q == P @ can.A
+        and B @ Q == P @ can.B
+    ):
+        raise DomainError(f"the Kronecker chains {labels!r} do not multiply back to the pencil")
+    return labels, P, Q
+
+
+def _wong_limit(F: Mat, G: Mat, full: bool) -> Tuple[Mat, Mat, List[int], Optional[Mat]]:
+    """The limit S of S_{k+1} = F^-1(G S_k), from S_0 the whole domain
+    (full) or 0, as (T, E, piv, N): a basis T of S by columns, E in reduced
+    row echelon form with S = ker E and row r's pivot at piv[r], and N with
+    F T = G T N when G T has full column rank (else None).
+
+    Each step is one rref of [G T | F], T a basis of S_k (G itself for the
+    whole domain; F alone from 0).  Its rows with a pivot among F's columns
+    have no entry in G T's, so their F parts are the equations of
+    F^-1(G S_k), and a basis is read off them (`_null_space`).  The limit is
+    reached when the dimension stops changing.  On the limit, when every
+    column of G T is a pivot, the kernel vectors (y, T z) of [G T | F]
+    have y = -N z, and the other rows' F parts R give N = R T."""
+    d = F.cols
+    T, dim = None, d if full else 0
+    while True:
+        M = (G if T is None else G @ T).hstack(F) if full or T is not None else F
+        t = M.cols - d
+        Rm, piv = rref(M)
+        k = sum(c < t for c in piv)
+        E = Rm.select_rows(range(k, len(piv))).select_cols(range(t, M.cols))
+        epiv = [c - t for c in piv[k:]]
+        S = _null_space(E, epiv)
+        if S.cols == dim:
+            T = S if T is None else T
+            N = Rm.select_rows(range(k)).select_cols(range(t, M.cols)) @ T if k == t else None
+            return T, E, epiv, N
+        T, dim = S, S.cols
+
+
+def _null_space(E: Mat, piv: Sequence[int]) -> Mat:
+    """A basis, by columns, of {x : E x = 0} for E in reduced row echelon
+    form with row r's pivot (entry 1) at column piv[r]: per free column f,
+    1 at f and minus each row's entry in column f at that row's pivot."""
+    n = E.cols
+    pivots = set(piv)
+    free = [c for c in range(n) if c not in pivots]
+    re, im, sc = E._int()
+    rows = [None] * n
+    for j, f in enumerate(free):
+        unit = [0] * len(free)
+        unit[j] = 1
+        rows[f] = (unit, None, 1)
+    for r, p in enumerate(piv):
+        rows[p] = _lowest([-re[r][f] for f in free], None if im is None else [-im[r][f] for f in free], sc[r])
+    return _mat(n, len(free), *_unzip(rows))
+
+
+def _meet(T: Mat, E: Mat, piv: Sequence[int]) -> Tuple[Mat, Mat]:
+    """(I, C) for the span S of T's columns and the subspace ker E, E in
+    reduced row echelon form with pivots piv: a basis of S & ker E and a
+    complement C of it in S, by columns.  I = T K for K the null space of
+    E T, read off its rref, and C the columns of T at that rref's pivots.
+    When T is the whole space's identity basis, E is its own rref."""
+    if T.cols == T.rows:
+        return _null_space(E, piv), T.select_cols(piv)
+    Rm, p = rref(E @ T)
+    return T @ _null_space(Rm.select_rows(range(len(p))), p), T.select_cols(p)
+
+
+def _grid(cells: Dict[Tuple[int, int], Mat], rows: Sequence[int], cols: Sequence[int]) -> Mat:
+    """The block matrix with block rows and columns of the given sizes, the
+    given blocks at their (block row, block column) and zeros elsewhere,
+    built row by row on the integer form over the lcm of the row scales."""
+    offsets = list(accumulate(cols, initial=0))
+    width = offsets[-1]
+    forms = [(i, offsets[j], X._int()) for (i, j), X in cells.items()]
+    gaussian = any(im is not None for _, _, (_, im, _) in forms)
+    out = []
+    for i, height in enumerate(rows):
+        here = [(off, form) for k, off, form in forms if k == i]
+        for a in range(height):
+            s = lcm(*(sc[a] for _, (_, _, sc) in here))
+            re = [0] * width
+            im = [0] * width if gaussian else None
+            for off, (xre, xim, xsc) in here:
+                f = s // xsc[a]
+                re[off : off + len(xre[a])] = [v * f for v in xre[a]]
+                if xim is not None:
+                    im[off : off + len(xim[a])] = [v * f for v in xim[a]]
+            out.append((re, im, s))
+    return _mat(sum(rows), width, *_unzip(out))
+
+
+def _minimal_chains(A: Mat, B: Mat, total: int) -> List[Mat]:
+    """A minimal polynomial basis of ker(sA - B), as chains x_0..x_k, the
+    columns of one Mat each, with B x_0 = 0, B x_i = A x_{i-1} and
+    A x_k = 0: the pencil's S3(k) blocks (S1 for k = 0), when every vector
+    of the domain lies in one and the domain has dimension `total`.
+
+    Degree k solves the block system for x_0..x_k at once, and keeps the
+    kernel vectors independent of the shifts of the shorter chains (the
+    pivot columns of one `rref`, shifts first).  It stops when the chains
+    hold `total` vectors, and raises DomainError if they cannot."""
+    m, r = A.cols, A.rows
+    minus_A = -A
+    chains: List[Mat] = []
+    held = k = 0
+    while held < total:
+        if k >= total:
+            raise DomainError(f"no minimal basis of the pencil's kernel fills dimension {total}")
+        cells = {(0, 0): B, (k + 1, k): A}
+        for i in range(1, k + 1):
+            cells[i, i - 1] = minus_A
+            cells[i, i] = B
+        kernel = kernel_basis(_grid(cells, [r] * (k + 2), [m] * (k + 1)))
+        shifts = [
+            _grid({(t + j, 0): X.select_cols([j]) for j in range(X.cols)}, [m] * (k + 1), [1])
+            for X in chains
+            for t in range(k + 2 - X.cols)
+        ]
+        new = kernel
+        if shifts and kernel:
+            _, piv = rref(Mat.from_cols(shifts + kernel, (k + 1) * m))
+            new = [kernel[j - len(shifts)] for j in piv if j >= len(shifts)]
+        for v in new:
+            chains.append(_zeros(m, 0).hstack(*(v.select_rows(range(i * m, (i + 1) * m)) for i in range(k + 1))))
+        held += len(new) * (k + 1)
+        k += 1
+    return chains
+
+
+def _regular_part(F: Mat, G: Mat, C: Mat, N: Optional[Mat], lift: Optional[Mat], field: Optional[Field]):
+    """(label, Q, P) per Jordan chain of a regular part: S4 for (F, G) =
+    (A, B) and C a complement of V_I in V*, S5 for (F, G) = (B, A), C a
+    complement of V_I in W* and field None.
+
+    With D = F C, G C = D N + F T_I X, so the quotient pencil is (I, N) (N
+    is given when V_I = 0 and C is the Wong basis).  Its chains for N - lam
+    are lifted into V by q_j = C z_j + T_I u_j with (G - lam F) q_j =
+    F q_{j-1}, one `solve_linear` per level.  The solve always succeeds,
+    since G - lam F maps V_I onto F V_I for every lam; it is skipped (lift
+    None) when F V_I = 0, where C z_j is already exact.  For S4, N's min
+    poly is factored over the field (unless N is lam I), and a non-linear
+    factor raises FieldError; for S5, N must be nilpotent."""
+    c = C.cols
+    if N is None:
+        D = F @ C
+        X = solve_linear(D if lift is None else D.hstack(F @ lift), G @ C)
+        if X is None:
+            raise DomainError("the quotient pencil of a Wong limit is not (I, N)")
+        N = X.select_rows(range(c))
+    lams = [ZERO]
+    if field is not None:
+        lam = N.scalar_value()
+        if lam is not None and field.contains(lam):
+            lams = [lam]
+        else:
+            lams = []
+            for f, _ in factor_unipoly(min_poly(N), field):
+                if f.degree() != 1:
+                    raise FieldError(f"pencil eigenvalue not in the field {field.name}: min poly {f}")
+                lams.append(-f.coeffs.get(0, ZERO))
+    out, held = [], 0
+    for lam in lams:
+        L = None if lift is None else (G - F.scale(lam)) @ lift
+        for chain in jordan_chains(N - Mat.scalar(c, lam) if lam else N):
+            n = len(chain)
+            held += n
+            Q = C @ _zeros(c, 0).hstack(*chain)
+            if lift is not None:
+                cols = []
+                for j in range(n):
+                    base = Q.select_cols([j])
+                    rhs = (F @ base).scale(lam) - G @ base
+                    if cols:
+                        rhs = rhs + F @ cols[-1]
+                    U = solve_linear(L, rhs)
+                    if U is None:
+                        raise DomainError("a Jordan chain does not lift into the pencil")
+                    cols.append(base + lift @ U)
+                Q = _zeros(C.rows, 0).hstack(*cols)
+            label = KroneckerBlockLabel("S5", n) if field is None else KroneckerBlockLabel("S4", n, lam)
+            out.append((label, Q, F @ Q))
+    if held != c:
+        raise DomainError("the quotient pencil of a Wong limit is not (I, N) with N nilpotent")
+    return out
+
+
+def _s2_part(A: Mat, B: Mat, parts):
+    """(label, Q, P) per S2 block, given every other block's (label, Q, P).
+
+    The other blocks' Q columns span V* + W* and their P columns Z =
+    A V* + B W*.  When every S2 block has n <= 1 (one block, or A G, B G
+    independent modulo Z), each vector e of a complement G of V* + W* is an
+    S2(1) with P columns A e, B e.  Otherwise, the annihilator of Z holds
+    the S3 part of the transposed pencil: its chains phi_0..phi_n
+    (`_minimal_chains` on (Phi A)^T, (Phi B)^T for a basis Phi) are the
+    dual rows of the S2(n) blocks, and e*_i = phi_i A those of their
+    domains.  Each chain with n >= 1 is lifted by one solve for e_0..e_{n-1}
+    with B e_i = A e_{i+1} and e*(e_i) the unit at its own index; its P
+    columns are A e_0, ..., A e_{n-1}, B e_{n-1}.  The solve succeeds as
+    Ext^1(S2, the other series) = 0.  Each S2(0) takes a unit vector off
+    the span of every other P column."""
+    d2, d1 = A.shape
+    P = _zeros(d2, 0).hstack(*(p for _, _, p in parts))
+    h = d2 - P.cols
+    if not h:
+        return []
+    Q = _zeros(d1, 0).hstack(*(q for _, q, _ in parts))
+    g = d1 - Q.cols
+    out, zeros = [], h
+    if g:
+        G = _complement(Q)
+        if g == 1 or rank(P.hstack(A @ G, B @ G)) == P.cols + 2 * g:
+            for j in range(g):
+                e = G.select_cols([j])
+                out.append((KroneckerBlockLabel("S2", 1), e, (A @ e).hstack(B @ e)))
+            zeros = h - 2 * g
+        else:
+            out, zeros = _s2_chains(A, B, P, g)
+        P = P.hstack(*(p for _, _, p in out))
+    if zeros:
+        units = _complement(P)
+        out += [(KroneckerBlockLabel("S2", 0), _zeros(d1, 0), units.select_cols([j])) for j in range(zeros)]
+    return out
+
+
+def _s2_chains(A: Mat, B: Mat, P: Mat, g: int):
+    """The S2(n) blocks with n >= 1 and the number of S2(0) blocks, from the
+    dual chains on the annihilator of P's columns (see `_s2_part`)."""
+    d2, d1 = A.shape
+    PhiT = Mat.from_cols(kernel_basis(P.transpose()), d2)
+    Phi = PhiT.transpose()
+    chains = _minimal_chains((Phi @ A).transpose(), (Phi @ B).transpose(), PhiT.cols)
+    duals = [(PhiT @ W).transpose() for W in chains]
+    E = reduce(Mat.vstack, [F.select_rows(range(F.rows - 1)) @ A for F in duals])
+    if E.rows != g:
+        raise DomainError("the S2 chains do not fill the quotient by the Wong limits")
+    out, zeros, o = [], 0, 0
+    for W in chains:
+        n = W.cols - 1
+        if not n:
+            zeros += 1
+            continue
+        cells = {(i, i): B for i in range(n - 1)}
+        cells.update({(i, i + 1): -A for i in range(n - 1)})
+        cells.update({(n - 1 + i, i): E for i in range(n)})
+        height = (n - 1) * d2 + n * g
+        ones = {(n - 1) * d2 + i * g + o + i for i in range(n)}
+        rhs = _mat(height, 1, [[int(r in ones)] for r in range(height)], None, [1] * height)
+        X = solve_linear(_grid(cells, [d2] * (n - 1) + [g] * n, [d1] * n), rhs)
+        if X is None:
+            raise DomainError("an S2 chain does not lift into the pencil")
+        Q = _zeros(d1, 0).hstack(*(X.select_rows(range(i * d1, (i + 1) * d1)) for i in range(n)))
+        out.append((KroneckerBlockLabel("S2", n), Q, (A @ Q).hstack(B @ Q.select_cols([n - 1]))))
+        o += n
+    return out, zeros
+
+
+def _complement(M: Mat) -> Mat:
+    """Unit vectors, by columns, completing M's independent columns to a
+    basis: those at the non-pivot columns of rref(M^T)."""
+    _, piv = rref(M.transpose())
+    pivots = set(piv)
+    return Mat.scalar(M.rows, ONE).select_cols(c for c in range(M.rows) if c not in pivots)
 
 
 def kronecker_sum(reps: Sequence[KroneckerRep]) -> KroneckerRep:
@@ -786,27 +1071,16 @@ def band_module(orbit, n: int, lam) -> GammaModule:
 
 
 def jordan_fiber_decompose(fiber: Fiber) -> Dict[Tuple[int, Scalar], int]:
-    """Multiset of Jordan block data (size, eigenvalue) of a k=1 fiber."""
+    """Multiset of Jordan block data (size, eigenvalue) of a k=1 fiber: the
+    lengths of the `jordan_chains` of A - lam, which must fill the fiber."""
     if fiber.k != 1:
         raise DomainError("Jordan decomposition needs a one-variable fiber")
-    A = fiber.matrices[0]
     lam = fiber.center[0]
-    d = fiber.dim
-    N = A - Mat.scalar(d, lam)
-    kers = [0]
-    P = Mat.identity(d)
-    for _ in range(d):
-        P = N @ P
-        kers.append(d - rank(P))
-    if kers[-1] != d:
+    chains = jordan_chains(fiber.matrices[0] - Mat.scalar(fiber.dim, lam))
+    if sum(map(len, chains)) != fiber.dim:
         raise DomainError("matrix is not nilpotent after the shift")
-    at_least = [kers[k] - kers[k - 1] for k in range(1, d + 1)]
-    out: Dict[Tuple[int, Scalar], int] = {}
-    for s in range(1, d + 1):
-        exact = at_least[s - 1] - (at_least[s] if s < d else 0)
-        if exact > 0:
-            out[(s, lam)] = exact
-    return out
+    sizes = [len(chain) for chain in chains]
+    return {(s, lam): sizes.count(s) for s in sorted(set(sizes))}
 
 
 # -- the algebra K[h1,h2]/(h1^2, h2^2) --------------------------------------

@@ -373,11 +373,14 @@ def cmd_rep_type(args, cfg):
 
 
 def cmd_kronecker(args, cfg):
-    from .classify import KroneckerRep, kronecker_decompose
+    from .classify import MAX_PENCIL_DIM, KroneckerRep, kronecker_decompose
 
-    A = mat_from_json(json.loads(args.a))
-    B = mat_from_json(json.loads(args.b))
-    labels = kronecker_decompose(KroneckerRep(A, B), cfg.field)
+    R = KroneckerRep(mat_from_json(json.loads(args.a)), mat_from_json(json.loads(args.b)))
+    if max(R.dims) > MAX_PENCIL_DIM:
+        raise _domain_error(
+            f"pencil of dimensions ({R.d1},{R.d2}) exceeds the limit MAX_PENCIL_DIM = {MAX_PENCIL_DIM}"
+        )
+    labels = kronecker_decompose(R, cfg.field)
     _emit(
         cfg,
         " + ".join(repr(l) for l in labels),

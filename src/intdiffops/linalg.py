@@ -40,7 +40,9 @@ matrix through it, over Q and Q(i) alike, and so do `solve_linear`,
 `invert` and `column_space_basis` through `rref`, every Hom system
 (`BlockSystem`), and the trace form and the power rows of `min_poly` in
 `classify`.  The reduced echelon form is unique, so the pivot rule never
-shows in results.  A Hom system has Sum_v m_v*n_v unknowns but at most
+shows in results.  `jordan_chains` reads Jordan chains of a square matrix
+off the kernels of its powers, for the pencil chains and fiber labels of
+`classify`.  A Hom system has Sum_v m_v*n_v unknowns but at most
 d_s + d_t nonzeros per row, so sparsity is what keeps large strings, bands
 and pencils affordable.
 """
@@ -731,6 +733,50 @@ def column_space_basis(columns: Iterable[Mat], dim: int) -> List[Mat]:
     cols = list(columns)
     _, piv = rref(Mat.from_cols(cols, dim))
     return [cols[j] for j in piv]
+
+
+def jordan_chains(M: Mat) -> List[List[Mat]]:
+    """Jordan chains of a square M that together form a basis of its
+    generalized kernel: each chain [x_0, ..., x_{l-1}] has M x_0 = 0 and
+    M x_j = x_{j-1}.  Longer chains come first.
+
+    The kernels K_k of the powers M^k are read until they stop growing (or
+    fill the space), with no restriction to the generalized eigenspace
+    first.  The tops of the chains of length k are the vectors of K_k's
+    basis that are independent of K_{k-1} and of the level-k vectors of the
+    longer chains (the pivot columns of one `rref`); M carries every chain
+    one level down.  M is nilpotent exactly when the chains hold M.rows
+    vectors."""
+    if M.rows != M.cols:
+        raise ValueError(f"Jordan chains need a square matrix, not {M.shape}")
+    n = M.rows
+    if M.is_zero():
+        identity = Mat.scalar(n, ONE)
+        return [[identity.select_cols([i])] for i in range(n)]
+    kernels: List[List[Mat]] = [[]]
+    power = M
+    while n:
+        K = kernel_basis(power)
+        if len(K) == len(kernels[-1]):
+            break
+        kernels.append(K)
+        if len(K) == n:
+            break
+        power = power @ M
+    chains: List[List[Mat]] = []
+    for k in range(len(kernels) - 1, 0, -1):
+        level = [chain[0] for chain in chains]
+        fixed = kernels[k - 1] + level
+        if fixed:
+            _, piv = rref(Mat.from_cols(fixed + kernels[k], n))
+            tops = [kernels[k][j - len(fixed)] for j in piv if j >= len(fixed)]
+        else:
+            tops = kernels[k]
+        chains += [[x] for x in tops]
+        if k > 1:
+            for chain in chains:
+                chain.insert(0, M @ chain[0])
+    return chains
 
 
 def invert(matrix: Mat) -> Optional[Mat]:

@@ -338,22 +338,24 @@ def test_scrambled_sums_with_simple_targets(field):
         _assert_multiplies_back(R, labels, P, Q)
 
 
-def test_a_wrong_label_is_refused_by_the_match(monkeypatch):
-    # S4(2,3) read as S5(2): same dimensions, but no basis hom is invertible
+def test_a_corrupted_chain_is_refused_by_the_final_check(monkeypatch):
+    # S4(2,3) with its Jordan chain's bottom doubled: the labels come out
+    # right, but the chain no longer multiplies back
     R = _planted([KroneckerBlockLabel("S4", 2, Scalar(3))], QQ, random.Random(3))
-    monkeypatch.setattr(classify, "_kron_label", lambda piece, field: KroneckerBlockLabel("S5", 2))
-    with pytest.raises(DomainError, match=r"does not match its label S5\(2\)"):
-        kronecker_decompose(R, QQ)
-    # and so is a label of other dimensions
-    monkeypatch.setattr(classify, "_kron_label", lambda piece, field: KroneckerBlockLabel("S3", 1))
-    with pytest.raises(DomainError, match=r"does not match its label S3\(1\)"):
+    real = classify.jordan_chains
+
+    def corrupted(M):
+        return [[chain[0].scale(2)] + chain[1:] for chain in real(M)]
+
+    monkeypatch.setattr(classify, "jordan_chains", corrupted)
+    with pytest.raises(DomainError, match=r"chains \[S4\(2,3\)\] do not multiply back"):
         kronecker_decompose(R, QQ)
 
 
-def test_a_piece_in_no_series_is_named_by_its_dimensions():
-    R = QuiverRep((3, 1), [(0, 1, Mat.zero(1, 3)), (0, 1, Mat.zero(1, 3))])
-    with pytest.raises(DomainError, match=r"dimensions \(3,1\) is in no series"):
-        classify._kron_label(R, QQ)
+def test_s1_takes_no_parameter():
+    assert KroneckerBlockLabel("S1") == KroneckerBlockLabel("S1", 0)
+    with pytest.raises(ValueError, match="S1 takes no parameter"):
+        KroneckerBlockLabel("S1", 2)
 
 
 def _pencil_labels(field):

@@ -11,7 +11,7 @@ import pytest
 
 from intdiffops.cli import MAX_ARITY, main
 from intdiffops.action import MAX_ACTION_CELLS
-from intdiffops.classify import MAX_GAMMA_DIM
+from intdiffops.classify import MAX_GAMMA_DIM, MAX_PENCIL_DIM
 from intdiffops.modules import MAX_MS_LENGTH, MAX_WINDOW_POINTS, dualize
 from intdiffops.parser import MAX_EXPONENT, MAX_NESTING
 from intdiffops.serialize import module_from_json, module_to_json
@@ -387,6 +387,22 @@ def test_pencil_outside_field_is_a_domain_error():
     error = json.loads(out)["error"]
     assert error["kind"] == "domain"
     assert error["message"] == "pencil eigenvalue not in the field q: min poly H^2 - 2"
+
+
+def test_pencil_dimension_limit_is_a_domain_error():
+    def matrix(rows, cols, diagonal):
+        return json.dumps([[diagonal if r == c else "0" for c in range(cols)] for r in range(rows)])
+
+    n = MAX_PENCIL_DIM
+    code, out = run_cli(["--json", "kronecker", "--a", matrix(n, n, "1"), "--b", matrix(n, n, "0")])
+    assert code == 0 and len(json.loads(out)["result"]) == n
+    for rows, cols in ((n + 1, n), (n, n + 1), (1, n + 1)):
+        code, out = run_cli(["--json", "kronecker", "--a", matrix(rows, cols, "1"), "--b", matrix(rows, cols, "0")])
+        assert code == 1
+        assert json.loads(out)["error"] == {
+            "kind": "domain",
+            "message": f"pencil of dimensions ({cols},{rows}) exceeds the limit MAX_PENCIL_DIM = {n}",
+        }
 
 
 def test_zero_pencil_names_both_simples():
