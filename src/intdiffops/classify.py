@@ -208,10 +208,7 @@ def factor_unipoly(p: UniPoly, field: Field) -> List[Tuple[UniPoly, int]]:
     Degrees up to 2 are solved in closed form from `Field.sqrt` of the
     discriminant; higher degrees go to `symbolic.factor`.
     """
-    for k in sorted(p.coeffs, reverse=True):
-        if not field.contains(p.coeffs[k]):
-            raise ValueError(f"coefficient {p.coeffs[k]} is not rational")
-    d = p.degree()
+    d = _in_field(p, field).degree()
     if not d:
         return []
     if d > 2:
@@ -234,6 +231,23 @@ def factor_unipoly(p: UniPoly, field: Field) -> List[Tuple[UniPoly, int]]:
     else:
         consts.sort(key=lambda k: (k.den, k.nre))
     return [(UniPoly({1: ONE, 0: k}), 1) for k in consts]
+
+
+def _in_field(p: UniPoly, field: Field) -> UniPoly:
+    """p, once each coefficient is checked to lie in the field."""
+    for k in sorted(p.coeffs, reverse=True):
+        if not field.contains(p.coeffs[k]):
+            raise ValueError(f"coefficient {p.coeffs[k]} is not rational")
+    return p
+
+
+def _squarefree(p: UniPoly) -> UniPoly:
+    """p / gcd(p, p'), monic: the roots of p, each once."""
+    g, r = p, UniPoly({k - 1: c * k for k, c in p.coeffs.items() if k})
+    while not r.is_zero():
+        g, r = r, g.divmod(r)[1]
+    q = p.divmod(g)[0]
+    return q.scale(ONE / q.leading())
 
 
 def _eval_poly(p: UniPoly, X: Mat) -> Mat:
@@ -786,9 +800,10 @@ def _regular_part(F: Mat, G: Mat, C: Mat, N: Optional[Mat], lift: Optional[Mat],
     are lifted into V by q_j = C z_j + T_I u_j with (G - lam F) q_j =
     F q_{j-1}, one `solve_linear` per level.  The solve always succeeds,
     since G - lam F maps V_I onto F V_I for every lam; it is skipped (lift
-    None) when F V_I = 0, where C z_j is already exact.  For S4, N's min
-    poly is factored over the field (unless N is lam I), and a non-linear
-    factor raises FieldError; for S5, N must be nilpotent."""
+    None) when F V_I = 0, where C z_j is already exact.  For S4, the
+    squarefree part of N's min poly, which has its roots, is factored over
+    the field (unless N is lam I), and a non-linear factor raises
+    FieldError; for S5, N must be nilpotent."""
     c = C.cols
     if N is None:
         D = F @ C
@@ -803,7 +818,7 @@ def _regular_part(F: Mat, G: Mat, C: Mat, N: Optional[Mat], lift: Optional[Mat],
             lams = [lam]
         else:
             lams = []
-            for f, _ in factor_unipoly(min_poly(N), field):
+            for f, _ in factor_unipoly(_squarefree(_in_field(min_poly(N), field)), field):
                 if f.degree() != 1:
                     raise FieldError(f"pencil eigenvalue not in the field {field.name}: min poly {f}")
                 lams.append(-f.coeffs.get(0, ZERO))

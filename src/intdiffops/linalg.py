@@ -49,7 +49,7 @@ and pencils affordable.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul
@@ -412,8 +412,10 @@ def _mat(rows: int, cols: int, re, im, sc) -> Mat:
     return m
 
 
+@lru_cache(maxsize=1024)
 def _zeros(rows: int, cols: int) -> Mat:
-    """The zero matrix; its rows share one list, as rows are never written."""
+    """The zero matrix, one per shape while it stays in the cache: a Mat
+    built by the package is never written, and its rows share one list."""
     return _mat(rows, cols, [[0] * cols] * rows, None, [1] * rows)
 
 
@@ -1286,15 +1288,6 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
     out = [[] for _ in parts]
     # the pieces other than each part's, which an arrow held by that part alone leaves empty
     rest = [out[:k] + out[k + 1 :] for k in range(len(out))]
-    zeros: Dict[Tuple[int, int], Mat] = {}
-
-    def zero(rows: int, cols: int) -> Mat:
-        Z = zeros.get((rows, cols))
-        if Z is None:
-            Z = zeros[rows, cols] = _zeros(rows, cols)
-        return Z
-
-    empty = zero(0, 0)
     for arrow in R.arrows:
         s, t, f = arrow
         k = sole[s]
@@ -1303,14 +1296,14 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
                 X = f if T[s] is None else f @ T[s]
                 arrow = (s, t, X if Tinv[t] is None else Tinv[t] @ X)
             out[k].append(arrow)
-            arrow = (s, t, empty)
+            arrow = (s, t, _zeros(0, 0))
             for arrows in rest[k]:
                 arrows.append(arrow)
             continue
         bs, bt = bounds[s], bounds[t]
         cuts = list(zip(bs, bs[1:], bt, bt[1:]))
         if f.is_zero():
-            blocks = [zero(y - x, b - a) for a, b, x, y in cuts]
+            blocks = [_zeros(y - x, b - a) for a, b, x, y in cuts]
         else:
             X = f if T[s] is None else f @ T[s]
             re, im, sc = (X if Tinv[t] is None else Tinv[t] @ X)._int()
@@ -1325,7 +1318,7 @@ def split(R: QuiverRep, parts: Sequence[Sequence[Mat]]) -> Optional[List[QuiverR
                 for full, cut in ((re, segs), (im, isegs)):
                     if cut and sum(row.count(0) for row in full[x:y]) - sum(c.count(0) for c in cut) != outside:
                         return None
-                blocks.append(_mat(y - x, b - a, segs, isegs, sc[x:y]) if segs and a < b else zero(y - x, b - a))
+                blocks.append(_mat(y - x, b - a, segs, isegs, sc[x:y]) if segs and a < b else _zeros(y - x, b - a))
         for arrows, block in zip(out, blocks):
             arrows.append((s, t, block))
     return [QuiverRep([b[k + 1] - b[k] for b in bounds], arrows) for k, arrows in enumerate(out)]

@@ -295,7 +295,7 @@ class ModuleWindow:
                     key = (kind, j + 1, p)
                     f = get(key)
                     keys.append(key)
-                    # no caller writes a quiver's maps, so a missing one may be a shared-row zero
+                    # no caller writes a quiver's maps, so a missing one is the shared zero
                     arrows.append((v, w, _zeros(dims[w], dims[v]) if f is None else f))
         return pts, keys, QuiverRep(dims, arrows)
 
@@ -659,11 +659,10 @@ def _contract_blocks(
         elif up[v][0] in held:
             held[v] = held[up[v][0]]
     transport = ForestTransport(rep, (order, [None if v in held else link for v, link in enumerate(up)]))
-    # one identity and one empty basis per dimension, shared
+    # one identity per dimension, shared
     ident = {d: Mat.scalar(d, ONE) for d in set(rep.dims)}
-    empty = {d: _zeros(d, 0) for d in ident}
     index = {D: k for k, D in enumerate(blocks)}
-    parts = [[empty[rep.dims[r]] for r in transport.roots] for _ in blocks]
+    parts = [[_zeros(rep.dims[r], 0) for r in transport.roots] for _ in blocks]
     for i, r in enumerate(transport.roots):
         if r in roots:
             for D, B in roots[r].items():

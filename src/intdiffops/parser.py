@@ -12,12 +12,16 @@ Grammar (ASCII, with glyph alternates for the two calculus generators):
                | 'e' '[' integer ',' integer ']' '_' slot
     rational  := digits ('/' digits)?
 
-The glyphs '∂' and '∫' are accepted for 'd' and 'int'.  Errors carry the
-line/column of the offending token and the set of expected tokens.
+The glyphs '∂' and '∫' are accepted for 'd' and 'int'.  The token pattern
+`_TOKEN` is the lexical part of this grammar: one alternative per token
+kind, digits are decimal digits, and blanks and newlines separate tokens.
+Errors carry the line/column of the offending token and the set of
+expected tokens.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple
 
@@ -46,132 +50,85 @@ class Token(NamedTuple):
     value: object = None  # Fraction for NUM, (name, slot) for GEN, (s,t,slot) for E
 
 
-_GEN_NAMES = ("int", "H", "d", "x")
+_NAME = r"int|[Hdx∂∫]"
 _GLYPHS = {"∂": "d", "∫": "int"}
+# tried in order; '\d' is what int() reads, 'i' then 'nt' starts a generator,
+# and BAD takes the first character of any token that does not match
+_TOKEN = re.compile(
+    rf"""
+      (?P<NL>\n)
+    | (?P<WS>[ \t\r]+)
+    | (?P<NUM>(?P<num>\d+)(?:/(?P<den>\d+))?)
+    | (?P<OP>[-+*^])
+    | (?P<LPAREN>\()
+    | (?P<RPAREN>\))
+    | (?P<E>e\[(?P<s>-?\d+),(?P<t>-?\d+)\]_(?P<eslot>\d+))
+    | (?P<GEN>(?P<name>{_NAME})_(?P<slot>\d+))
+    | (?P<IMAG>i(?!nt))
+    | (?P<BAD>.)
+    """,
+    re.VERBOSE,
+)
+# the parts of a slot subscript and of a matrix unit after 'e[', in order:
+# (pattern, message, expected) for the error naming the first one missing
+_SLOT_INDEX = (r"\d+", "missing slot index", "digit")
+_E_PARTS = (
+    (r"-?\d+", "malformed matrix-unit token", "integer"),
+    (",", "malformed matrix-unit token", "','"),
+    (r"-?\d+", "malformed matrix-unit token", "integer"),
+    (r"\]", "malformed matrix-unit token", "']'"),
+    ("_", "missing slot subscript", "'_'"),
+    _SLOT_INDEX,
+)
 
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def err(msg, expected=()):
-        raise ParseError(msg, line, col, expected)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            den = 1
-            if j < n and text[j] == "/" and j + 1 < n and text[j + 1].isdigit():
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                den = int(text[j + 1 : k])
-                j = k
-                if not den:
-                    err(f"zero denominator in {text[i:j]!r}")
-            tokens.append(Token("NUM", text[i:j], line, start_col, Fraction(num, den)))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^":
-            tokens.append(Token("OP", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "(":
-            tokens.append(Token("LPAREN", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == ")":
-            tokens.append(Token("RPAREN", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "e" and i + 1 < n and text[i + 1] == "[":
-            j = i + 2
-            nums = []
-            for which in range(2):
-                k = j
-                if k < n and text[k] == "-":
-                    k += 1
-                if k >= n or not text[k].isdigit():
-                    col = start_col + (j - i)
-                    err("malformed matrix-unit token", ("integer",))
-                while k < n and text[k].isdigit():
-                    k += 1
-                nums.append(int(text[j:k]))
-                j = k
-                sep = "," if which == 0 else "]"
-                if j >= n or text[j] != sep:
-                    col = start_col + (j - i)
-                    err("malformed matrix-unit token", (f"'{sep}'",))
-                j += 1
-            slot, j2 = _read_slot(text, j, line, start_col + (j - i))
-            tok_text = text[i:j2]
-            tokens.append(
-                Token("E", tok_text, line, start_col, (nums[0], nums[1], slot))
-            )
-            col += j2 - i
-            i = j2
-            continue
-        name = None
-        for g in _GEN_NAMES:
-            if text.startswith(g, i):
-                name = g
-                break
-        if name is None and ch in _GLYPHS:
-            name = _GLYPHS[ch]
-            glyph_len = 1
-        else:
-            glyph_len = len(name) if name else 0
-        if name is not None:
-            j = i + glyph_len
-            if j < n and text[j] == "_":
-                slot, j2 = _read_slot(text, j, line, start_col + (j - i))
-                tokens.append(Token("GEN", text[i:j2], line, start_col, (name, slot)))
-                col += j2 - i
-                i = j2
-                continue
-            if name == "x" or name == "H" or name == "d" or name == "int":
-                # generators require an explicit slot subscript
-                col = start_col + glyph_len
-                err(f"generator {name!r} needs a slot subscript", ("'_'",))
-        if ch == "i":
-            tokens.append(Token("IMAG", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        err(f"unexpected character {ch!r}")
-    tokens.append(Token("END", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        col = m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "NUM":
+            den = int(m["den"] or 1)
+            if not den:
+                raise ParseError(f"zero denominator in {m[0]!r}", line, col)
+            tokens.append(Token(kind, m[0], line, col, Fraction(int(m["num"]), den)))
+        elif kind == "E":
+            tokens.append(Token(kind, m[0], line, col, (int(m["s"]), int(m["t"]), int(m["eslot"]))))
+        elif kind == "GEN":
+            tokens.append(Token(kind, m[0], line, col, (_GLYPHS.get(m["name"], m["name"]), int(m["slot"]))))
+        elif kind == "BAD":
+            stop, message, expected = _stop(text, m.start())
+            raise ParseError(message, line, stop - line_start + 1, expected)
+        elif kind != "WS":
+            tokens.append(Token(kind, m[0], line, col))
+    tokens.append(Token("END", "", line, len(text) - line_start + 1))
     return tokens
 
 
-def _read_slot(text: str, j: int, line: int, col: int) -> Tuple[int, int]:
-    if j >= len(text) or text[j] != "_":
-        raise ParseError("missing slot subscript", line, col, ("'_'",))
-    k = j + 1
-    if k >= len(text) or not text[k].isdigit():
-        raise ParseError("missing slot index", line, col + 1, ("digit",))
-    while k < len(text) and text[k].isdigit():
-        k += 1
-    return int(text[j + 1 : k]), k
+def _stop(text: str, pos: int) -> Tuple[int, str, Tuple[str, ...]]:
+    """(offset, message, expected) of the first part missing from the
+    generator or matrix unit that starts at pos, else of the character
+    there.  Some part is missing, as the whole did not match _TOKEN."""
+    name = re.compile(_NAME).match(text, pos)
+    if text.startswith("e[", pos):
+        parts, pos = _E_PARTS, pos + 2
+    elif name:
+        needs = f"generator {_GLYPHS.get(name[0], name[0])!r} needs a slot subscript"
+        parts, pos = (("_", needs, "'_'"), _SLOT_INDEX), name.end()
+    else:
+        return pos, f"unexpected character {text[pos]!r}", ()
+    for part, message, expected in parts:
+        m = re.compile(part).match(text, pos)
+        if m is None:
+            return pos, message, (expected,)
+        pos = m.end()
+
+
+def _error(tok: Token, message: str, *expected: str) -> ParseError:
+    return ParseError(message, tok.line, tok.col, expected)
 
 
 class Parser:
@@ -191,7 +148,7 @@ class Parser:
     def nested(self, tok: Token, parse):
         """parse() one nesting level below tok, at most MAX_NESTING deep."""
         if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting exceeds the limit MAX_NESTING = {MAX_NESTING}", tok.line, tok.col)
+            raise _error(tok, f"nesting exceeds the limit MAX_NESTING = {MAX_NESTING}")
         self.depth += 1
         node = parse()
         self.depth -= 1
@@ -201,12 +158,7 @@ class Parser:
         node = self.expr()
         tok = self.peek()
         if tok.kind != "END":
-            raise ParseError(
-                f"unexpected token {tok.text!r}",
-                tok.line,
-                tok.col,
-                ("'+'", "'-'", "'*'", "end of input"),
-            )
+            raise _error(tok, f"unexpected token {tok.text!r}", "'+'", "'-'", "'*'", "end of input")
         return node
 
     def expr(self):
@@ -244,15 +196,10 @@ class Parser:
             self.advance()
             exp = self.peek()
             if exp.kind != "NUM" or exp.value.denominator != 1:
-                raise ParseError(
-                    "exponent must be a natural number",
-                    exp.line,
-                    exp.col,
-                    ("natural number",),
-                )
+                raise _error(exp, "exponent must be a natural number", "natural number")
             k = int(exp.value)
             if k > MAX_EXPONENT:
-                raise ParseError(f"exponent {k} exceeds the limit MAX_EXPONENT = {MAX_EXPONENT}", exp.line, exp.col)
+                raise _error(exp, f"exponent {k} exceeds the limit MAX_EXPONENT = {MAX_EXPONENT}")
             self.advance()
             node = ("pow", node, k)
         return node
@@ -278,20 +225,10 @@ class Parser:
             node = self.nested(tok, self.expr)
             close = self.peek()
             if close.kind != "RPAREN":
-                raise ParseError(
-                    f"unexpected token {close.text or 'end of input'!r}",
-                    close.line,
-                    close.col,
-                    ("')'",),
-                )
+                raise _error(close, f"unexpected token {close.text or 'end of input'!r}", "')'")
             self.advance()
             return node
-        raise ParseError(
-            f"unexpected token {tok.text or 'end of input'!r}",
-            tok.line,
-            tok.col,
-            ("number", "generator", "'('", "'-'"),
-        )
+        raise _error(tok, f"unexpected token {tok.text or 'end of input'!r}", "number", "generator", "'('", "'-'")
 
 
 def parse_expression(text: str):

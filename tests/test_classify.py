@@ -186,6 +186,10 @@ S = kronecker_sum([kronecker_block(l) for l in labels])
 U = Mat(3, 3, [[1, i, 0], [0, 1, -1], [0, 0, 1]])
 V = Mat(4, 4, [[1, 0, 0, 0], [-i, 1, 0, 0], [1, i, 1, 0], [0, 0, -1, 1]])
 got, _, _ = kronecker_decompose_with_iso(KroneckerRep(V @ S.A @ U, V @ S.B @ U), QQI)
+# N's min poly (t - 1 - i)^3 (t + i) has degree 4; its squarefree part has degree 2
+J = kronecker_sum([kronecker_block(l) for l in (KroneckerBlockLabel("S4", 3, 1 + i), KroneckerBlockLabel("S4", 1, -i))])
+W = Mat(4, 4, [[1, i, 0, 0], [0, 1, -1, 0], [0, 0, 1, 2], [1, 0, 0, 1]])
+jordan, _, _ = kronecker_decompose_with_iso(KroneckerRep(V @ J.A @ W, V @ J.B @ W), QQI)
 band = band_module(BandOrbit((1, 2, 2)), 1, 1 + i).matrices
 other = band_module(BandOrbit((1, 2, 2)), 1, 2 + i).matrices
 # S4(1,0) + S4(1,1), scrambled: no basis hom is invertible, so both sides are split
@@ -193,7 +197,7 @@ T = kronecker_sum([kronecker_block(KroneckerBlockLabel("S4", 1, c)) for c in (0,
 X, Y = Mat(2, 2, [[1, 1], [0, 1]]), Mat(2, 2, [[1, 0], [2, 1]])
 P = KroneckerRep(X @ T.A @ Y, X @ T.B @ Y)
 single = any(all(rank(b) == b.rows for b in h) for h in hom_space(P, T))
-print(got, is_indecomposable(band), modules_isomorphic(band, other), single, isomorphism(P, T) is not None,
+print(got, jordan, is_indecomposable(band), modules_isomorphic(band, other), single, isomorphism(P, T) is not None,
       "sympy" in sys.modules)
 """
 
@@ -209,7 +213,7 @@ def test_small_classification_leaves_sympy_unloaded():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[S2(1), S4(1,i), S4(1,1+i)] True None False True False"
+    assert proc.stdout.strip() == "[S2(1), S4(1,i), S4(1,1+i)] [S4(1,-i), S4(3,1+i)] True None False True False"
 
 
 def test_residue_field_certificate_stops_the_search(monkeypatch):

@@ -101,6 +101,19 @@ def test_zero_denominator_is_a_parse_error():
     assert json.loads(out)["error"] == {"kind": "domain", "message": "zero denominator in '1/0' at line 1, column 7"}
 
 
+@pytest.mark.parametrize(
+    "expr, where",
+    [("2²", "line 1, column 2"), ("H_²", "line 1, column 3"), ("e[²,0]_1", "line 1, column 3")],
+)
+def test_a_digit_that_is_not_decimal_is_a_parse_error(expr, where, capsys):
+    # str.isdigit accepts '²' and int() refused it, with no position
+    code, _ = run_cli(["normalize", expr])
+    assert code == 1 and where in capsys.readouterr().err
+    code, out = run_cli(["--json", "normalize", expr])
+    error = json.loads(out)["error"]
+    assert code == 1 and error["kind"] == "domain" and where in error["message"]
+
+
 def test_induce_without_a_window_is_a_usage_error():
     code, out = run_cli(["--json", "induce", "--orbit", "Z"])
     assert code == 2
